@@ -10,10 +10,12 @@ walks the whole live-ingest story:
 2. a background "capture box" thread publishes the victims' pcaps into a
    drop directory one at a time, using the atomic ``.inprogress``-then-rename
    convention (:meth:`CapturedTrace.to_pcap_atomic` writes the same way);
-3. a follow-mode :class:`StreamingAttackService` — what ``repro watch``
-   runs — tails the directory, attacks each capture as it finishes landing,
-   and appends one durable verdict line per capture to the results log;
-4. the service is then re-run in ``--once`` mode to show the resume
+3. a follow-mode :class:`FleetWatchService` over one unlabelled source —
+   what ``repro watch DIR`` runs — tails the directory, and its
+   :class:`StreamingAttackService` attacks each capture as it finishes
+   landing and appends one durable verdict line per capture to the results
+   log;
+4. the watch is then re-run in ``--once`` mode to show the resume
    property: every capture is recognised by content fingerprint and skipped,
    and a batch ``repro attack --results-log`` over the same directory writes
    a byte-identical log.
@@ -34,7 +36,12 @@ from repro.core.pipeline import WhiteMirrorAttack
 from repro.dataset.iitm import IITMBandersnatchDataset
 from repro.dataset.shards import iter_shard_training_sessions
 from repro.experiments.report import format_table
-from repro.ingest import INPROGRESS_SUFFIX, StreamingAttackService
+from repro.ingest import (
+    INPROGRESS_SUFFIX,
+    FleetSource,
+    FleetWatchService,
+    StreamingAttackService,
+)
 from repro.streaming.session import SessionConfig
 
 
@@ -43,6 +50,11 @@ def publish_capture_atomically(source: Path, drop: Path) -> None:
     staged = drop / (source.name + INPROGRESS_SUFFIX)
     shutil.copy(source, staged)
     os.replace(staged, drop / source.name)
+
+
+def watch(service: StreamingAttackService, drop: Path) -> FleetWatchService:
+    """The watch loop over one unlabelled drop directory (``repro watch DIR``)."""
+    return FleetWatchService(service=service, sources=(FleetSource(None, drop),))
 
 
 def main() -> None:
@@ -81,8 +93,7 @@ def main() -> None:
     print("=== 3. follow-mode ingest: verdicts as captures land ===")
     log_path = workdir / "results.jsonl"
     service = StreamingAttackService(library=attack.library, log_path=log_path)
-    service.run(
-        drop,
+    watch(service, drop).run(
         follow=True,
         poll_interval=0.1,
         on_verdict=lambda verdict, result: print(
@@ -99,7 +110,9 @@ def main() -> None:
     print("=== 4. restart + batch path: resume skips, logs byte-identical ===")
     resumed = StreamingAttackService(library=attack.library, log_path=log_path)
     skips: list[str] = []
-    resumed.run(drop, follow=False, on_skip=lambda path, reason: skips.append(path.name))
+    watch(resumed, drop).run(
+        follow=False, on_skip=lambda path, reason: skips.append(path.name)
+    )
     print(f"restart skipped {len(skips)} already-attacked captures")
 
     batch_log = workdir / "batch.jsonl"

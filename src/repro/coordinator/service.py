@@ -354,24 +354,15 @@ class Coordinator:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind the wire API and serve it from a daemon thread."""
+        """Bind the wire API, announce it, and serve it from a daemon thread.
+
+        ``serve-started`` is emitted before the serving thread exists, so
+        no lease can be granted (and narrated) ahead of it.
+        """
         handler = _build_handler(self)
         self._server = ThreadingHTTPServer((self._host, self._port), handler)
         self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        return self._host, self._server.server_address[1]
-
-    def serve_until_complete(self) -> dict[str, object]:
-        """Serve leases until every unit is in, then publish and stop."""
-        if self._server is None:
-            host, port = self.start()
-        else:
-            host, port = self._host, self._server.server_address[1]
+        host, port = self._host, self._server.server_address[1]
         if isinstance(self._plan, ArenaPlan):
             self._emit(
                 ev.SERVE_STARTED,
@@ -391,6 +382,18 @@ class Coordinator:
                 port=port,
                 lease_ttl=self._lease_ttl,
             )
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            name="repro-coordinator",
+            daemon=True,
+        )
+        self._thread.start()
+        return host, port
+
+    def serve_until_complete(self) -> dict[str, object]:
+        """Serve leases until every unit is in, then publish and stop."""
+        if self._server is None:
+            self.start()
         # Short waits keep the loop interruptible (Ctrl-C stops a serve).
         while not self._complete.wait(0.1):
             pass

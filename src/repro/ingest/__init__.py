@@ -3,15 +3,15 @@
 The online front end the paper's threat model implies — an eavesdropper
 classifies a viewer's choices as the encrypted traffic arrives, not from an
 archived corpus.  :class:`CaptureWatcher` detects *finished* captures,
-:class:`IngestQueue` deduplicates and orders arrivals,
 :class:`StreamingAttackService` attacks them through the engine's streaming
 fan-out and appends durable verdicts to a resumable :class:`ResultsLog`.
 
-The fleet layer scales that to many capture boxes at once:
-:class:`FleetWatchService` multiplexes N sources (validated and canonically
-ordered by :func:`validate_sources`) through a :class:`BoundedIngestQueue`
-with explicit backpressure, hot-reloads the fingerprint library via
-:class:`LibraryReloadWatcher`, and publishes :class:`IngestMetrics` over a
+One watch loop, :class:`FleetWatchService`, drives every capture source —
+one unlabelled directory or N labelled ones (validated and canonically
+ordered by :func:`validate_sources`) — through a :class:`BoundedIngestQueue`
+that deduplicates arrivals, keeps canonical order and applies explicit
+backpressure.  It hot-reloads the fingerprint library via
+:class:`LibraryReloadWatcher` and publishes :class:`IngestMetrics` over a
 :class:`MetricsServer` ``/metrics`` endpoint.  Surfaced on the command line
 as ``repro watch`` (one positional directory, or ``--source`` repeated).
 """
@@ -52,7 +52,6 @@ from repro.ingest.watcher import (
     DEFAULT_QUIET_SECONDS,
     INPROGRESS_SUFFIX,
     CaptureWatcher,
-    IngestQueue,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "FleetWatchService",
     "INPROGRESS_SUFFIX",
     "IngestMetrics",
-    "IngestQueue",
     "LibraryReloadWatcher",
     "METRICS_PATH",
     "MetricsServer",

@@ -1,15 +1,16 @@
-"""The multi-source watch fleet: many capture boxes, one attack service.
+"""The watch loop: one or many capture boxes, one attack service.
 
-``repro watch --source A --source B …`` scales the PR 5 single-directory
-watcher to a fleet of capture sources.  Each source is a drop directory
+Every ``repro watch`` runs here.  Each source is a drop directory
 (optionally watched recursively) with its own :class:`CaptureWatcher`;
 arrivals from every source funnel through one :class:`BoundedIngestQueue`
-into one :class:`~repro.ingest.service.StreamingAttackService`, and every
-verdict is stamped with the source that produced it.
+into one :class:`~repro.ingest.service.StreamingAttackService`.  With
+``--source A --source B …`` every verdict is stamped with the source that
+produced it; the positional ``repro watch DIR`` is a fleet of one
+unlabelled source whose verdicts carry no ``source`` at all.
 
 Three properties drive the design:
 
-* **Determinism (the PR 5 wall, multiplied).**  Sources are processed in
+* **Determinism (watch ≡ attack, multiplied).**  Sources are processed in
   *canonical order* — sorted by their attribution label — and within a
   source captures keep the watcher's name order.  Offers enter the queue in
   that order, the queue is FIFO, and parked overflow is promoted in the
@@ -56,9 +57,14 @@ DEFAULT_QUEUE_LOW = 128
 
 @dataclass(frozen=True)
 class FleetSource:
-    """One capture source: the label verdicts carry and the directory."""
+    """One capture source: the label verdicts carry and the directory.
 
-    label: str
+    A ``None`` label is the positional ``repro watch DIR`` source: its
+    verdicts carry no ``source`` and its log bytes equal ``repro attack
+    --results-log`` over the same pcaps.
+    """
+
+    label: str | None
     directory: Path
 
 
@@ -148,15 +154,15 @@ class BoundedIngestQueue:
         self,
         high_watermark: int = DEFAULT_QUEUE_HIGH,
         low_watermark: int = DEFAULT_QUEUE_LOW,
-        on_saturated: Callable[[str, int], None] | None = None,
+        on_saturated: Callable[[str | None, int], None] | None = None,
     ) -> None:
         validate_watermarks(high_watermark, low_watermark)
         self._high = high_watermark
         self._low = low_watermark
         self._on_saturated = on_saturated
-        self._pending: deque[tuple[str, Path]] = deque()
-        self._parked: dict[str, deque[Path]] = {}
-        self._seen: set[tuple[str, str]] = set()
+        self._pending: deque[tuple[str | None, Path]] = deque()
+        self._parked: dict[str | None, deque[Path]] = {}
+        self._seen: set[tuple[str | None, str]] = set()
         self._saturated = False
         self._peak_depth = 0
         self._saturation_events = 0
@@ -192,7 +198,7 @@ class BoundedIngestQueue:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def offer(self, source: str, paths: Iterable[Path]) -> list[Path]:
+    def offer(self, source: str | None, paths: Iterable[Path]) -> list[Path]:
         """Enqueue one source's new arrivals; returns the accepted ones.
 
         Dedup key is ``(source, path)`` — each capture enters the fleet
@@ -220,7 +226,7 @@ class BoundedIngestQueue:
                         self._on_saturated(source, len(self._pending))
         return accepted
 
-    def drain_next_batch(self) -> tuple[str, list[Path]] | None:
+    def drain_next_batch(self) -> tuple[str | None, list[Path]] | None:
         """Pop the longest same-source prefix of the queue, then refill.
 
         Returns ``(source, paths)`` or ``None`` when nothing is pending.
@@ -376,9 +382,9 @@ class FleetWatchService:
         reload_watcher: LibraryReloadWatcher | None = None,
         quiet_seconds: float = DEFAULT_QUIET_SECONDS,
         clock: Callable[[], float] = time.time,
-        on_saturated: Callable[[str, int], None] | None = None,
+        on_saturated: Callable[[str | None, int], None] | None = None,
         on_reloaded: Callable[[str, str], None] | None = None,
-        on_arrival: Callable[[str, Path], None] | None = None,
+        on_arrival: Callable[[str | None, Path], None] | None = None,
     ) -> None:
         self._service = service
         self._sources = tuple(sources)
@@ -438,18 +444,23 @@ class FleetWatchService:
     ) -> list[CaptureVerdict]:
         """Drain every source, optionally following them for new arrivals.
 
-        The loop structure mirrors the single-source service: scan every
-        source (canonical order), offer arrivals into the bounded queue,
-        drain same-source batches through ``service.process`` (with the
-        hot-reload check between batches), then poll again.  One-shot mode
-        (``follow=False``) performs a single quiescent pass over every
-        source and drains the queue to empty — parked overflow included —
-        before returning.
+        Scan every source (canonical order), offer arrivals into the
+        bounded queue, drain same-source batches through
+        ``service.process`` (with the hot-reload check between batches),
+        then poll again.  One-shot mode (``follow=False``) performs a
+        single quiescent pass over every source — every unmarked capture
+        is trusted as finished — and drains the queue to empty, parked
+        overflow included, before returning.  Follow mode polls every
+        ``poll_interval`` seconds, applying the watcher's finish
+        detection, until ``should_stop`` returns true (or forever —
+        ``repro watch`` runs until interrupted).
 
-        A batch failure kills a one-shot run (the caller asked for exactly
-        this drain) but only warns — via ``on_error`` — in follow mode; the
-        failed batch's unlogged captures are re-examined on restart, exactly
-        as in the single-source loop.
+        A batch failure (e.g. a corrupt capture) kills a one-shot run — the
+        caller asked for exactly this drain — but only warns, via
+        ``on_error``, in follow mode.  The failed batch's unlogged captures
+        are not retried by this process (a corrupt capture would loop
+        forever); they are re-examined on restart, since only logged
+        verdicts are skipped.
         """
         fresh: list[CaptureVerdict] = []
         while True:

@@ -1,9 +1,10 @@
 """The streaming attack service: captures in, verdicts out.
 
-:class:`StreamingAttackService` is the shared engine behind the online
-(``repro watch``) and offline (``repro attack`` over a directory) paths.
-Both hand it capture files; it fingerprints each one, skips what the results
-log already knows, resolves the rest into
+:class:`StreamingAttackService` is the one attack step behind the online
+(``repro watch``, driven by the watch loop in :mod:`repro.ingest.fleet`)
+and offline (``repro attack`` over a directory) paths.  Both hand
+:meth:`~StreamingAttackService.process` capture files; it fingerprints each
+one, skips what the results log already knows, resolves the rest into
 :class:`~repro.core.pipeline.PcapAttackTask`\\ s, streams them through
 :meth:`WhiteMirrorAttack.iter_attack_pcaps` (the engine's bounded-window
 ``imap``, so ``--workers N`` parses and attacks captures in parallel while
@@ -23,9 +24,10 @@ it completes — so a kill-and-restart cycle converges on exactly one verdict
 per capture.
 
 The service never prints: everything it observes surfaces through the
-``on_verdict``/``on_skip``/``on_error`` callbacks, which the job runner
-(:class:`repro.jobs.runner.JobRunner`) adapts onto the structured event
-bus — each callback becomes a ``verdict``/``capture-skipped``/``warning``
+``on_verdict``/``on_skip`` callbacks (plus the watch loop's ``on_error``),
+which the job runner (:class:`repro.jobs.runner.JobRunner`) adapts onto
+the structured event bus — each callback becomes a
+``verdict``/``capture-skipped``/``warning``
 :class:`~repro.jobs.events.JobEvent`, so the same run narrates to a
 terminal, a JSONL pipeline, or a coordinator's feed depending only on the
 attached sinks.
@@ -33,7 +35,6 @@ attached sinks.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,10 +42,9 @@ from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline import AttackResult, PcapAttackTask, WhiteMirrorAttack
 from repro.dataset.collection import default_study_script
 from repro.dataset.format import METADATA_FILENAME
-from repro.exceptions import IngestError, ReproError
+from repro.exceptions import IngestError
 from repro.ingest.log import CaptureVerdict, ResultsLog, capture_fingerprint
 from repro.ingest.tasks import build_pcap_task, entry_truth, metadata_entries_near
-from repro.ingest.watcher import CaptureWatcher, IngestQueue
 from repro.narrative.graph import StoryGraph
 
 #: Why the service passed over a capture without attacking it.  Resolution
@@ -274,60 +274,6 @@ class StreamingAttackService:
             if on_verdict is not None:
                 on_verdict(verdict, result)
         return fresh
-
-    # -- the watch loop ----------------------------------------------------
-
-    def run(
-        self,
-        directory: str | Path,
-        follow: bool = False,
-        poll_interval: float = 0.5,
-        on_verdict: VerdictCallback | None = None,
-        on_skip: SkipCallback | None = None,
-        on_error: Callable[[ReproError], None] | None = None,
-        should_stop: Callable[[], bool] | None = None,
-    ) -> list[CaptureVerdict]:
-        """Drain a drop directory, optionally following it for new arrivals.
-
-        One-shot mode (``follow=False``) performs a single quiescent scan —
-        every unmarked capture currently in the directory is trusted as
-        finished — and returns after attacking them, in name order: exactly
-        the batch path's behaviour, which is what makes the two logs
-        byte-identical.  Follow mode polls every ``poll_interval`` seconds,
-        applying the watcher's finish detection, until ``should_stop``
-        returns true (or forever — ``repro watch`` runs until interrupted).
-
-        A batch that fails mid-attack (e.g. a corrupt capture) kills a
-        one-shot run — the caller asked for exactly that batch — but must
-        not kill a long-running follow loop: the error is reported through
-        ``on_error`` and the loop continues with the next poll.  The failed
-        batch's unlogged captures are not retried by this process (a corrupt
-        capture would loop forever); they are re-examined on restart, since
-        only logged verdicts are skipped.
-
-        Returns the fresh verdicts from this call.
-        """
-        watcher = CaptureWatcher(directory)
-        queue = IngestQueue()
-        fresh: list[CaptureVerdict] = []
-        while True:
-            queue.offer(watcher.scan(assume_quiescent=not follow))
-            batch = queue.drain()
-            if batch:
-                try:
-                    fresh.extend(
-                        self.process(batch, on_verdict=on_verdict, on_skip=on_skip)
-                    )
-                except ReproError as error:
-                    if not follow:
-                        raise
-                    if on_error is not None:
-                        on_error(error)
-            if not follow:
-                return fresh
-            if should_stop is not None and should_stop():
-                return fresh
-            time.sleep(poll_interval)
 
     # -- aggregates --------------------------------------------------------
 

@@ -22,18 +22,17 @@ Two finish signals are understood:
   in buffered bursts, so a capture can look stable across two fast polls and
   then grow again — two matching stats alone are not a completion signal.
 
-:class:`IngestQueue` sits behind the watcher and gives the attack service a
-deduplicated, deterministically-ordered stream of arrivals: a capture is
-handed out exactly once per process however many scans re-report it, in
-first-seen order with name ties broken alphabetically inside a scan batch.
+Behind the watcher, the watch loop's
+:class:`~repro.ingest.fleet.BoundedIngestQueue` hands each capture to the
+attack service exactly once per process however many scans re-report it,
+in first-seen order with name ties broken alphabetically inside a scan.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.dataset.format import INPROGRESS_FILENAME
 from repro.exceptions import IngestError
@@ -155,41 +154,3 @@ class CaptureWatcher:
         self._stats.pop(name, None)
         self._marked.discard(name)
         finished.append(path)
-
-
-class IngestQueue:
-    """Deduplicated, ordered queue of finished capture arrivals.
-
-    Sits between the watcher and the attack service: :meth:`offer` absorbs a
-    scan's findings (dropping anything already enqueued or already handed
-    out), :meth:`drain` yields the pending captures in arrival order.  The
-    dedup key is the capture *name* — content-level dedup (the same bytes
-    under a new name) is the results log's job, which fingerprints content.
-    """
-
-    def __init__(self) -> None:
-        self._pending: deque[Path] = deque()
-        self._seen: set[str] = set()
-
-    def offer(self, paths: Iterable[Path]) -> list[Path]:
-        """Enqueue new arrivals; returns the ones actually accepted."""
-        accepted: list[Path] = []
-        for path in sorted(Path(path) for path in paths):
-            if path.name in self._seen:
-                continue
-            self._seen.add(path.name)
-            self._pending.append(path)
-            accepted.append(path)
-        return accepted
-
-    def drain(self) -> list[Path]:
-        """Remove and return every pending capture, in arrival order."""
-        drained = list(self._pending)
-        self._pending.clear()
-        return drained
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def __iter__(self) -> Iterator[Path]:
-        return iter(self._pending)

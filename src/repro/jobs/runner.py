@@ -52,6 +52,7 @@ from repro.dataset.sidecar import fold_shard_sidecar
 from repro.engine.executor import ProgressCallback
 from repro.exceptions import DatasetError, JobError, ReproError
 from repro.ingest.fleet import (
+    FleetSource,
     FleetWatchService,
     LibraryReloadWatcher,
     validate_sources,
@@ -712,92 +713,46 @@ class JobRunner:
     # -- watch -------------------------------------------------------------
 
     def _run_watch(self, spec: WatchJob) -> JobResult:
-        """Attack captures as they land in a drop directory.
+        """Attack captures as they land in drop directories.
 
         The online counterpart of ``repro attack`` over a directory,
         sharing its capture→verdict code path
         (:class:`StreamingAttackService`): detected captures are attacked
         as they finish landing, each verdict is durably appended to the
         results log, and a running aggregate-accuracy table follows every
-        batch.  ``follow=False`` drains the directory and exits — over a
-        quiescent directory its results log is byte-identical to ``repro
-        attack --results-log`` on the same pcaps.  A restarted watch
-        resumes from the log, skipping captures already attacked (by
-        content fingerprint).
+        verdict.  A restarted watch resumes from the log, skipping captures
+        already attacked (by content fingerprint).
 
-        With ``--source`` directories the spec routes to the fleet branch
-        instead: N watched sources through one bounded queue, one shared
-        results log, every verdict stamped with its source.
+        Both shapes run the one watch loop, :class:`FleetWatchService`.
+        The positional directory is a fleet of one unlabelled source: its
+        verdicts carry no source and ``--once`` over a quiescent directory
+        writes a log byte-identical to ``repro attack --results-log`` on
+        the same pcaps.  ``--source`` directories are validated and
+        canonically ordered, every verdict is stamped with its source, the
+        aggregate table is broken down per source, and ``--once`` writes a
+        log byte-identical to serial single-source runs concatenated in
+        canonical source order.
         """
         if spec.sources:
-            return self._run_watch_fleet(spec)
-        directory = self._workspace.resolve(spec.directory)
-        if not directory.is_dir():
-            # Checked before the service builds its results log (which
-            # defaults into this directory), so the error names the actual
-            # mistake.
-            raise ReproError(
-                f"capture drop directory {directory} does not exist (create it "
-                "before watching, or point at a dataset's traces/)"
+            sources = validate_sources(
+                spec.sources, resolve=self._workspace.resolve
             )
-        log_path = spec.results_log or str(Path(spec.directory) / "results.jsonl")
-        service = self._build_attack_service(spec, log_path)
-        resumed = len(service.verdicts)
-        if resumed:
-            self._bus.emit(ev.RESUMED, count=resumed, path=log_path)
-
-        def on_skip(path: Path, reason: str) -> None:
-            self._bus.emit(ev.CAPTURE_SKIPPED, capture=path.name, reason=reason)
-
-        def on_verdict(verdict, result: AttackResult) -> None:
-            self._bus.emit(
-                ev.VERDICT,
-                capture=verdict.capture,
-                fingerprint=verdict.fingerprint,
-                condition_key=verdict.condition_key,
-                pattern=list(verdict.pattern),
-                truth=list(verdict.truth) if verdict.truth is not None else None,
-                correct=verdict.correct_questions,
-                questions=verdict.question_count,
+            log_path = spec.results_log  # validate() requires it in fleet mode
+        else:
+            directory = self._workspace.resolve(spec.directory)
+            if not directory.is_dir():
+                # Checked before the service builds its results log (which
+                # defaults into this directory), so the error names the
+                # actual mistake.
+                raise ReproError(
+                    f"capture drop directory {directory} does not exist "
+                    "(create it before watching, or point at a dataset's "
+                    "traces/)"
+                )
+            sources = (FleetSource(None, directory),)
+            log_path = spec.results_log or str(
+                Path(spec.directory) / "results.jsonl"
             )
-            self._bus.emit(ev.AGGREGATE, rows=service.aggregate_rows())
-
-        try:
-            service.run(
-                directory,
-                follow=spec.follow,
-                poll_interval=spec.poll_interval,
-                on_verdict=on_verdict,
-                on_skip=on_skip,
-                on_error=lambda error: self._bus.emit(
-                    ev.WARNING,
-                    text=f"batch failed, still watching: {error}",
-                ),
-            )
-        except KeyboardInterrupt:
-            self._bus.emit(ev.STOPPED)
-        self._bus.emit(
-            ev.RESULTS_LOG, path=log_path, total=len(service.verdicts)
-        )
-        return JobResult(
-            job=spec.KIND,
-            artifacts=(self._workspace.artifact("results-log", log_path),),
-            summary={"verdicts": len(service.verdicts)},
-        )
-
-    def _run_watch_fleet(self, spec: WatchJob) -> JobResult:
-        """Watch a fleet of capture sources through one bounded queue.
-
-        Sources are validated and canonically ordered up front; every
-        verdict carries its source label, and the running aggregate table
-        is broken down per source.  ``--once`` drains every source and
-        exits with a results log byte-identical to serial single-source
-        fleet runs concatenated in canonical source order — the PR 5
-        watch-vs-attack wall, multiplied across sources.
-        """
-        sources = validate_sources(
-            spec.sources, resolve=self._workspace.resolve
-        )
         # The reload stage is validated before the main library loads so a
         # bad --reload-library fails on its own flag, not on a coincidence
         # of which file was read first.
@@ -806,7 +761,6 @@ class JobRunner:
             reload_watcher = LibraryReloadWatcher(
                 self._resolve(spec.reload_library)
             )
-        log_path = spec.results_log  # validate() requires it in fleet mode
         service = self._build_attack_service(spec, log_path)
         resumed = len(service.verdicts)
         if resumed:
@@ -828,10 +782,10 @@ class JobRunner:
             else spec.queue_high // 2
         )
 
-        def on_saturated(source: str, depth: int) -> None:
+        def on_saturated(source: str | None, depth: int) -> None:
             self._bus.emit(
                 ev.QUEUE_SATURATED,
-                source=source,
+                source=source if source is not None else spec.directory,
                 depth=depth,
                 high_watermark=spec.queue_high,
                 low_watermark=queue_low,
@@ -846,9 +800,9 @@ class JobRunner:
             if metrics is not None:
                 metrics.record_reload()
 
-        def on_arrival(source: str, path: Path) -> None:
+        def on_arrival(source: str | None, path: Path) -> None:
             if metrics is not None:
-                metrics.record_arrival(source, path.name)
+                metrics.record_arrival(source or "", path.name)
 
         def on_skip(path: Path, reason: str) -> None:
             self._bus.emit(ev.CAPTURE_SKIPPED, capture=path.name, reason=reason)
@@ -856,9 +810,12 @@ class JobRunner:
                 metrics.record_skip()
 
         def on_verdict(verdict, result: AttackResult) -> None:
+            # Unlabelled verdicts omit the key entirely so the legacy
+            # single-directory line stays golden-pinned.
+            attribution = {"source": verdict.source} if spec.sources else {}
             self._bus.emit(
                 ev.VERDICT,
-                source=verdict.source,
+                **attribution,
                 capture=verdict.capture,
                 fingerprint=verdict.fingerprint,
                 condition_key=verdict.condition_key,
@@ -867,7 +824,11 @@ class JobRunner:
                 correct=verdict.correct_questions,
                 questions=verdict.question_count,
             )
-            rows = service.aggregate_rows_by_source()
+            rows = (
+                service.aggregate_rows_by_source()
+                if spec.sources
+                else service.aggregate_rows()
+            )
             self._bus.emit(ev.AGGREGATE, rows=rows)
             if metrics is not None:
                 metrics.record_verdict(verdict.source or "", verdict.capture)
@@ -911,13 +872,13 @@ class JobRunner:
         self._bus.emit(
             ev.RESULTS_LOG, path=log_path, total=len(service.verdicts)
         )
+        summary = {"verdicts": len(service.verdicts)}
+        if spec.sources:
+            summary["sources"] = len(sources)
         return JobResult(
             job=spec.KIND,
             artifacts=(self._workspace.artifact("results-log", log_path),),
-            summary={
-                "verdicts": len(service.verdicts),
-                "sources": len(sources),
-            },
+            summary=summary,
         )
 
     # -- inspect -----------------------------------------------------------

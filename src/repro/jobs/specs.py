@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping
 
 from repro.exceptions import JobError, ReproError
+from repro.ingest.fleet import validate_watermarks
 
 #: Default version stamped into serialised specs.  A spec class whose field
 #: set has evolved past the fleet-wide default carries its own ``SCHEMA``
@@ -221,12 +222,13 @@ class AttackJob(JobSpec):
 class WatchJob(JobSpec):
     """``repro watch``: attack captures as they land in drop directories.
 
-    Two shapes share the spec.  The historical single-directory mode sets
-    ``directory`` and behaves exactly as before (schema-1 payloads, which
-    lack every fleet field, migrate by default-fill).  Fleet mode sets
-    ``sources`` instead and unlocks the multi-source machinery: recursive
-    watching, the bounded queue's watermarks, hot library reload and the
-    ``/metrics`` endpoint.
+    Both shapes run the same watch loop.  The positional ``directory`` is a
+    fleet of one unlabelled source: its verdicts carry no source and its
+    log defaults into the directory (schema-1 payloads, which lack every
+    fleet field, migrate by default-fill).  ``sources`` names labelled
+    directories and unlocks the multi-source flags: recursive watching,
+    hot library reload and the ``/metrics`` endpoint.  The queue
+    watermarks apply to both.
     """
 
     KIND: ClassVar[str] = "watch"
@@ -276,23 +278,10 @@ class WatchJob(JobSpec):
                 "results log, and with several drop directories there is "
                 "no single place to default it into"
             )
-        if self.queue_high < 1:
-            raise ReproError(
-                f"--queue-high must be a positive capture count, got "
-                f"{self.queue_high}"
-            )
-        if self.queue_low is not None:
-            if self.queue_low < 0:
-                raise ReproError(
-                    f"--queue-low must be >= 0, got {self.queue_low}"
-                )
-            if self.queue_high <= self.queue_low:
-                raise ReproError(
-                    f"--queue-high ({self.queue_high}) must be greater than "
-                    f"--queue-low ({self.queue_low}) — the queue must drain "
-                    "below the low watermark before parked captures are "
-                    "promoted"
-                )
+        validate_watermarks(
+            self.queue_high,
+            self.queue_low if self.queue_low is not None else self.queue_high // 2,
+        )
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
             raise ReproError(
                 f"--metrics-port must be a TCP port (0-65535), got "

@@ -14,7 +14,8 @@ Regenerating the goldens (only after an *intentional* output change)::
 
 The comparison is on raw bytes (including the ``\\r`` transient progress
 lines), so the files are written and read in binary mode.  Absolute tmp
-paths are normalised to ``<ROOT>`` before comparison.
+paths are normalised to ``<ROOT>`` before comparison, and a table title
+that names one has its ``=`` underline resized to match.
 """
 
 from __future__ import annotations
@@ -75,6 +76,26 @@ def _first_pcap(directory: Path) -> Path:
     return pcaps[0]
 
 
+def _normalise_root(output: str, root: str) -> str:
+    """Replace the tmp root with ``<ROOT>``, resizing title underlines.
+
+    A table title naming an absolute path is underlined to the title's
+    length, so the raw underline depends on how long the tmp root is.  The
+    underline must match the raw title exactly; it is then resized to the
+    normalised title so the golden holds under any ``--basetemp``.
+    """
+    lines = output.split("\n")
+    for index, line in enumerate(lines[:-1]):
+        underline = lines[index + 1]
+        if root in line and set(underline) == {"="}:
+            assert len(underline) == len(line), (
+                f"underline of {line!r} is {len(underline)} characters, "
+                f"not the title's {len(line)}"
+            )
+            lines[index + 1] = "=" * len(line.replace(root, "<ROOT>"))
+    return "\n".join(lines).replace(root, "<ROOT>")
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory) -> tuple[Path, dict[str, str]]:
     """Run the whole scenario chain once; returns (root, stdout-by-name)."""
@@ -87,7 +108,7 @@ def golden_run(tmp_path_factory) -> tuple[Path, dict[str, str]]:
             exit_code = main(argv)
         output = buffer.getvalue()
         assert exit_code == 0, f"{name} exited {exit_code}:\n{output}"
-        outputs[name] = output.replace(str(root), "<ROOT>")
+        outputs[name] = _normalise_root(output, str(root))
 
     run(
         "generate-plain",

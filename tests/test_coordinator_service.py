@@ -241,6 +241,14 @@ def api(tmp_path):
     coordinator.close()
 
 
+def test_start_announces_serving_before_any_lease(api):
+    # start() narrates serve-started itself, before its serving thread can
+    # grant (and narrate) a lease: it is the first event with or without
+    # a worker racing it.
+    _url, recorder = api
+    assert recorder.kinds() == ["serve-started"]
+
+
 def test_plan_endpoint_is_wire_stamped(api):
     url, _recorder = api
     body = _get(url, wire.PLAN_PATH)

@@ -22,9 +22,17 @@ from repro.cli.main import main
 from repro.core.pipeline import WhiteMirrorAttack
 from repro.dataset.collection import default_study_script
 from repro.dataset.shards import iter_shard_training_sessions
+from repro.ingest.fleet import FleetSource, FleetWatchService
 from repro.ingest.log import ResultsLog, capture_fingerprint
 from repro.ingest.service import StreamingAttackService
 from repro.ingest.watcher import INPROGRESS_SUFFIX
+
+
+def _single_source_fleet(service, directory):
+    """The watch loop as ``repro watch DIR`` runs it: one unlabelled source."""
+    return FleetWatchService(
+        service=service, sources=(FleetSource(None, Path(directory)),)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +122,42 @@ class TestWatchMatchesBatchAttack:
         output = capsys.readouterr().out
         assert "Running aggregate accuracy" in output
         assert "aggregate: attacked" in output
+
+    def test_bounded_once_log_is_byte_identical_to_batch_attack_log(
+        self, dataset_dir, library_path, tmp_path, capsys
+    ):
+        # The positional watch honours the queue watermarks; a bound that
+        # parks captures mid-drain changes batching, never the log bytes.
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        assert len(captures) >= 3
+        watch_log = tmp_path / "watch.jsonl"
+        attack_log = tmp_path / "attack.jsonl"
+        assert (
+            main(
+                [
+                    "watch", str(drop), "--library", str(library_path),
+                    "--once", "--results-log", str(watch_log),
+                    "--queue-high", "2", "--queue-low", "0",
+                ]
+            )
+            == 0
+        )
+        output = capsys.readouterr().out
+        assert f"parking new arrivals from {drop} " in output
+        assert (
+            main(
+                [
+                    "attack", str(drop), str(library_path),
+                    "--results-log", str(attack_log),
+                ]
+            )
+            == 0
+        )
+        assert watch_log.read_bytes() == attack_log.read_bytes()
+        records = [json.loads(line) for line in watch_log.read_text().splitlines()]
+        assert len(records) == len(captures)
+        assert all("source" not in record for record in records)
 
     def test_watch_default_log_lives_in_the_drop_directory(
         self, dataset_dir, library_path, tmp_path, capsys
@@ -349,8 +393,7 @@ class TestServiceRobustness:
             log_path=tmp_path / "log.jsonl",
             environment="linux/firefox",
         )
-        service.run(
-            drop,
+        _single_source_fleet(service, drop).run(
             follow=True,
             poll_interval=0.01,
             on_error=errors.append,
@@ -376,7 +419,7 @@ class TestServiceRobustness:
             environment="linux/firefox",
         )
         with pytest.raises(ReproError, match="corrupt.pcap"):
-            service.run(drop, follow=False)
+            _single_source_fleet(service, drop).run(follow=False)
 
     def test_duplicate_content_without_a_log_is_attacked_twice(
         self, dataset_dir, library_path, tmp_path

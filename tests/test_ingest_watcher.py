@@ -9,7 +9,8 @@ import pytest
 
 from repro.exceptions import IngestError
 from repro.ingest.log import CaptureVerdict, ResultsLog, capture_fingerprint
-from repro.ingest.watcher import INPROGRESS_SUFFIX, CaptureWatcher, IngestQueue
+from repro.ingest.fleet import BoundedIngestQueue
+from repro.ingest.watcher import INPROGRESS_SUFFIX, CaptureWatcher
 
 
 def _drop(directory, name, payload=b"pcap-bytes"):
@@ -147,34 +148,40 @@ class TestCaptureWatcher:
         assert watcher.scan(assume_quiescent=True) == []
 
 
-class TestIngestQueue:
+class TestUnlabelledQueue:
+    """The watch loop's queue as the positional ``repro watch DIR`` uses it:
+    one unlabelled (``None``) source."""
+
     def test_offer_dedupes_and_orders(self, tmp_path):
-        queue = IngestQueue()
+        queue = BoundedIngestQueue()
         first = _drop(tmp_path, "b.pcap")
         second = _drop(tmp_path, "a.pcap")
-        accepted = queue.offer([first, second])
+        accepted = queue.offer(None, [first, second])
         # Name-sorted within one batch.
         assert [p.name for p in accepted] == ["a.pcap", "b.pcap"]
         # Re-offering is a no-op, even after draining.
-        assert queue.offer([first]) == []
-        assert [p.name for p in queue.drain()] == ["a.pcap", "b.pcap"]
-        assert queue.offer([second]) == []
-        assert queue.drain() == []
+        assert queue.offer(None, [first]) == []
+        source, batch = queue.drain_next_batch()
+        assert source is None
+        assert [p.name for p in batch] == ["a.pcap", "b.pcap"]
+        assert queue.offer(None, [second]) == []
+        assert queue.drain_next_batch() is None
 
     def test_arrival_order_is_preserved_across_batches(self, tmp_path):
-        queue = IngestQueue()
+        queue = BoundedIngestQueue()
         late = _drop(tmp_path, "a-late.pcap")
         early = _drop(tmp_path, "z-early.pcap")
-        queue.offer([early])
-        queue.offer([late])
-        # First-seen order wins over name order across batches.
-        assert [p.name for p in queue.drain()] == ["z-early.pcap", "a-late.pcap"]
+        queue.offer(None, [early])
+        queue.offer(None, [late])
+        # First-seen order wins over name order across offers.
+        _source, batch = queue.drain_next_batch()
+        assert [p.name for p in batch] == ["z-early.pcap", "a-late.pcap"]
 
     def test_len_counts_pending_only(self, tmp_path):
-        queue = IngestQueue()
-        queue.offer([_drop(tmp_path, "a.pcap")])
+        queue = BoundedIngestQueue()
+        queue.offer(None, [_drop(tmp_path, "a.pcap")])
         assert len(queue) == 1
-        queue.drain()
+        queue.drain_next_batch()
         assert len(queue) == 0
 
 
