@@ -32,14 +32,14 @@ def test_defense_ablation(benchmark):
     print()
     print(
         "residual timing channel under the strongest defence: "
-        f"question recall = {result.best_defense.timing_question_recall:.2f}"
+        f"question recall = {result.best_defense['timing_question_recall']:.2f}"
     )
 
     # Shape: with no defence the attack is essentially perfect; the paper's
     # suggested fixes (strong padding / splitting / compression) collapse the
     # record-length channel; and the timing channel survives all of them.
     assert result.undefended_accuracy >= 0.95
-    assert result.best_defense.choice_accuracy <= 0.4
-    assert result.evaluation_for("pad-to-constant(target_bytes=4096)").choice_accuracy <= 0.2
-    assert result.evaluation_for("pad-to-multiple(block_bytes=64)").choice_accuracy >= 0.9
+    assert result.best_defense["choice_accuracy"] <= 0.4
+    assert result.evaluation_for("pad-to-constant(target_bytes=4096)")["choice_accuracy"] <= 0.2
+    assert result.evaluation_for("pad-to-multiple(block_bytes=64)")["choice_accuracy"] >= 0.9
     assert result.timing_channel_survives

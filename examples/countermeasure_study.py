@@ -31,10 +31,10 @@ def main() -> None:
     print()
     best = result.best_defense
     print(f"undefended choice accuracy : {result.undefended_accuracy:.2f}")
-    print(f"strongest defence          : {best.defense_name}")
-    print(f"  residual choice accuracy : {best.choice_accuracy:.2f}")
-    print(f"  bytes added per session  : {best.mean_overhead_bytes_per_session:.0f}")
-    print(f"  timing question recall   : {best.timing_question_recall:.2f}")
+    print(f"strongest defence          : {best['defense']}")
+    print(f"  residual choice accuracy : {best['choice_accuracy']:.2f}")
+    print(f"  bytes added per session  : {best['overhead_bytes_per_session']:.0f}")
+    print(f"  timing question recall   : {best['timing_question_recall']:.2f}")
 
     print()
     if result.timing_channel_survives:

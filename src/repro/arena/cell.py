@@ -13,17 +13,12 @@ it attacks the defended test sessions.
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior
 from repro.components import component_instance_name
-from repro.core.classifier import MLRecordClassifier
-from repro.core.evaluation import AttackEvaluation, evaluate_attack_result
-from repro.core.features import ClientRecord, extract_client_records
-from repro.core.inference import infer_choices
-from repro.defenses.base import apply_defense
-from repro.defenses.evaluation import timing_scores
+from repro.defenses.evaluation import score_defense
 from repro.defenses.registry import defense_from_spec
 from repro.ml.registry import classifier_from_spec
 from repro.narrative.bandersnatch import build_bandersnatch_script
@@ -35,18 +30,13 @@ from repro.utils.rng import derive_seed
 #: speak, exactly like job specs and the coordinator wire format.
 ARENA_SCHEMA_VERSION = 1
 
-#: The two viewer behaviours the defence ablation alternates; the arena
-#: keeps the same population so its undefended rows are comparable.
+#: The two viewer behaviours the arena alternates — the same population as
+#: the defence ablation (``experiments.defense_ablation``), so the arena's
+#: undefended rows are comparable with the ablation's reference row.
 _BEHAVIORS = (
     ("20-25", "male", "centrist", "happy"),
     ("25-30", "female", "liberal", "stressed"),
 )
-
-
-def _choice_accuracy(evaluations: Sequence[AttackEvaluation]) -> float:
-    total = sum(e.ground_truth_choices for e in evaluations)
-    correct = sum(e.correct_choices for e in evaluations)
-    return correct / total if total else 0.0
 
 
 def _sessions(
@@ -83,80 +73,12 @@ def run_cell(
 ) -> dict[str, object]:
     """Score one cell; returns its deterministic, JSON-ready result dict."""
     condition_obj = OperationalCondition(*condition.split("/"))
-    defense_obj = defense_from_spec(defense) if defense is not None else None
-    attacker = MLRecordClassifier(classifier_from_spec(classifier))
-
-    train_sessions = _sessions(
-        condition_obj, condition, train_count, "train", seed
+    metrics = score_defense(
+        defense_from_spec(defense) if defense is not None else None,
+        classifier_from_spec(classifier),
+        _sessions(condition_obj, condition, train_count, "train", seed),
+        _sessions(condition_obj, condition, test_count, "test", seed),
     )
-    test_sessions = _sessions(condition_obj, condition, test_count, "test", seed)
-    train_records = [
-        extract_client_records(session.trace, server_ip=session.trace.server_ip)
-        for session in train_sessions
-    ]
-    test_records = [
-        extract_client_records(session.trace, server_ip=session.trace.server_ip)
-        for session in test_sessions
-    ]
-    if defense_obj is None:
-        defended_train = [list(records) for records in train_records]
-        defended_test = [list(records) for records in test_records]
-    else:
-        defended_train = [
-            apply_defense(defense_obj, records) for records in train_records
-        ]
-        defended_test = [
-            apply_defense(defense_obj, records) for records in test_records
-        ]
-
-    flat_train: list[ClientRecord] = [
-        record for records in defended_train for record in records
-    ]
-    attacker.fit(flat_train)
-
-    evaluations: list[AttackEvaluation] = []
-    byte_overheads: list[float] = []
-    latency_overheads: list[float] = []
-    timing_accuracies: list[float] = []
-    timing_recalls: list[float] = []
-    for session, original, defended in zip(
-        test_sessions, test_records, defended_test
-    ):
-        labels = attacker.classify(defended)
-        inferred = infer_choices(defended, labels)
-        evaluations.append(
-            evaluate_attack_result(
-                records=defended,
-                predicted_labels=labels,
-                inferred=inferred,
-                ground_truth_path=session.path,
-            )
-        )
-        if defense_obj is None:
-            byte_overheads.append(0.0)
-            latency_overheads.append(0.0)
-        else:
-            byte_overheads.append(
-                float(defense_obj.overhead_bytes(original, defended))
-            )
-            # Record-length defences keep timestamps; a future timing
-            # defence shows up here as extra time-to-last-record.
-            latency_overheads.append(
-                defended[-1].timestamp - original[-1].timestamp
-            )
-        timing_accuracy, recall = timing_scores(session, defended)
-        timing_accuracies.append(timing_accuracy)
-        timing_recalls.append(recall)
-
-    count = len(evaluations)
-    metrics = {
-        "choice_accuracy": _choice_accuracy(evaluations),
-        "record_accuracy": sum(e.record_accuracy for e in evaluations) / count,
-        "overhead_bytes_per_session": sum(byte_overheads) / count,
-        "overhead_latency_s_per_session": sum(latency_overheads) / count,
-        "timing_attack_choice_accuracy": sum(timing_accuracies) / count,
-        "timing_question_recall": sum(timing_recalls) / count,
-    }
     return {
         "cell": cell_id,
         "classifier": dict(classifier),

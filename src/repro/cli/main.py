@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=commands.DEFAULT_QUEUE_HIGH,
         metavar="N",
         help=(
-            "fleet mode: high watermark of the bounded ingest queue — at "
+            "high watermark of the bounded ingest queue — at "
             f"most N captures pending at once (default "
             f"{commands.DEFAULT_QUEUE_HIGH}); overflow parks per source "
             "and a queue-saturated event is emitted"
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "fleet mode: low watermark — parked captures are promoted once "
+            "low watermark — parked captures are promoted once "
             "the queue drains to N (default: half of --queue-high)"
         ),
     )

@@ -4,8 +4,9 @@ Section VI of the paper sketches the obvious fixes — split the JSON state
 report across records, or pad/compress it so its length stops being
 distinctive — and warns that a timing side-channel may survive them.  This
 package implements those defences as transformations of the observable
-client-record sequence, plus an evaluation harness measuring how much each
-defence actually degrades the attack and a residual-timing analysis.
+client-record sequence, plus :func:`score_defense` — the one scorer, shared
+by the defence ablation and the arena — measuring how much each defence
+degrades an adaptive attacker, and a residual-timing analysis.
 """
 
 from repro.defenses.padding import PadToConstant, PadToMultiple
@@ -13,7 +14,7 @@ from repro.defenses.splitting import SplitRecords
 from repro.defenses.compression import CompressStateReports
 from repro.defenses.base import RecordDefense, apply_defense
 from repro.defenses.timing import TimingOnlyAttack, timing_question_recall
-from repro.defenses.evaluation import DefenseEvaluation, evaluate_defenses, timing_scores
+from repro.defenses.evaluation import score_defense, timing_scores
 from repro.defenses.registry import (
     DEFENSE_REGISTRY,
     build_defense,
@@ -25,7 +26,6 @@ from repro.defenses.registry import (
 __all__ = [
     "CompressStateReports",
     "DEFENSE_REGISTRY",
-    "DefenseEvaluation",
     "PadToConstant",
     "PadToMultiple",
     "RecordDefense",
@@ -36,7 +36,7 @@ __all__ = [
     "defense_from_spec",
     "defense_names",
     "defense_spec",
-    "evaluate_defenses",
+    "score_defense",
     "timing_question_recall",
     "timing_scores",
 ]

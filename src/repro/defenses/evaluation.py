@@ -1,17 +1,18 @@
 """Measuring how much each countermeasure actually buys.
 
-The evaluation assumes an *adaptive* attacker: the fingerprinting step is
+The evaluation assumes an *adaptive* attacker: the record classifier is
 re-trained on defended traffic (a weaker, unaware attacker would do strictly
 worse).  Because several defences make the type-1/type-2 bands collide —
-which is precisely their goal — the adaptive attacker falls back from the
-band rule to a k-NN classifier over the defended record lengths; when even
-that cannot separate the classes, the recovered choices collapse to the
-majority behaviour and accuracy drops toward chance.
+which is precisely their goal — the adaptive attacker drops the band rule
+for a learned classifier over the defended record lengths (k-NN in the
+defence ablation, any registry estimator in the arena); when even that
+cannot separate the classes, the recovered choices collapse to the majority
+behaviour and accuracy drops toward chance.  :func:`score_defense` is the
+one place a defence is scored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.classifier import MLRecordClassifier
@@ -21,39 +22,9 @@ from repro.core.inference import infer_choices
 from repro.defenses.base import RecordDefense, apply_defense
 from repro.defenses.timing import TimingOnlyAttack, timing_question_recall
 from repro.exceptions import DefenseError
-from repro.ml.knn import KNearestNeighbors
+from repro.ml.base import Classifier
 from repro.streaming.events import EventKind
 from repro.streaming.session import SessionResult
-
-
-@dataclass(frozen=True)
-class DefenseEvaluation:
-    """Scores of the attack (and the residual timing attack) under one defence.
-
-    ``timing_question_recall`` measures the residual *timing* channel the
-    paper warns about: the fraction of actual choice questions whose instant
-    a record-length-blind attacker can still locate from request/response
-    behaviour alone.  None of the record-length defences touch it.
-    """
-
-    defense_name: str
-    choice_accuracy: float
-    record_accuracy: float
-    mean_overhead_bytes_per_session: float
-    timing_attack_choice_accuracy: float
-    timing_question_recall: float
-    sessions_evaluated: int
-
-    def as_row(self) -> dict[str, object]:
-        """One row of the defence-ablation table."""
-        return {
-            "defense": self.defense_name,
-            "choice_accuracy": round(self.choice_accuracy, 4),
-            "record_accuracy": round(self.record_accuracy, 4),
-            "overhead_bytes_per_session": round(self.mean_overhead_bytes_per_session, 1),
-            "timing_attack_choice_accuracy": round(self.timing_attack_choice_accuracy, 4),
-            "timing_question_recall": round(self.timing_question_recall, 4),
-        }
 
 
 def _choice_accuracy(evaluations: Sequence[AttackEvaluation]) -> float:
@@ -67,8 +38,8 @@ def timing_scores(
 ) -> tuple[float, float]:
     """(choice accuracy, question recall) of the timing-only attack.
 
-    Shared by the defence ablation and the arena's per-cell scoring: both
-    must report the residual timing channel with identical arithmetic.
+    Part of :func:`score_defense`; the timing channel is scored per
+    session with the defended records the attacker actually observes.
     """
     attack = TimingOnlyAttack()
     inferred = attack.infer(defended, session.trace)
@@ -92,76 +63,75 @@ def timing_scores(
     return correct / len(truth), recall
 
 
-def evaluate_defenses(
-    defenses: Sequence[RecordDefense],
+def score_defense(
+    defense: RecordDefense | None,
+    classifier: Classifier,
     train_sessions: Sequence[SessionResult],
     test_sessions: Sequence[SessionResult],
-    include_undefended: bool = True,
-) -> list[DefenseEvaluation]:
-    """Evaluate each defence with an adaptive (re-trained) attacker.
+) -> dict[str, float]:
+    """Score one defence (``None``: undefended) against an adaptive attacker.
 
-    Returns one :class:`DefenseEvaluation` per defence, preceded (when
-    ``include_undefended`` is true) by the no-defence reference row.
+    ``classifier`` is retrained on the defended training records, then
+    attacks the defended test sessions.  Returns the six unrounded metrics
+    shared by the defence ablation and the arena: choice and record
+    accuracy, byte and latency overhead per session, and the residual
+    timing channel (``timing_question_recall`` is the fraction of actual
+    choice questions a record-length-blind attacker can still locate from
+    request/response behaviour alone — no record-length defence touches it).
     """
     if not train_sessions or not test_sessions:
         raise DefenseError("both training and test session sets must be non-empty")
 
-    train_records = [
-        extract_client_records(session.trace, server_ip=session.trace.server_ip)
-        for session in train_sessions
-    ]
-    test_records = [
-        extract_client_records(session.trace, server_ip=session.trace.server_ip)
-        for session in test_sessions
-    ]
-
-    def _evaluate(name: str, defense: RecordDefense | None) -> DefenseEvaluation:
-        if defense is None:
-            defended_train = [list(records) for records in train_records]
-            defended_test = [list(records) for records in test_records]
-        else:
-            defended_train = [apply_defense(defense, records) for records in train_records]
-            defended_test = [apply_defense(defense, records) for records in test_records]
-        classifier = MLRecordClassifier(KNearestNeighbors(k=7))
-        flat_train: list[ClientRecord] = [
-            record for records in defended_train for record in records
-        ]
-        classifier.fit(flat_train)
-        evaluations: list[AttackEvaluation] = []
-        overheads: list[float] = []
-        timing_accuracies: list[float] = []
-        timing_recalls: list[float] = []
-        for session, original, defended in zip(test_sessions, test_records, defended_test):
-            labels = classifier.classify(defended)
-            inferred = infer_choices(defended, labels)
-            evaluations.append(
-                evaluate_attack_result(
-                    records=defended,
-                    predicted_labels=labels,
-                    inferred=inferred,
-                    ground_truth_path=session.path,
-                )
-            )
-            if defense is not None:
-                overheads.append(float(defense.overhead_bytes(original, defended)))
-            else:
-                overheads.append(0.0)
-            timing_accuracy, recall = timing_scores(session, defended)
-            timing_accuracies.append(timing_accuracy)
-            timing_recalls.append(recall)
-        return DefenseEvaluation(
-            defense_name=name,
-            choice_accuracy=_choice_accuracy(evaluations),
-            record_accuracy=sum(e.record_accuracy for e in evaluations) / len(evaluations),
-            mean_overhead_bytes_per_session=sum(overheads) / len(overheads),
-            timing_attack_choice_accuracy=sum(timing_accuracies) / len(timing_accuracies),
-            timing_question_recall=sum(timing_recalls) / len(timing_recalls),
-            sessions_evaluated=len(test_sessions),
+    def _defended(session: SessionResult) -> tuple[list[ClientRecord], list[ClientRecord]]:
+        original = extract_client_records(
+            session.trace, server_ip=session.trace.server_ip
         )
+        if defense is None:
+            return original, list(original)
+        return original, apply_defense(defense, original)
 
-    results: list[DefenseEvaluation] = []
-    if include_undefended:
-        results.append(_evaluate("no defense", None))
-    for defense in defenses:
-        results.append(_evaluate(defense.instance_name, defense))
-    return results
+    attacker = MLRecordClassifier(classifier)
+    attacker.fit(
+        [
+            record
+            for session in train_sessions
+            for record in _defended(session)[1]
+        ]
+    )
+    evaluations: list[AttackEvaluation] = []
+    byte_overheads: list[float] = []
+    latency_overheads: list[float] = []
+    timing_accuracies: list[float] = []
+    timing_recalls: list[float] = []
+    for session in test_sessions:
+        original, defended = _defended(session)
+        labels = attacker.classify(defended)
+        evaluations.append(
+            evaluate_attack_result(
+                records=defended,
+                predicted_labels=labels,
+                inferred=infer_choices(defended, labels),
+                ground_truth_path=session.path,
+            )
+        )
+        if defense is None:
+            byte_overheads.append(0.0)
+            latency_overheads.append(0.0)
+        else:
+            byte_overheads.append(float(defense.overhead_bytes(original, defended)))
+            # Record-length defences keep timestamps; a future timing
+            # defence shows up here as extra time-to-last-record.
+            latency_overheads.append(defended[-1].timestamp - original[-1].timestamp)
+        timing_accuracy, recall = timing_scores(session, defended)
+        timing_accuracies.append(timing_accuracy)
+        timing_recalls.append(recall)
+
+    count = len(evaluations)
+    return {
+        "choice_accuracy": _choice_accuracy(evaluations),
+        "record_accuracy": sum(e.record_accuracy for e in evaluations) / count,
+        "overhead_bytes_per_session": sum(byte_overheads) / count,
+        "overhead_latency_s_per_session": sum(latency_overheads) / count,
+        "timing_attack_choice_accuracy": sum(timing_accuracies) / count,
+        "timing_question_recall": sum(timing_recalls) / count,
+    }

@@ -5,8 +5,9 @@ must keep the default terminal output and every written artifact identical
 to the pre-refactor CLI.  These tests drive one deterministic end-to-end
 workflow — generate (plain and sharded), train (plain and sharded), attack
 (single capture and directory), watch --once, stitch, merge-fingerprints,
-inspect, reproduce figure1 — and compare each command's stdout against a
-checked-in golden file, plus the SHA-256 of every durable artifact.
+inspect, reproduce figure1 and defenses, arena — and compare each
+command's stdout against a checked-in golden file, plus the SHA-256 of
+every durable artifact.
 
 Regenerating the goldens (only after an *intentional* output change)::
 
@@ -48,6 +49,8 @@ SCENARIOS = [
     "merge-fingerprints",
     "inspect",
     "reproduce-figure1",
+    "reproduce-defenses",
+    "arena",
 ]
 
 #: Durable artifacts whose content hashes are pinned (relative to the run
@@ -67,6 +70,7 @@ HASHED_ARTIFACT_GLOBS = [
     "watch.jsonl",
     "stitchroot/shards.json",
     "lib-merged.json",
+    "arena/report.json",
 ]
 
 
@@ -184,6 +188,17 @@ def golden_run(tmp_path_factory) -> tuple[Path, dict[str, str]]:
         ["inspect", str(_first_pcap(root / "sharded" / "shard-000" / "traces"))],
     )
     run("reproduce-figure1", ["reproduce", "--experiment", "figure1", "--quick"])
+    run("reproduce-defenses", ["reproduce", "--experiment", "defenses", "--quick"])
+    run(
+        "arena",
+        [
+            "arena", str(root / "arena"),
+            "--defenses", "pad-to-multiple:block_bytes=64",
+            "pad-to-constant:target_bytes=4096",
+            "--classifiers", "interval:margin=8", "knn:k=7",
+            "--train-count", "1", "--test-count", "1", "--seed", "29",
+        ],
+    )
     return root, outputs
 
 

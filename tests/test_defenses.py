@@ -7,11 +7,12 @@ import pytest
 from repro.core.features import LABEL_TYPE1, LABEL_TYPE2, extract_client_records
 from repro.defenses.base import apply_defense
 from repro.defenses.compression import CompressStateReports
-from repro.defenses.evaluation import evaluate_defenses
+from repro.defenses.evaluation import score_defense
 from repro.defenses.padding import PadToConstant, PadToMultiple
 from repro.defenses.splitting import SplitRecords
 from repro.defenses.timing import TimingOnlyAttack, timing_question_recall
 from repro.exceptions import DefenseError
+from repro.ml.knn import KNearestNeighbors
 from repro.streaming.events import EventKind
 
 
@@ -103,33 +104,33 @@ class TestDefenseEvaluation:
     def test_constant_padding_defeats_the_adaptive_attack(
         self, training_sessions, ubuntu_session, windows_session
     ):
-        evaluations = evaluate_defenses(
-            [PadToConstant(4096)],
-            train_sessions=training_sessions,
-            test_sessions=[ubuntu_session, windows_session],
+        test_sessions = [ubuntu_session, windows_session]
+        undefended = score_defense(
+            None, KNearestNeighbors(k=7), training_sessions, test_sessions
         )
-        by_name = {evaluation.defense_name: evaluation for evaluation in evaluations}
-        assert by_name["no defense"].choice_accuracy == pytest.approx(1.0)
-        assert by_name["pad-to-constant-4096"].choice_accuracy < 0.6
+        padded = score_defense(
+            PadToConstant(4096), KNearestNeighbors(k=7), training_sessions, test_sessions
+        )
+        assert undefended["choice_accuracy"] == pytest.approx(1.0)
+        assert padded["choice_accuracy"] < 0.6
         assert (
-            by_name["pad-to-constant-4096"].mean_overhead_bytes_per_session
-            > by_name["no defense"].mean_overhead_bytes_per_session
+            padded["overhead_bytes_per_session"]
+            > undefended["overhead_bytes_per_session"]
         )
 
     def test_weak_padding_leaves_attack_mostly_intact(
         self, training_sessions, ubuntu_session
     ):
-        evaluations = evaluate_defenses(
-            [PadToMultiple(16)],
-            train_sessions=training_sessions,
-            test_sessions=[ubuntu_session],
-            include_undefended=False,
+        metrics = score_defense(
+            PadToMultiple(16), KNearestNeighbors(k=7), training_sessions, [ubuntu_session]
         )
-        assert evaluations[0].choice_accuracy >= 0.9
+        assert metrics["choice_accuracy"] >= 0.9
 
     def test_requires_sessions(self, training_sessions):
         with pytest.raises(DefenseError):
-            evaluate_defenses([PadToConstant(4096)], [], training_sessions)
+            score_defense(
+                PadToConstant(4096), KNearestNeighbors(k=7), [], training_sessions
+            )
 
 
 class TestTimingSideChannel:

@@ -138,7 +138,7 @@ class TestAblations:
     def test_defense_ablation_degrades_attack(self):
         result = reproduce_defense_ablation(train_count=2, test_count=2, seed=5)
         assert result.undefended_accuracy >= 0.9
-        assert result.best_defense.choice_accuracy <= 0.5
+        assert result.best_defense["choice_accuracy"] <= 0.5
         assert len(result.rows()) == len(standard_defense_suite()) + 1
 
 
