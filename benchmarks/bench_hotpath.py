@@ -1,9 +1,11 @@
-"""Hot-path micro-benchmarks: batch band matching and zero-copy pcap ingest.
+"""Hot-path micro-benchmarks: band matching, pcap ingest and capture decode.
 
-Unlike the experiment benchmarks (which reproduce paper artefacts), these two
+Unlike the experiment benchmarks (which reproduce paper artefacts), these
 measure the vectorized kernels against the scalar reference paths they
 replaced, assert *exact* output equality, and enforce the contractual
-speedups: >= 10x on batch classification and >= 3x on pcap ingest.  The
+speedups: >= 10x on batch classification, >= 3x on pcap ingest and >= 10x
+on capture decode (columnar records against ``from_pcap`` + record
+extraction).  The
 measured ratios and absolute rates land in ``benchmark.extra_info`` so
 ``check_perf_ratchet.py`` can gate regressions against the checked-in
 baselines in ``BENCH_baselines.json``.
@@ -18,13 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.features import ClientRecord
+from repro.client.profiles import OperationalCondition
+from repro.client.viewer import ViewerBehavior
+from repro.core.features import ClientRecord, extract_client_records
 from repro.core.fingerprint import (
     FingerprintLibrary,
     LengthBand,
     RecordLengthFingerprint,
 )
+from repro.core.pipeline import capture_client_records
+from repro.net.capture import CapturedTrace
 from repro.net.pcap import PcapWriter, read_pcap_columns
+from repro.streaming.session import simulate_session
 
 from conftest import run_once
 
@@ -33,6 +40,7 @@ CLASSIFY_BATCH = 200_000
 MIN_CLASSIFY_SPEEDUP = 10.0
 INGEST_PACKETS = 30_000
 MIN_INGEST_SPEEDUP = 3.0
+MIN_DECODE_SPEEDUP = 10.0
 REPETITIONS = 5
 
 
@@ -194,3 +202,52 @@ def test_pcap_ingest_speedup(benchmark, tmp_path):
         f"  speedup:           {metrics['ingest_speedup']:.1f}x"
     )
     assert metrics["ingest_speedup"] >= MIN_INGEST_SPEEDUP
+
+
+def _decode_workload(path: Path, client_ip: str, server_ip: str) -> dict[str, float]:
+    def oracle() -> list[ClientRecord]:
+        trace = CapturedTrace.from_pcap(path, client_ip=client_ip, server_ip=server_ip)
+        return extract_client_records(trace, server_ip=server_ip)
+
+    oracle_seconds, expected = _best_of(oracle)
+    columnar_seconds, records = _best_of(
+        capture_client_records, path, client_ip, server_ip
+    )
+    assert records == tuple(expected)  # the oracle's records, exactly
+    packets = read_pcap_columns(path).packet_count
+    return {
+        "decode_speedup": oracle_seconds / columnar_seconds,
+        "decode_packets_per_s": packets / columnar_seconds,
+        "decode_packets": packets,
+        "decode_oracle_seconds": oracle_seconds,
+        "decode_columnar_seconds": columnar_seconds,
+    }
+
+
+def test_capture_decode_speedup(benchmark, study_graph, tmp_path):
+    # A noisy condition: retransmitted duplicates and cross-traffic flows,
+    # so the decode meets what real captures carry.
+    session = simulate_session(
+        study_graph,
+        OperationalCondition("linux", "desktop", "firefox", "wireless", "night"),
+        ViewerBehavior("20-25", "undisclosed", "undisclosed", "happy"),
+        seed=SEED,
+    )
+    path = tmp_path / "session.pcap"
+    session.trace.to_pcap(path)
+    metrics = run_once(
+        benchmark,
+        _decode_workload,
+        path,
+        session.trace.client_ip,
+        session.trace.server_ip,
+    )
+    benchmark.extra_info.update(metrics)
+    print(
+        f"\ncapture decode ({int(metrics['decode_packets'])} packets):\n"
+        f"  from_pcap + extract:  {metrics['decode_oracle_seconds'] * 1e3:.1f}ms\n"
+        f"  columnar:             {metrics['decode_columnar_seconds'] * 1e3:.1f}ms "
+        f"({metrics['decode_packets_per_s'] / 1e6:.2f}M packets/s)\n"
+        f"  speedup:              {metrics['decode_speedup']:.1f}x"
+    )
+    assert metrics["decode_speedup"] >= MIN_DECODE_SPEEDUP

@@ -135,29 +135,39 @@ def build_parser() -> argparse.ArgumentParser:
             "  single-source runs concatenated in sorted source order\n"
             "\n"
             "performance:\n"
-            "  generated shards carry a columnar sidecar "
-            "(traces/records.npz): the\n"
-            "  client-record columns of every capture — timestamps, wire "
-            "lengths,\n"
+            "  captures decode columnar: Ethernet/IPv4/TCP header fields "
+            "are read as\n"
+            "  numpy columns, the streaming flow is picked from them and "
+            "its uplink\n"
+            "  payloads are framed in one pass — no per-packet objects.  "
+            "Any frame\n"
+            "  the columns cannot vouch for sends the whole capture "
+            "through the\n"
+            "  per-packet parser, which stays the definition of correct.\n"
+            "  generated shards also carry a columnar sidecar "
+            "(traces/records.npz):\n"
+            "  the client-record columns of every capture — timestamps, "
+            "wire lengths,\n"
             "  content types, ground-truth label codes — packed at "
             "generation time.\n"
-            "  `repro attack` and `repro train --sharded` stream it instead "
-            "of\n"
-            "  re-parsing (or re-simulating) each pcap, with byte-identical "
-            "output;\n"
-            "  the pcaps stay the source of truth, and a missing or stale "
-            "sidecar\n"
-            "  (pcap resized or newer than it) falls back to parsing "
-            "transparently.\n"
+            "  `repro attack` serves records from it, skipping even the "
+            "decode, and\n"
+            "  `repro train --sharded` folds it instead of re-simulating, "
+            "with\n"
+            "  byte-identical output; the pcaps stay the source of truth, "
+            "and a\n"
+            "  missing or stale sidecar (pcap resized or newer than it) "
+            "falls back\n"
+            "  to decoding transparently.\n"
             "  pcap reading and record classification are vectorized; CI's\n"
             "  perf-ratchet job replays benchmarks/bench_hotpath.py,\n"
             "  benchmarks/bench_ingest_latency.py and "
             "benchmarks/bench_arena_sweep.py\n"
             "  against the floors in benchmarks/BENCH_baselines.json and "
-            "fails on regression.  "
-            "after a\n"
-            "  legitimate speedup, re-baseline with one line and commit the "
-            "result:\n"
+            "fails on\n"
+            "  regression.  After a legitimate speedup, re-baseline with one "
+            "line and\n"
+            "  commit the result:\n"
             "    python benchmarks/check_perf_ratchet.py --update "
             "BENCH_results.json\n"
         ),

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core import kernel
 from repro.exceptions import AttackError
 from repro.net.capture import CapturedTrace
-from repro.net.endpoints import FiveTuple
+from repro.net.columnar import TcpColumns, canonical_ipv4
 from repro.net.flow import Flow, FlowTable
 from repro.net.packet import Direction, Packet
 from repro.tls.records import (
@@ -146,6 +146,42 @@ def extract_client_records(
     return records
 
 
+def columnar_client_records(
+    columns: TcpColumns, server_ip: str | None = None
+) -> list[ClientRecord] | None:
+    """The application-data records :func:`extract_client_records` finds,
+    computed from header columns instead of a :class:`CapturedTrace`.
+
+    With ``server_ip`` unknown the streaming server is resolved the way
+    :func:`repro.core.pipeline.load_attack_trace` does (largest downlink
+    flow), then the flow is selected by endpoint exactly as
+    :func:`select_streaming_flow` does.  The uplink segments are deduplicated
+    by sequence number first, and the gap-free result is framed by one
+    :func:`kernel.tls_record_spans` pass.  Returns ``None`` — the caller then
+    runs the oracle, which raises its own error — when the server address is
+    not canonical, no flow matches, the stream has a gap or an overlap, it
+    loses TLS framing, or no record is found.
+    """
+    if server_ip is None:
+        server = columns.largest_flow_server()
+    else:
+        server = canonical_ipv4(server_ip)
+        if server is None:
+            return None
+    flow = columns.flow_to(server)
+    if flow is None:
+        return None
+    timestamps, sequence, offsets, lengths = columns.uplink_segments(flow)
+    if sequence.size == 0 or not np.array_equal(
+        sequence[1:], sequence[:-1] + lengths[:-1]
+    ):
+        return None
+    records = _framed_records(columns.gather(offsets, lengths), lengths, timestamps)
+    if records is None:
+        return None
+    return [record for record in records if record.is_application_data] or None
+
+
 def _extract_records_vectorized(packets: Sequence[Packet]) -> list[ClientRecord] | None:
     """Extract records through the batch TLS-framing kernel, when legal.
 
@@ -168,27 +204,43 @@ def _extract_records_vectorized(packets: Sequence[Packet]) -> list[ClientRecord]
         if expected_sequence is not None and packet.sequence_number != expected_sequence:
             return None
         expected_sequence = packet.sequence_number + len(packet.payload)
-    stream = b"".join(packet.payload for packet in packets)
+    return _framed_records(
+        b"".join(packet.payload for packet in packets),
+        [len(packet.payload) for packet in packets],
+        [packet.timestamp for packet in packets],
+    )
+
+
+def _framed_records(
+    stream: bytes,
+    payload_lengths: Sequence[int] | np.ndarray,
+    timestamps: Sequence[float] | np.ndarray,
+) -> list[ClientRecord] | None:
+    """Records of a gap-free uplink stream built from consecutive segments.
+
+    ``payload_lengths``/``timestamps`` describe the segments ``stream``
+    concatenates, in order.  ``None`` when the stream loses TLS framing.
+    """
     spans = kernel.tls_record_spans(stream)
     if spans is None:
         return None
-    starts, wire_lengths, _content_types = spans
+    starts, wire_lengths, content_types = spans
     if starts.size == 0:
         return []
     # The scalar parser stamps each record with the packet that completed it:
     # the first packet whose cumulative payload covers the record's end
     # offset in the reassembled stream.
-    payload_ends = np.cumsum([len(packet.payload) for packet in packets])
+    payload_ends = np.cumsum(payload_lengths)
     completed_by = np.searchsorted(payload_ends, starts + wire_lengths, side="left")
-    content_types = _content_types.tolist()
+    stamps = np.asarray(timestamps, dtype=np.float64)[completed_by]
     return [
         ClientRecord(
-            timestamp=packets[packet_index].timestamp,
+            timestamp=timestamp,
             wire_length=wire_length,
             content_type=content_type,
         )
-        for packet_index, wire_length, content_type in zip(
-            completed_by.tolist(), wire_lengths.tolist(), content_types
+        for timestamp, wire_length, content_type in zip(
+            stamps.tolist(), wire_lengths.tolist(), content_types.tolist()
         )
     ]
 

@@ -24,7 +24,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.classifier import MLRecordClassifier, RecordTypeClassifier
 from repro.core.evaluation import AttackEvaluation, evaluate_attack_result
-from repro.core.features import ClientRecord, select_streaming_flow
+from repro.core.features import (
+    ClientRecord,
+    columnar_client_records,
+    extract_client_records,
+    select_streaming_flow,
+)
 from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
 from repro.core.inference import InferredChoices, infer_choices, reconstruct_path
 from repro.core.profiling import BehavioralProfile, profile_from_path
@@ -34,6 +39,8 @@ from repro.exceptions import AttackError
 from repro.narrative.graph import StoryGraph
 from repro.narrative.path import ViewingPath
 from repro.net.capture import CapturedTrace
+from repro.net.columnar import decode_tcp_columns
+from repro.net.pcap import read_pcap_columns
 from repro.streaming.session import SessionResult
 
 
@@ -83,6 +90,29 @@ def load_attack_trace(
     return trace
 
 
+def capture_client_records(
+    path: str | Path, client_ip: str, server_ip: str | None = None
+) -> tuple[ClientRecord, ...]:
+    """The application-data records of a capture file's streaming flow.
+
+    Decodes the capture as header columns (:mod:`repro.net.columnar`) and
+    extracts the records from them (:func:`columnar_client_records`).  When
+    the columns cannot prove the answer — a frame ``parse_frame`` would
+    reject, a non-canonical address, no flow or no records — the whole
+    capture goes through the oracle instead, :func:`load_attack_trace` plus
+    :func:`extract_client_records`, which also raises its own errors.  The
+    records are the oracle's either way.
+    """
+    columns = decode_tcp_columns(read_pcap_columns(path), client_ip)
+    records = (
+        columnar_client_records(columns, server_ip) if columns is not None else None
+    )
+    if records is None:
+        trace = load_attack_trace(path, client_ip=client_ip, server_ip=server_ip)
+        records = extract_client_records(trace, server_ip=trace.server_ip)
+    return tuple(records)
+
+
 @dataclass(frozen=True)
 class PcapAttackTask:
     """One capture file to attack: where it is and how to read it."""
@@ -101,14 +131,16 @@ def _sidecar_capture_records(
     path: str | Path, client_ip: str, server_ip: str | None
 ) -> tuple[ClientRecord, ...] | None:
     """The capture's records from a fresh shard sidecar, when provably the
-    extraction :func:`load_attack_trace` + the record cache would produce.
+    records :func:`capture_client_records` would return.
 
-    The fast path engages only when the task's addresses match the ones the
+    The shortcut engages only when the task's addresses match the ones the
     sidecar recorded at generation time: a different ``client_ip`` (or an
-    unknown ``server_ip``, which the parse path resolves by the
+    unknown ``server_ip``, which the decode path resolves by the
     largest-flow heuristic) could legitimately change flow selection, and an
-    empty column set must fall back so the parse path's "no records" error
-    surfaces from the parse path.  Every other case parses the pcap.
+    empty column set must fall back so the decode path's "no records" error
+    surfaces from there.  Every other case decodes the pcap.  Since the
+    columnar decoder, the shortcut saves only that decode; ROADMAP records
+    its measured worth.
     """
     # Imported lazily: the dataset layer builds on core, not the reverse;
     # only this acceleration hook reaches back into it.
@@ -372,23 +404,23 @@ class WhiteMirrorAttack:
 
         When the capture's directory carries a fresh columnar sidecar
         (:mod:`repro.dataset.sidecar`) recorded for exactly this client and
-        server address, the records stream straight out of it — no frame
-        parsing, no flow selection, no TLS reassembly — and the verdict is
-        byte-identical to the parse path's.  Otherwise (no sidecar, stale
-        sidecar, different addresses, unknown server) the trace is parsed
-        through :func:`load_attack_trace`, so the streaming flow is resolved
-        once and the same server address feeds both the capture metadata and
-        record extraction.
+        server address, the records stream straight out of it.  Otherwise
+        (no sidecar, stale sidecar, different addresses, unknown server) the
+        capture is decoded as header columns by
+        :func:`capture_client_records` — no per-packet objects, no flow
+        table — which resolves the streaming flow once and falls back to
+        the ``parse_frame`` oracle for anything it cannot prove.  Both
+        paths feed :meth:`_attack_records`, so the verdict is byte-identical
+        whichever served the records.
         """
         records = _sidecar_capture_records(
             path, client_ip=client_ip, server_ip=server_ip
         )
-        if records is not None:
-            return self._attack_records(records, condition_key)
-        trace = load_attack_trace(path, client_ip=client_ip, server_ip=server_ip)
-        return self.attack_trace(
-            trace, condition_key=condition_key, server_ip=trace.server_ip
-        )
+        if records is None:
+            records = capture_client_records(
+                path, client_ip=client_ip, server_ip=server_ip
+            )
+        return self._attack_records(records, condition_key)
 
     def iter_attack_pcaps(
         self,

@@ -47,6 +47,7 @@ from repro.core.features import (
     extract_client_records,
 )
 from repro.core.fingerprint import FingerprintAccumulator
+from repro.core.pipeline import capture_client_records
 from repro.dataset.format import TRACES_DIRNAME, load_dataset_metadata
 from repro.exceptions import DatasetError, ReproError
 from repro.net.capture import CapturedTrace
@@ -94,8 +95,9 @@ def sidecar_entry_for(
 ) -> SidecarEntry | None:
     """Build one capture's sidecar columns right after its pcap is written.
 
-    The record columns are re-derived *from the just-written pcap* — exactly
-    the extraction the attack performs later, quantized timestamps and all —
+    The record columns are re-derived *from the just-written pcap* through
+    :func:`~repro.core.pipeline.capture_client_records` — exactly the
+    extraction the attack performs later, quantized timestamps and all —
     while the ground-truth label codes come from the annotated in-memory
     ``trace``, aligned by position (both extractions walk the same
     reassembled TLS stream).  Returns ``None`` — which disables the sidecar
@@ -105,10 +107,9 @@ def sidecar_entry_for(
     """
     pcap_path = Path(pcap_path)
     try:
-        replayed = CapturedTrace.from_pcap(
+        observed = capture_client_records(
             pcap_path, client_ip=trace.client_ip, server_ip=trace.server_ip
         )
-        observed = extract_client_records(replayed, server_ip=trace.server_ip)
         labelled = extract_client_records(trace, server_ip=trace.server_ip)
     except ReproError:
         return None

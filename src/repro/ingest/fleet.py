@@ -358,6 +358,7 @@ class AttackServiceLike(Protocol):
         on_verdict: Callable[[CaptureVerdict, object], None] | None = None,
         on_skip: Callable[[Path, str], None] | None = None,
         source: str | None = None,
+        on_error: Callable[[ReproError], None] | None = None,
     ) -> list[CaptureVerdict]: ...
 
     def replace_library(self, library: FingerprintLibrary) -> None: ...
@@ -455,13 +456,16 @@ class FleetWatchService:
         detection, until ``should_stop`` returns true (or forever —
         ``repro watch`` runs until interrupted).
 
-        A batch failure (e.g. a corrupt capture) kills a one-shot run — the
+        A failed capture (e.g. a corrupt pcap) kills a one-shot run — the
         caller asked for exactly this drain — but only warns, via
-        ``on_error``, in follow mode.  The failed batch's unlogged captures
-        are not retried by this process (a corrupt capture would loop
-        forever); they are re-examined on restart, since only logged
-        verdicts are skipped.
+        ``on_error``, in follow mode, where the rest of its batch is still
+        attacked.  The failed capture is not retried by this process (a
+        corrupt capture would loop forever); it is re-examined on restart,
+        since only logged verdicts are skipped.
         """
+        # Only follow mode passes ``on_error``: a one-shot failure propagates,
+        # and services that predate the keyword still drain one-shot runs.
+        keep_going = {"on_error": on_error or (lambda error: None)} if follow else {}
         fresh: list[CaptureVerdict] = []
         while True:
             for source, watcher in self._watchers:
@@ -483,6 +487,7 @@ class FleetWatchService:
                             on_verdict=on_verdict,
                             on_skip=on_skip,
                             source=label,
+                            **keep_going,
                         )
                     )
                 except ReproError as error:

@@ -35,6 +35,7 @@ attached sinks.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -42,7 +43,7 @@ from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline import AttackResult, PcapAttackTask, WhiteMirrorAttack
 from repro.dataset.collection import default_study_script
 from repro.dataset.format import METADATA_FILENAME
-from repro.exceptions import IngestError
+from repro.exceptions import EngineError, IngestError, ReproError
 from repro.ingest.log import CaptureVerdict, ResultsLog, capture_fingerprint
 from repro.ingest.tasks import build_pcap_task, entry_truth, metadata_entries_near
 from repro.narrative.graph import StoryGraph
@@ -53,10 +54,11 @@ from repro.narrative.graph import StoryGraph
 SKIP_ALREADY_ATTACKED = "already attacked (content fingerprint in the results log)"
 SKIP_UNREADABLE = "capture unreadable (deleted or rotated away mid-scan?)"
 
-#: Callback signatures: a verdict with its full attack result, and a skip
-#: with its reason.
+#: Callback signatures: a verdict with its full attack result, a skip with
+#: its reason, and a capture whose attack failed.
 VerdictCallback = Callable[[CaptureVerdict, AttackResult], None]
 SkipCallback = Callable[[Path, str], None]
+ErrorCallback = Callable[[ReproError], None]
 
 
 class StreamingAttackService:
@@ -165,6 +167,7 @@ class StreamingAttackService:
         on_verdict: VerdictCallback | None = None,
         on_skip: SkipCallback | None = None,
         source: str | None = None,
+        on_error: ErrorCallback | None = None,
     ) -> list[CaptureVerdict]:
         """Attack a batch of captures; returns the fresh verdicts in order.
 
@@ -187,6 +190,11 @@ class StreamingAttackService:
         ``source`` stamps per-source attribution into every verdict (fleet
         mode) and scopes the content dedup to that source; ``None`` keeps
         the historical single-directory behaviour and log bytes.
+
+        A capture whose attack fails (e.g. a corrupt pcap) raises the
+        engine's error by default.  With ``on_error`` the error is reported
+        there instead and the rest of the batch is still attacked; the
+        failed capture is not logged, so a restart re-examines it.
         """
         # Hashing is cheap against attacking, so the resume skips are settled
         # up front: a follow-mode poll that re-reports N attacked captures
@@ -252,28 +260,50 @@ class StreamingAttackService:
                 yield task
 
         fresh: list[CaptureVerdict] = []
-        for result in self._attack.iter_attack_pcaps(tasks(), workers=workers):
-            # imap preserves input order, so the front of ``pending`` is
-            # always the capture this result belongs to.
-            path, fingerprint, task, truth = pending.pop(0)
-            verdict = CaptureVerdict(
-                capture=path.name,
-                fingerprint=fingerprint,
-                condition_key=task.condition_key,
-                client_ip=task.client_ip,
-                server_ip=task.server_ip,
-                pattern=result.recovered_pattern,
-                truth=truth,
-                source=source,
-            )
-            if self._log is not None:
-                self._log.append(verdict)
-            self._attacked.add((source, fingerprint))
-            self._verdicts.append(verdict)
-            fresh.append(verdict)
-            if on_verdict is not None:
-                on_verdict(verdict, result)
-        return fresh
+        queued: Iterator[PcapAttackTask] = tasks()
+        while True:
+            try:
+                for result in self._attack.iter_attack_pcaps(queued, workers=workers):
+                    self._record(pending.pop(0), result, source, fresh, on_verdict)
+                return fresh
+            except EngineError as error:
+                if on_error is None:
+                    raise
+                on_error(error)
+            # imap preserves input order and fails at the first failed slot,
+            # so the front of ``pending`` is the capture that failed; the
+            # rest of ``pending`` was in flight and is resubmitted ahead of
+            # the captures not yet produced.
+            pending.pop(0)
+            queued = itertools.chain([entry[2] for entry in pending], queued)
+
+    def _record(
+        self,
+        entry: tuple[Path, str, PcapAttackTask, tuple[bool, ...] | None],
+        result: AttackResult,
+        source: str | None,
+        fresh: list[CaptureVerdict],
+        on_verdict: VerdictCallback | None,
+    ) -> None:
+        """Log, remember and report one capture's verdict."""
+        path, fingerprint, task, truth = entry
+        verdict = CaptureVerdict(
+            capture=path.name,
+            fingerprint=fingerprint,
+            condition_key=task.condition_key,
+            client_ip=task.client_ip,
+            server_ip=task.server_ip,
+            pattern=result.recovered_pattern,
+            truth=truth,
+            source=source,
+        )
+        if self._log is not None:
+            self._log.append(verdict)
+        self._attacked.add((source, fingerprint))
+        self._verdicts.append(verdict)
+        fresh.append(verdict)
+        if on_verdict is not None:
+            on_verdict(verdict, result)
 
     # -- aggregates --------------------------------------------------------
 

@@ -861,7 +861,7 @@ class JobRunner:
                 on_skip=on_skip,
                 on_error=lambda error: self._bus.emit(
                     ev.WARNING,
-                    text=f"batch failed, still watching: {error}",
+                    text=f"attack failed, still watching: {error}",
                 ),
             )
         except KeyboardInterrupt:

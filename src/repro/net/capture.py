@@ -5,6 +5,12 @@ observable consequences of the network-condition model (serialization delays,
 occasional retransmitted duplicates, cross-traffic flows to unrelated
 servers), and produces a :class:`CapturedTrace` — the passive observer's view
 of one viewing session.  Traces can be persisted to and restored from pcap.
+
+:meth:`CapturedTrace.from_pcap`, built on :meth:`Packet.parse_frame`, is the
+oracle for reading a capture: ``repro inspect`` and the dataset loader use
+it, and the attack's columnar decoder (:mod:`repro.net.columnar`) defers to
+it for any capture whose frames the columns cannot prove it decodes the same
+way.  Property tests pin the decoder to it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ the library is fully deterministic, so sharing fixtures does not couple tests.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.client.profiles import OperationalCondition, figure2_conditions
 from repro.client.viewer import ViewerBehavior
@@ -17,6 +18,11 @@ from repro.narrative.bandersnatch import (
     build_minimal_interactive_script,
 )
 from repro.streaming.session import SessionConfig, simulate_session
+
+#: ``--hypothesis-profile=ci``: a fixed example sequence (a CI failure
+#: replays locally with the same flag), no deadline, and more examples than
+#: the default profile's 100.
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=400)
 
 
 @pytest.fixture(scope="session")

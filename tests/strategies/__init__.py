@@ -1,0 +1,15 @@
+"""Hypothesis strategies and settings shared by the property suites.
+
+    from strategies import STANDARD_SETTINGS, captures
+"""
+
+from strategies.frames import Capture, captures, tls_streams
+from strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+
+__all__ = [
+    "Capture",
+    "DETERMINISM_SETTINGS",
+    "STANDARD_SETTINGS",
+    "captures",
+    "tls_streams",
+]

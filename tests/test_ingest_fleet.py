@@ -204,7 +204,7 @@ class _RecordingService:
         self.replaced: list[FingerprintLibrary] = []
         self.calls: list[tuple[str, object]] = []
 
-    def process(self, paths, on_verdict=None, on_skip=None, source=None):
+    def process(self, paths, on_verdict=None, on_skip=None, source=None, on_error=None):
         batch = [(source, Path(path).name) for path in paths]
         self.processed.extend(batch)
         self.calls.append(("process", batch))
@@ -454,6 +454,27 @@ class TestHotReload:
         assert len(service.replaced) == 1
         # The swap happened strictly before the batch was attacked.
         assert [kind for kind, _ in service.calls] == ["reload", "process"]
+
+
+class _FourKeywordService(_RecordingService):
+    """A service whose ``process`` predates the ``on_error`` keyword, as a
+    timing wrapper written against the older protocol would."""
+
+    def process(self, paths, on_verdict=None, on_skip=None, source=None):
+        return super().process(paths, on_verdict, on_skip, source)
+
+
+def test_one_shot_run_drains_a_service_without_on_error(tmp_path):
+    source = tmp_path / "box"
+    source.mkdir()
+    for index in range(3):
+        _publish(source, f"cap-{index}.pcap", b"x" * 32)
+    service = _FourKeywordService()
+    fleet = FleetWatchService(service=service, sources=validate_sources([str(source)]))
+    fleet.run(follow=False)
+    assert sorted(name for _, name in service.processed) == [
+        f"cap-{index}.pcap" for index in range(3)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,63 @@ class TestServiceRobustness:
         # Nothing was logged for the failed capture: a restart re-examines it.
         assert ResultsLog(tmp_path / "log.jsonl").load() == []
 
+    def test_follow_mode_attacks_the_captures_queued_behind_a_corrupt_one(
+        self, dataset_dir, library_path, tmp_path
+    ):
+        from repro.core.fingerprint import FingerprintLibrary
+
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        # The corrupt capture sorts first, so the good one shares its batch
+        # and is queued behind it.
+        (drop / "aa-corrupt.pcap").write_bytes(b"not a pcap at all")
+        good = sorted((dataset_dir / "traces").glob("*.pcap"))[0]
+        shutil.copy(good, drop / good.name)
+        errors: list[Exception] = []
+        verdicts = []
+        service = StreamingAttackService(
+            library=FingerprintLibrary.load(library_path),
+            log_path=tmp_path / "log.jsonl",
+            environment="linux/firefox",
+        )
+        deadline = time.monotonic() + 60
+        _single_source_fleet(service, drop).run(
+            follow=True,
+            poll_interval=0.01,
+            on_verdict=lambda verdict, result: verdicts.append(verdict),
+            on_error=errors.append,
+            should_stop=lambda: bool(verdicts) or time.monotonic() > deadline,
+        )
+        assert len(errors) == 1
+        assert "aa-corrupt.pcap" in str(errors[0])
+        assert [verdict.capture for verdict in verdicts] == [good.name]
+        logged = ResultsLog(tmp_path / "log.jsonl").load()
+        assert [verdict.capture for verdict in logged] == [good.name]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_on_error_reports_a_failed_capture_and_attacks_the_rest(
+        self, dataset_dir, library_path, tmp_path, workers
+    ):
+        from repro.core.fingerprint import FingerprintLibrary
+
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        corrupt = drop / "viewer-001b.pcap"  # sorts between two good captures
+        corrupt.write_bytes(b"not a pcap at all")
+        batch = sorted(captures + [corrupt])
+        errors: list[Exception] = []
+        service = StreamingAttackService(
+            library=FingerprintLibrary.load(library_path),
+            log_path=tmp_path / "log.jsonl",
+            workers=workers,
+            environment="linux/firefox",
+        )
+        fresh = service.process(batch, on_error=errors.append)
+        assert [verdict.capture for verdict in fresh] == [p.name for p in captures]
+        assert len(errors) == 1 and "viewer-001b.pcap" in str(errors[0])
+        logged = ResultsLog(tmp_path / "log.jsonl").load()
+        assert [verdict.capture for verdict in logged] == [p.name for p in captures]
+
     def test_once_mode_still_fails_loudly_on_a_corrupt_capture(
         self, library_path, tmp_path
     ):
