@@ -40,7 +40,6 @@ import tarfile
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -59,6 +58,7 @@ from repro.exceptions import CoordinatorError, JobError
 from repro.jobs import events as ev
 from repro.jobs.artifacts import fingerprint_path
 from repro.jobs.events import EVENT_SCHEMA_VERSION, EventBus
+from repro.utils.jsonhttp import JsonHttpServer
 
 
 class Coordinator:
@@ -115,8 +115,7 @@ class Coordinator:
             # idempotent.
             self._complete.set()
         self._done = False
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self._server: JsonHttpServer | None = None
 
     # -- narration ---------------------------------------------------------
 
@@ -279,6 +278,41 @@ class Coordinator:
             accepted += 1
         return {"accepted": accepted}
 
+    def _route(self, method: str, path: str, body: bytes) -> tuple[int, bytes]:
+        """One HTTP request → ``(status, wire body)``; errors name a field."""
+        try:
+            payload = self._dispatch(method, path, body)
+        except CoordinatorError as error:
+            return error.status, wire.error_body(error)
+        except Exception as error:  # noqa: BLE001 - the API boundary
+            fault = CoordinatorError(
+                f"internal coordinator error: {error!r}",
+                field="internal",
+                status=500,
+            )
+            return 500, wire.error_body(fault)
+        return 200, wire.dump_body(payload)
+
+    def _dispatch(self, method: str, path: str, body: bytes) -> dict[str, Any]:
+        if method == "GET" and path == wire.PLAN_PATH:
+            return self.api_plan()
+        if method == "GET" and path == wire.STATUS_PATH:
+            return self.api_status()
+        if method == "POST" and path == wire.LEASE_PATH:
+            return self.api_lease(wire.parse_body(body))
+        if method == "POST" and path == wire.COMPLETE_PATH:
+            return self.api_complete(wire.parse_body(body))
+        if method == "POST" and path == wire.EVENTS_PATH:
+            return self.api_events(body)
+        raise CoordinatorError(
+            f"unknown wire endpoint {method} {path} (endpoints: "
+            f"GET {wire.PLAN_PATH}, POST {wire.LEASE_PATH}, "
+            f"POST {wire.COMPLETE_PATH}, POST {wire.EVENTS_PATH}, "
+            f"GET {wire.STATUS_PATH})",
+            field="path",
+            status=404,
+        )
+
     # -- upload materialisation --------------------------------------------
 
     def _materialise(
@@ -356,13 +390,13 @@ class Coordinator:
     def start(self) -> tuple[str, int]:
         """Bind the wire API, announce it, and serve it from a daemon thread.
 
-        ``serve-started`` is emitted before the serving thread exists, so
-        no lease can be granted (and narrated) ahead of it.
+        ``serve-started`` is emitted after the bind and before serving
+        starts, so no lease can be granted (and narrated) ahead of it.
         """
-        handler = _build_handler(self)
-        self._server = ThreadingHTTPServer((self._host, self._port), handler)
-        self._server.daemon_threads = True
-        host, port = self._host, self._server.server_address[1]
+        self._server = JsonHttpServer(
+            self._route, self._host, self._port, name="repro-coordinator"
+        )
+        host, port = self._server.address
         if isinstance(self._plan, ArenaPlan):
             self._emit(
                 ev.SERVE_STARTED,
@@ -382,13 +416,7 @@ class Coordinator:
                 port=port,
                 lease_ttl=self._lease_ttl,
             )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        return host, port
+        return self._server.start()
 
     def serve_until_complete(self) -> dict[str, object]:
         """Serve leases until every unit is in, then publish and stop."""
@@ -405,12 +433,8 @@ class Coordinator:
 
     def close(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._server.stop()
             self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
 
     def _publish(self) -> dict[str, object]:
         """Merge states, stitch the root, write the library — atomically.
@@ -564,67 +588,3 @@ def _extract_tar(blob: bytes, destination: Path, *, name: str) -> None:
                     field="uploads",
                 )
         archive.extractall(destination)
-
-
-def _build_handler(coordinator: Coordinator) -> type[BaseHTTPRequestHandler]:
-    """A request handler bound to one coordinator instance."""
-
-    class Handler(BaseHTTPRequestHandler):
-        # The event bus is the coordinator's narration channel; the default
-        # per-request stderr log would drown it.
-        def log_message(self, *args: object) -> None:
-            pass
-
-        def do_GET(self) -> None:
-            self._dispatch("GET")
-
-        def do_POST(self) -> None:
-            self._dispatch("POST")
-
-        def _dispatch(self, method: str) -> None:
-            try:
-                payload = self._route(method)
-            except CoordinatorError as error:
-                self._respond(error.status, wire.error_body(error))
-            except Exception as error:  # noqa: BLE001 - the API boundary
-                fault = CoordinatorError(
-                    f"internal coordinator error: {error!r}",
-                    field="internal",
-                    status=500,
-                )
-                self._respond(500, wire.error_body(fault))
-            else:
-                self._respond(200, wire.dump_body(payload))
-
-        def _route(self, method: str) -> dict[str, Any]:
-            if method == "GET" and self.path == wire.PLAN_PATH:
-                return coordinator.api_plan()
-            if method == "GET" and self.path == wire.STATUS_PATH:
-                return coordinator.api_status()
-            if method == "POST" and self.path == wire.LEASE_PATH:
-                return coordinator.api_lease(wire.parse_body(self._body()))
-            if method == "POST" and self.path == wire.COMPLETE_PATH:
-                return coordinator.api_complete(wire.parse_body(self._body()))
-            if method == "POST" and self.path == wire.EVENTS_PATH:
-                return coordinator.api_events(self._body())
-            raise CoordinatorError(
-                f"unknown wire endpoint {method} {self.path} (endpoints: "
-                f"GET {wire.PLAN_PATH}, POST {wire.LEASE_PATH}, "
-                f"POST {wire.COMPLETE_PATH}, POST {wire.EVENTS_PATH}, "
-                f"GET {wire.STATUS_PATH})",
-                field="path",
-                status=404,
-            )
-
-        def _body(self) -> bytes:
-            length = int(self.headers.get("Content-Length") or 0)
-            return self.rfile.read(length)
-
-        def _respond(self, status: int, body: bytes) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-    return Handler

@@ -11,7 +11,8 @@ failing field — ``{"error": {"message": ..., "field": ...}}`` — exactly as
 debugs a rejected request the same way a local caller debugs a bad spec.
 
 This module owns the envelope rules (stamping, parsing, error payloads);
-the HTTP plumbing lives in :mod:`repro.coordinator.service` and
+the HTTP plumbing lives in :mod:`repro.utils.jsonhttp` (the server side
+:mod:`repro.coordinator.service` routes through) and
 :mod:`repro.coordinator.worker`.
 """
 

@@ -11,9 +11,10 @@ one unlabelled directory or N labelled ones (validated and canonically
 ordered by :func:`validate_sources`) — through a :class:`BoundedIngestQueue`
 that deduplicates arrivals, keeps canonical order and applies explicit
 backpressure.  It hot-reloads the fingerprint library via
-:class:`LibraryReloadWatcher` and publishes :class:`IngestMetrics` over a
-:class:`MetricsServer` ``/metrics`` endpoint.  Surfaced on the command line
-as ``repro watch`` (one positional directory, or ``--source`` repeated).
+:class:`LibraryReloadWatcher`.  Surfaced on the command line as ``repro
+watch`` (one positional directory, or ``--source`` repeated); its
+``/metrics`` view is :class:`repro.jobs.metrics.IngestMetrics`, an event
+sink on the watch run's bus.
 """
 
 from repro.ingest.fleet import (
@@ -34,7 +35,6 @@ from repro.ingest.log import (
     capture_fingerprint,
     merge_results_logs,
 )
-from repro.ingest.metrics import METRICS_PATH, IngestMetrics, MetricsServer
 from repro.ingest.service import (
     SKIP_ALREADY_ATTACKED,
     SKIP_UNREADABLE,
@@ -66,10 +66,7 @@ __all__ = [
     "FleetSource",
     "FleetWatchService",
     "INPROGRESS_SUFFIX",
-    "IngestMetrics",
     "LibraryReloadWatcher",
-    "METRICS_PATH",
-    "MetricsServer",
     "RESULTS_LOG_VERSION",
     "ResultsLog",
     "SKIP_ALREADY_ATTACKED",

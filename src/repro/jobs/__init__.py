@@ -14,7 +14,8 @@ This package is the seam between *what a run is* and *how it is invoked*:
   semantic :class:`~repro.jobs.events.JobEvent`\\ s instead of printing;
   the console renderer reproduces the historical terminal output
   byte-for-byte and the JSONL renderer feeds machine consumers
-  (``repro --log-format jsonl``).
+  (``repro --log-format jsonl``); :mod:`repro.jobs.metrics` is the sink
+  behind ``repro watch --metrics-port``.
 
 The CLI in :mod:`repro.cli` is a thin adapter over this layer: parse
 arguments, build a spec, run it, let the chosen renderer narrate.
@@ -27,6 +28,7 @@ from repro.jobs.events import (
     EventSink,
     JobEvent,
 )
+from repro.jobs.metrics import IngestMetrics
 from repro.jobs.renderers import ConsoleRenderer, JsonlRenderer, renderer_for
 from repro.jobs.runner import JobResult, JobRunner
 from repro.jobs.specs import (
@@ -58,6 +60,7 @@ __all__ = [
     "EventBus",
     "EventSink",
     "GenerateJob",
+    "IngestMetrics",
     "InspectJob",
     "JobEvent",
     "JobResult",

@@ -44,6 +44,7 @@ STATE_FOLDED = "state-folded"
 ARTIFACT_WRITTEN = "artifact-written"
 CHOICES_RECOVERED = "choices-recovered"
 PROFILE = "profile"
+CAPTURE_QUEUED = "capture-queued"
 CAPTURE_SKIPPED = "capture-skipped"
 VERDICT = "verdict"
 AGGREGATE = "aggregate"
@@ -116,6 +117,10 @@ class EventBus:
     def attach(self, sink: EventSink) -> None:
         """Subscribe ``sink`` to every subsequent event."""
         self._sinks.append(sink)
+
+    def detach(self, sink: EventSink) -> None:
+        """Unsubscribe a previously attached ``sink``."""
+        self._sinks.remove(sink)
 
     def emit(self, kind: str, **data: object) -> JobEvent:
         """Build a :class:`JobEvent` and deliver it to every sink."""

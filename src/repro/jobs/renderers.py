@@ -10,7 +10,8 @@ tables.
 
 A console formatter that is missing for an emitted kind raises — renderer
 drift must fail a test, not silently swallow output.  Machine-only kinds
-(the final :data:`~repro.jobs.events.RESULT` payload) are deliberately not
+(the final :data:`~repro.jobs.events.RESULT` payload, the watch loop's
+:data:`~repro.jobs.events.CAPTURE_QUEUED` arrivals) are deliberately not
 rendered to the console.
 """
 
@@ -25,7 +26,7 @@ from repro.jobs import events as ev
 from repro.jobs.events import JobEvent
 
 #: Kinds that only machine consumers see; the console stays quiet.
-MACHINE_ONLY_KINDS = frozenset({ev.RESULT})
+MACHINE_ONLY_KINDS = frozenset({ev.RESULT, ev.CAPTURE_QUEUED})
 
 
 def renderer_for(log_format: str) -> "ConsoleRenderer | JsonlRenderer":

@@ -57,7 +57,6 @@ from repro.ingest.fleet import (
     LibraryReloadWatcher,
     validate_sources,
 )
-from repro.ingest.metrics import METRICS_PATH, IngestMetrics, MetricsServer
 from repro.ingest.service import (
     SKIP_ALREADY_ATTACKED,
     SKIP_UNREADABLE,
@@ -67,6 +66,7 @@ from repro.ingest.tasks import build_pcap_task, metadata_entries_near
 from repro.jobs import events as ev
 from repro.jobs.artifacts import Artifact, Workspace
 from repro.jobs.events import EventBus
+from repro.jobs.metrics import METRICS_PATH, IngestMetrics
 from repro.jobs.specs import (
     ArenaCellJob,
     ArenaJob,
@@ -85,6 +85,7 @@ from repro.jobs.specs import (
 from repro.net.capture import CapturedTrace
 from repro.net.packet import Direction
 from repro.streaming.session import SessionConfig
+from repro.utils.jsonhttp import JsonHttpServer
 from repro.utils.stats import summarize
 
 
@@ -766,21 +767,16 @@ class JobRunner:
         if resumed:
             self._bus.emit(ev.RESUMED, count=resumed, path=log_path)
 
-        metrics: IngestMetrics | None = None
-        server: MetricsServer | None = None
-        if spec.metrics_port is not None:
-            metrics = IngestMetrics()
-            server = MetricsServer(metrics, port=spec.metrics_port)
-            host, port = server.start()
-            self._bus.emit(
-                ev.METRICS_SERVING, host=host, port=port, path=METRICS_PATH
-            )
-
         queue_low = (
             spec.queue_low
             if spec.queue_low is not None
             else spec.queue_high // 2
         )
+
+        def attribution(source: str | None) -> dict[str, object]:
+            # Unlabelled events omit the key entirely so the legacy
+            # single-directory verdict line stays golden-pinned.
+            return {"source": source} if spec.sources else {}
 
         def on_saturated(source: str | None, depth: int) -> None:
             self._bus.emit(
@@ -790,32 +786,24 @@ class JobRunner:
                 high_watermark=spec.queue_high,
                 low_watermark=queue_low,
             )
-            if metrics is not None:
-                metrics.record_saturation()
 
         def on_reloaded(path: str, fingerprint: str) -> None:
             self._bus.emit(
                 ev.LIBRARY_RELOADED, path=path, fingerprint=fingerprint
             )
-            if metrics is not None:
-                metrics.record_reload()
 
         def on_arrival(source: str | None, path: Path) -> None:
-            if metrics is not None:
-                metrics.record_arrival(source or "", path.name)
+            self._bus.emit(
+                ev.CAPTURE_QUEUED, **attribution(source), capture=path.name
+            )
 
         def on_skip(path: Path, reason: str) -> None:
             self._bus.emit(ev.CAPTURE_SKIPPED, capture=path.name, reason=reason)
-            if metrics is not None:
-                metrics.record_skip()
 
         def on_verdict(verdict, result: AttackResult) -> None:
-            # Unlabelled verdicts omit the key entirely so the legacy
-            # single-directory line stays golden-pinned.
-            attribution = {"source": verdict.source} if spec.sources else {}
             self._bus.emit(
                 ev.VERDICT,
-                **attribution,
+                **attribution(verdict.source),
                 capture=verdict.capture,
                 fingerprint=verdict.fingerprint,
                 condition_key=verdict.condition_key,
@@ -830,17 +818,6 @@ class JobRunner:
                 else service.aggregate_rows()
             )
             self._bus.emit(ev.AGGREGATE, rows=rows)
-            if metrics is not None:
-                metrics.record_verdict(verdict.source or "", verdict.capture)
-                queue = fleet.queue
-                metrics.set_queue_gauges(
-                    depth=len(queue),
-                    parked=queue.parked_count,
-                    peak=queue.peak_depth,
-                    high_watermark=queue.high_watermark,
-                    low_watermark=queue.low_watermark,
-                )
-                metrics.set_source_rows(rows)
 
         fleet = FleetWatchService(
             service=service,
@@ -853,6 +830,17 @@ class JobRunner:
             on_reloaded=on_reloaded,
             on_arrival=on_arrival,
         )
+        server = None
+        if spec.metrics_port is not None:
+            metrics = IngestMetrics(fleet.queue)
+            server = JsonHttpServer(
+                metrics.route, port=spec.metrics_port, name="repro-ingest-metrics"
+            )
+            host, port = server.start()
+            self._bus.attach(metrics)
+            self._bus.emit(
+                ev.METRICS_SERVING, host=host, port=port, path=METRICS_PATH
+            )
         try:
             fleet.run(
                 follow=spec.follow,
@@ -869,6 +857,7 @@ class JobRunner:
         finally:
             if server is not None:
                 server.stop()
+                self._bus.detach(metrics)
         self._bus.emit(
             ev.RESULTS_LOG, path=log_path, total=len(service.verdicts)
         )

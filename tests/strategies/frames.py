@@ -3,7 +3,8 @@
 A generated :class:`Capture` holds the streaming connection (an uplink TLS
 record stream cut into segments, plus downlink data), optional
 cross-traffic connections, and per-frame hostility: IP and TCP options,
-Ethernet padding, snaplen truncation, frames that are not IPv4/TCP (VLAN,
+IP fragment bits (MF or a fragment offset), Ethernet padding, snaplen
+truncation, frames that are not IPv4/TCP (VLAN,
 ARP, IPv6, UDP) and frames ``Packet.parse_frame`` rejects (TTL 0, port 0,
 IHL < 5, version != 4, data offset < 5, total length < 20).  Captures are
 written in either pcap byte order, and the attack's address arguments may
@@ -27,7 +28,10 @@ SERVER_IP = "198.51.100.7"
 OTHER_IPS = ("203.0.113.9", "203.0.113.10")
 
 #: Frame changes ``parse_frame`` copes with.
-BENIGN = ("ip_options", "tcp_options", "padding", "snaplen", "short_total_length")
+BENIGN = (
+    "ip_options", "tcp_options", "ip_fragment", "padding", "snaplen",
+    "short_total_length",
+)
 #: Frames that are not IPv4/TCP: ``parse_frame`` returns ``None`` for them.
 FOREIGN = ("vlan", "arp", "ipv6", "udp")
 #: Frames ``parse_frame`` raises on.
@@ -99,6 +103,14 @@ def build_frame(
     version = rng.choice((0, 6, 15)) if change == "version" else 4
     ttl = 0 if change == "ttl0" else 64
     protocol = 17 if change == "udp" else 6
+    # Flags + fragment offset: DF, or a fragment (MF and/or an offset).
+    # Neither decoder reassembles, so a fragment reads as a whole segment.
+    fragment_word = 0x4000
+    if change == "ip_fragment":
+        more_fragments = rng.choice((0x2000, 0))
+        fragment_word = more_fragments | rng.randint(
+            0 if more_fragments else 1, 0x1FFF
+        )
     source_port, destination_port = segment.source_port, segment.destination_port
     if change == "port0":
         if rng.random() < 0.5:
@@ -114,7 +126,7 @@ def build_frame(
         0,
         total_length & 0xFFFF,
         segment.sequence & 0xFFFF,
-        0x4000,
+        fragment_word,
         ttl,
         protocol,
         0,

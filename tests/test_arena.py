@@ -255,8 +255,7 @@ def test_leased_through_coordinator_is_byte_identical(serial_run, tmp_path):
     coordinator = Coordinator(
         plan, EventBus(), root=root, library=report_path, linger=0.0
     )
-    coordinator.start()
-    host, port = coordinator._host, coordinator._server.server_address[1]
+    host, port = coordinator.start()
     worker = threading.Thread(
         target=lambda: JobRunner(EventBus()).run(
             WorkJob(url=f"http://{host}:{port}", worker_id="w1", poll_interval=0.05)

@@ -235,3 +235,23 @@ def test_uplink_segments_keep_the_first_of_each_sequence_number(workdir):
     assert capture_client_records(path, CLIENT_IP, SERVER_IP) == _oracle_records(
         path, CLIENT_IP, SERVER_IP
     )
+
+
+def test_ip_fragments_read_as_whole_segments_on_both_paths(workdir):
+    # Neither path reassembles: MF or a fragment offset leaves the frame a
+    # whole TCP segment, and the columnar records stay the oracle's.
+    rng = random.Random(2)
+    record = b"\x17\x03\x03\x00\x08" + bytes(8)
+    segments = [
+        Segment(10, CLIENT_IP, SERVER_IP, 40_001, 443, 100, record[:6]),
+        Segment(20, CLIENT_IP, SERVER_IP, 40_001, 443, 106, record[6:]),
+        Segment(30, SERVER_IP, CLIENT_IP, 443, 40_001, 1, bytes(700)),
+    ]
+    frames = tuple((s.micros, *build_frame(s, "ip_fragment", rng)) for s in segments)
+    path = _write(Capture(frames, "<", CLIENT_IP, SERVER_IP), workdir)
+    words = [int.from_bytes(frame[20:22], "big") for _, frame, _ in frames]
+    assert all(word & 0x2000 or word & 0x1FFF for word in words)
+    columns = decode_tcp_columns(read_pcap_columns(path), CLIENT_IP)
+    records = columnar_client_records(columns, SERVER_IP)
+    assert records is not None and len(records) == 1
+    assert tuple(records) == _oracle_records(path, CLIENT_IP, SERVER_IP)

@@ -11,6 +11,7 @@ by taking a lease over HTTP and never completing it.)
 from __future__ import annotations
 
 import base64
+import http.client
 import io
 import json
 import tarfile
@@ -272,6 +273,31 @@ def test_unknown_endpoint_is_a_404_naming_the_path(api):
     assert code == 404
     assert error["field"] == "path"
     assert wire.LEASE_PATH in error["message"]
+
+
+def test_unexpected_handler_failure_is_a_500_naming_internal(api, monkeypatch):
+    def broken(self):
+        raise RuntimeError("ledger on fire")
+
+    monkeypatch.setattr(Coordinator, "api_status", broken)
+    url, _recorder = api
+    code, error = _error_of(lambda: _get(url, wire.STATUS_PATH))
+    assert code == 500
+    assert error["field"] == "internal"
+    assert "ledger on fire" in error["message"]
+
+
+def test_malformed_content_length_is_a_400_before_any_route(api):
+    url, recorder = api
+    connection = http.client.HTTPConnection(url.removeprefix("http://"), timeout=30)
+    try:
+        connection.putrequest("POST", wire.LEASE_PATH)
+        connection.putheader("Content-Length", "-5")
+        connection.endheaders()
+        assert connection.getresponse().status == 400
+    finally:
+        connection.close()
+    assert recorder.kinds() == ["serve-started"]
 
 
 def test_wrong_wire_version_is_refused_by_name(api):

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -54,7 +55,12 @@ from repro.ingest.log import (
     parse_results_log_bytes,
     verdict_line,
 )
-from repro.ingest.metrics import METRICS_PATH, IngestMetrics, MetricsServer
+from repro.jobs import EventBus, JobRunner
+from repro.jobs import events as ev
+from repro.jobs.events import JobEvent
+from repro.jobs.metrics import METRICS_PATH, IngestMetrics
+from repro.jobs.specs import WatchJob
+from repro.utils.jsonhttp import JsonHttpServer
 
 
 @pytest.fixture(scope="module")
@@ -482,14 +488,25 @@ def test_one_shot_run_drains_a_service_without_on_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+class _Recorder(list):
+    """An event sink that keeps every event it sees."""
+
+    def handle(self, event) -> None:
+        self.append(event)
+
+    def of(self, kind: str) -> list:
+        return [event for event in self if event.kind == kind]
+
+
 class TestMetrics:
     def test_latency_percentiles_from_a_fake_clock(self):
         now = {"t": 100.0}
         metrics = IngestMetrics(clock=lambda: now["t"])
+        bus = EventBus(metrics)
         for index, latency in enumerate((0.1, 0.2, 0.4)):
-            metrics.record_arrival("src-a", f"cap-{index}.pcap")
+            bus.emit(ev.CAPTURE_QUEUED, source="src-a", capture=f"cap-{index}.pcap")
             now["t"] += latency
-            metrics.record_verdict("src-a", f"cap-{index}.pcap")
+            bus.emit(ev.VERDICT, source="src-a", capture=f"cap-{index}.pcap")
         snapshot = metrics.snapshot()
         assert snapshot["verdicts"] == 3
         latency = snapshot["latency_s"]
@@ -498,13 +515,52 @@ class TestMetrics:
         assert latency["mean"] == pytest.approx(0.7 / 3)
         assert latency["p99"] <= 0.4 + 1e-9
 
-    def test_endpoint_serves_the_snapshot_as_json(self):
+    def test_snapshots_stay_consistent_under_concurrent_events(self):
         metrics = IngestMetrics()
-        metrics.record_skip()
-        metrics.set_queue_gauges(
-            depth=3, parked=2, peak=8, high_watermark=8, low_watermark=4
+        torn: list[dict] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def publish(source: str) -> None:
+            for index in range(500):
+                capture = f"cap-{index}.pcap"
+                for kind in (ev.CAPTURE_QUEUED, ev.VERDICT):
+                    metrics.handle(JobEvent(kind, {"source": source, "capture": capture}))
+                # Every verdict closes a latency window; a torn read would not.
+                snapshot = metrics.snapshot()
+                if snapshot["verdicts"] != snapshot["latency_s"]["count"]:
+                    torn.append(snapshot)
+
+        try:
+            threads = [
+                threading.Thread(target=publish, args=(f"src-{n}",)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == []
+        snapshot = metrics.snapshot()
+        assert snapshot["verdicts"] == snapshot["latency_s"]["count"] == 8 * 500
+
+    def test_endpoint_serves_the_snapshot_as_json(self):
+        bus = EventBus()
+        queue = BoundedIngestQueue(
+            high_watermark=8,
+            low_watermark=4,
+            on_saturated=lambda source, depth: bus.emit(
+                ev.QUEUE_SATURATED, source=source, depth=depth
+            ),
         )
-        server = MetricsServer(metrics, port=0)
+        metrics = IngestMetrics(queue)
+        bus.attach(metrics)
+        queue.offer("src-a", [Path(f"cap-{index:02d}.pcap") for index in range(10)])
+        bus.emit(ev.CAPTURE_SKIPPED, capture="bad.pcap", reason="unreadable")
+        bus.emit(ev.VERDICT, source="src-a", capture="cap-00.pcap")
+        server = JsonHttpServer(metrics.route)
         host, port = server.start()
         try:
             with urllib.request.urlopen(
@@ -513,13 +569,58 @@ class TestMetrics:
                 assert response.status == 200
                 payload = json.loads(response.read())
             assert payload["skips"] == 1
-            assert payload["queue"]["peak_depth"] == 8
+            assert payload["queue"] == {
+                "depth": 8,
+                "parked": 2,
+                "peak_depth": 8,
+                "high_watermark": 8,
+                "low_watermark": 4,
+                "saturation_events": 1,
+            }
             assert payload["latency_s"] == {"count": 0}
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"http://{host}:{port}/nope")
             assert excinfo.value.code == 404
+            # The endpoint is read-only: a POST gets the JSON 404 naming
+            # the one endpoint, not the stdlib's 501.
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    urllib.request.Request(
+                        f"http://{host}:{port}{METRICS_PATH}",
+                        data=b"{}",
+                        method="POST",
+                    )
+                )
+            assert excinfo.value.code == 404
+            assert f"GET {METRICS_PATH}" in json.loads(excinfo.value.read())["error"]
         finally:
             server.stop()
+
+    def test_sink_agrees_with_a_real_fleet_watch(
+        self, fleet_sources, library_path, tmp_path
+    ):
+        # A byte-identical copy of a capture already in the same batch is
+        # skipped as already attacked.
+        first = sorted(fleet_sources[0].glob("*.pcap"))[0]
+        shutil.copy(first, fleet_sources[0] / "zz-duplicate.pcap")
+        log = tmp_path / "fleet.jsonl"
+        metrics = IngestMetrics()
+        recorder = _Recorder()
+        JobRunner(EventBus(recorder, metrics)).run(
+            WatchJob(
+                sources=tuple(str(source) for source in fleet_sources),
+                library=str(library_path),
+                follow=False,
+                results_log=str(log),
+            )
+        )
+        snapshot = metrics.snapshot()
+        assert snapshot["verdicts"] == len(log.read_bytes().splitlines()) > 0
+        assert snapshot["latency_s"]["count"] == snapshot["verdicts"]
+        assert snapshot["sources"] == recorder.of(ev.AGGREGATE)[-1].data["rows"]
+        assert len(snapshot["sources"]) == len(fleet_sources)
+        assert snapshot["skips"] == len(recorder.of(ev.CAPTURE_SKIPPED)) == 1
+        assert len(recorder.of(ev.CAPTURE_QUEUED)) == snapshot["verdicts"] + 1
 
     def test_watch_announces_the_metrics_endpoint(
         self, dataset_dir, library_path, tmp_path, capsys
