@@ -1,11 +1,13 @@
-"""Hot-path micro-benchmarks: band matching, pcap ingest and capture decode.
+"""Hot-path micro-benchmarks: band matching, pcap ingest, capture decode and
+capture encode.
 
 Unlike the experiment benchmarks (which reproduce paper artefacts), these
 measure the vectorized kernels against the scalar reference paths they
 replaced, assert *exact* output equality, and enforce the contractual
-speedups: >= 10x on batch classification, >= 3x on pcap ingest and >= 10x
+speedups: >= 10x on batch classification, >= 3x on pcap ingest, >= 10x
 on capture decode (columnar records against ``from_pcap`` + record
-extraction).  The
+extraction) and >= 10x on capture encode (``to_pcap`` against the
+per-packet ``serialize_frame`` loop).  The
 measured ratios and absolute rates land in ``benchmark.extra_info`` so
 ``check_perf_ratchet.py`` can gate regressions against the checked-in
 baselines in ``BENCH_baselines.json``.
@@ -19,6 +21,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior
@@ -41,6 +44,7 @@ MIN_CLASSIFY_SPEEDUP = 10.0
 INGEST_PACKETS = 30_000
 MIN_INGEST_SPEEDUP = 3.0
 MIN_DECODE_SPEEDUP = 10.0
+MIN_ENCODE_SPEEDUP = 10.0
 REPETITIONS = 5
 
 
@@ -224,23 +228,27 @@ def _decode_workload(path: Path, client_ip: str, server_ip: str) -> dict[str, fl
     }
 
 
-def test_capture_decode_speedup(benchmark, study_graph, tmp_path):
+@pytest.fixture(scope="module")
+def noisy_session(study_graph):
     # A noisy condition: retransmitted duplicates and cross-traffic flows,
-    # so the decode meets what real captures carry.
-    session = simulate_session(
+    # so the decode and the encode meet what real captures carry.
+    return simulate_session(
         study_graph,
         OperationalCondition("linux", "desktop", "firefox", "wireless", "night"),
         ViewerBehavior("20-25", "undisclosed", "undisclosed", "happy"),
         seed=SEED,
     )
+
+
+def test_capture_decode_speedup(benchmark, noisy_session, tmp_path):
     path = tmp_path / "session.pcap"
-    session.trace.to_pcap(path)
+    noisy_session.trace.to_pcap(path)
     metrics = run_once(
         benchmark,
         _decode_workload,
         path,
-        session.trace.client_ip,
-        session.trace.server_ip,
+        noisy_session.trace.client_ip,
+        noisy_session.trace.server_ip,
     )
     benchmark.extra_info.update(metrics)
     print(
@@ -251,3 +259,39 @@ def test_capture_decode_speedup(benchmark, study_graph, tmp_path):
         f"  speedup:              {metrics['decode_speedup']:.1f}x"
     )
     assert metrics["decode_speedup"] >= MIN_DECODE_SPEEDUP
+
+
+def _encode_workload(trace: CapturedTrace, directory: Path) -> dict[str, float]:
+    expected, actual = directory / "oracle.pcap", directory / "columnar.pcap"
+
+    def oracle() -> int:
+        ordered = sorted(trace.packets, key=lambda packet: packet.timestamp)
+        with PcapWriter(expected) as writer:
+            for packet in ordered:
+                writer.write(packet.timestamp, packet.serialize_frame())
+            return writer.packets_written
+
+    oracle_seconds, packets = _best_of(oracle)
+    columnar_seconds, written = _best_of(trace.to_pcap, actual)
+    assert written == packets
+    assert actual.read_bytes() == expected.read_bytes()  # the oracle's bytes
+    return {
+        "encode_speedup": oracle_seconds / columnar_seconds,
+        "encode_packets_per_s": packets / columnar_seconds,
+        "encode_packets": packets,
+        "encode_oracle_seconds": oracle_seconds,
+        "encode_columnar_seconds": columnar_seconds,
+    }
+
+
+def test_capture_encode_speedup(benchmark, noisy_session, tmp_path):
+    metrics = run_once(benchmark, _encode_workload, noisy_session.trace, tmp_path)
+    benchmark.extra_info.update(metrics)
+    print(
+        f"\ncapture encode ({int(metrics['encode_packets'])} packets):\n"
+        f"  serialize_frame loop: {metrics['encode_oracle_seconds'] * 1e3:.1f}ms\n"
+        f"  columnar to_pcap:     {metrics['encode_columnar_seconds'] * 1e3:.1f}ms "
+        f"({metrics['encode_packets_per_s'] / 1e6:.2f}M packets/s)\n"
+        f"  speedup:              {metrics['encode_speedup']:.1f}x"
+    )
+    assert metrics["encode_speedup"] >= MIN_ENCODE_SPEEDUP

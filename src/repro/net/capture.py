@@ -11,6 +11,12 @@ oracle for reading a capture: ``repro inspect`` and the dataset loader use
 it, and the attack's columnar decoder (:mod:`repro.net.columnar`) defers to
 it for any capture whose frames the columns cannot prove it decodes the same
 way.  Property tests pin the decoder to it.
+
+Writing mirrors that: :meth:`CapturedTrace.to_pcap` encodes blocks of
+packets as header columns (:func:`repro.net.columnar.encode_tcp_frames`),
+and :meth:`Packet.serialize_frame` written record by record stays the oracle
+— the encoder hands it every block holding a packet the columns cannot
+express, and property tests pin the encoder's bytes to it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.exceptions import PacketError
+from repro.net.columnar import encode_tcp_frames
 from repro.net.conditions import NetworkConditions
 from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.flow import FlowTable
@@ -72,11 +79,15 @@ class CapturedTrace:
         return table
 
     def to_pcap(self, path: str | Path) -> int:
-        """Write the trace to a pcap file; returns the packet count written."""
+        """Write the trace to a pcap file; returns the packet count written.
+
+        Packets go out in stable timestamp order through the columnar
+        encoder, whose bytes equal ``serialize_frame`` written packet by
+        packet (the oracle it falls back to).
+        """
         ordered = sorted(self.packets, key=lambda packet: packet.timestamp)
         with PcapWriter(path) as writer:
-            for packet in ordered:
-                writer.write(packet.timestamp, packet.serialize_frame())
+            encode_tcp_frames(ordered, writer)
             return writer.packets_written
 
     def to_pcap_atomic(self, path: str | Path) -> int:

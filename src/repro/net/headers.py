@@ -31,7 +31,12 @@ TCP_FLAG_ACK = 0x10
 
 
 def checksum16(data: bytes) -> int:
-    """RFC 1071 16-bit one's-complement checksum."""
+    """RFC 1071 16-bit one's-complement checksum of any bytes-like ``data``.
+
+    The odd-length pad goes on a private copy: the caller's buffer is
+    never extended.
+    """
+    data = bytes(memoryview(data))
     if len(data) % 2:
         data += b"\x00"
     total = 0

@@ -10,6 +10,13 @@ microsecond timestamps) followed by per-packet records of a 16-byte header
 Both byte orders are accepted on read — a capture written on a big-endian
 machine stores the magic byte-swapped relative to ours.
 
+Writing has two entries.  :meth:`PcapWriter.write` appends one record and
+is the definition of the record format; :meth:`PcapWriter.write_records`
+appends records a caller has already encoded the same way — the batch path
+of :func:`repro.net.columnar.encode_tcp_frames`, which
+:meth:`CapturedTrace.to_pcap` uses and which property tests pin to
+``write`` byte for byte.
+
 Reading is built for the attack's hot path: the file is memory-mapped once
 and every packet header is decoded in a single vectorized numpy pass, so a
 capture costs one sequential scan instead of a per-packet
@@ -147,6 +154,11 @@ class PcapWriter:
         """Number of packet records emitted so far."""
         return self._count
 
+    @property
+    def snaplen(self) -> int:
+        """Longest frame stored whole; :meth:`write` truncates longer ones."""
+        return self._snaplen
+
     def write(self, timestamp: float, frame: bytes) -> None:
         """Append one packet record."""
         if self._handle is None:
@@ -166,6 +178,14 @@ class PcapWriter:
         )
         self._handle.write(captured)
         self._count += 1
+
+    def write_records(self, records: bytes, count: int) -> None:
+        """Append ``count`` packet records already encoded as :meth:`write`
+        would encode them (see :func:`repro.net.columnar.encode_tcp_frames`)."""
+        if self._handle is None:
+            raise PcapError("PcapWriter must be used as a context manager")
+        self._handle.write(records)
+        self._count += count
 
 
 class PcapReader:

@@ -33,6 +33,16 @@ class TestChecksum:
     def test_odd_length_padded(self):
         assert isinstance(checksum16(b"\x01\x02\x03"), int)
 
+    def test_odd_bytearray_is_not_extended(self):
+        buffer = bytearray(b"\x01\x02\x03")
+        assert checksum16(buffer) == checksum16(b"\x01\x02\x03")
+        assert buffer == bytearray(b"\x01\x02\x03")
+
+    def test_memoryview_input(self):
+        data = bytes(range(1, 22))
+        assert checksum16(memoryview(data)) == checksum16(data)
+        assert checksum16(memoryview(data)[:20]) == checksum16(data[:20])
+
 
 class TestAddressParsing:
     def test_ipv4_roundtrip(self):
