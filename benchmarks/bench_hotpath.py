@@ -1,5 +1,5 @@
-"""Hot-path micro-benchmarks: band matching, pcap ingest, capture decode and
-capture encode.
+"""Hot-path micro-benchmarks: band matching, pcap ingest, capture decode,
+capture encode and session simulation.
 
 Unlike the experiment benchmarks (which reproduce paper artefacts), these
 measure the vectorized kernels against the scalar reference paths they
@@ -7,7 +7,8 @@ replaced, assert *exact* output equality, and enforce the contractual
 speedups: >= 10x on batch classification, >= 3x on pcap ingest, >= 10x
 on capture decode (columnar records against ``from_pcap`` + record
 extraction) and >= 10x on capture encode (``to_pcap`` against the
-per-packet ``serialize_frame`` loop).  The
+per-packet ``serialize_frame`` loop), plus >= 2x on the simulator's
+random bytes (raw PCG64 draws against ``Generator.integers``).  The
 measured ratios and absolute rates land in ``benchmark.extra_info`` so
 ``check_perf_ratchet.py`` can gate regressions against the checked-in
 baselines in ``BENCH_baselines.json``.
@@ -35,6 +36,7 @@ from repro.core.pipeline import capture_client_records
 from repro.net.capture import CapturedTrace
 from repro.net.pcap import PcapWriter, read_pcap_columns
 from repro.streaming.session import simulate_session
+from repro.utils.rng import _next_uint32_bytes
 
 from conftest import run_once
 
@@ -45,6 +47,8 @@ INGEST_PACKETS = 30_000
 MIN_INGEST_SPEEDUP = 3.0
 MIN_DECODE_SPEEDUP = 10.0
 MIN_ENCODE_SPEEDUP = 10.0
+RNG_BYTES = 1 << 20
+MIN_RNG_BYTES_SPEEDUP = 2.0
 REPETITIONS = 5
 
 
@@ -228,16 +232,15 @@ def _decode_workload(path: Path, client_ip: str, server_ip: str) -> dict[str, fl
     }
 
 
+#: A noisy condition: retransmitted duplicates and cross-traffic flows, so
+#: the decode and the encode meet what real captures carry.
+NOISY_CONDITION = OperationalCondition("linux", "desktop", "firefox", "wireless", "night")
+STUDY_BEHAVIOR = ViewerBehavior("20-25", "undisclosed", "undisclosed", "happy")
+
+
 @pytest.fixture(scope="module")
 def noisy_session(study_graph):
-    # A noisy condition: retransmitted duplicates and cross-traffic flows,
-    # so the decode and the encode meet what real captures carry.
-    return simulate_session(
-        study_graph,
-        OperationalCondition("linux", "desktop", "firefox", "wireless", "night"),
-        ViewerBehavior("20-25", "undisclosed", "undisclosed", "happy"),
-        seed=SEED,
-    )
+    return simulate_session(study_graph, NOISY_CONDITION, STUDY_BEHAVIOR, seed=SEED)
 
 
 def test_capture_decode_speedup(benchmark, noisy_session, tmp_path):
@@ -295,3 +298,47 @@ def test_capture_encode_speedup(benchmark, noisy_session, tmp_path):
         f"  speedup:              {metrics['encode_speedup']:.1f}x"
     )
     assert metrics["encode_speedup"] >= MIN_ENCODE_SPEEDUP
+
+
+def _simulation_workload(study_graph, expected: str) -> dict[str, float]:
+    def reference() -> np.ndarray:
+        generator = np.random.default_rng(SEED)
+        return generator.integers(0, 256, size=RNG_BYTES, dtype=np.uint8)
+
+    def raw() -> np.ndarray:
+        return _next_uint32_bytes(np.random.PCG64(SEED), RNG_BYTES)
+
+    reference_seconds, expected_bytes = _best_of(reference)
+    raw_seconds, drawn = _best_of(raw)
+    assert np.array_equal(drawn, expected_bytes)  # the integers stream, exactly
+
+    # The fixture's session filled the manifest memo, as the first session
+    # of a title does in any long-running generation.
+    session_seconds, session = _best_of(
+        simulate_session, study_graph, NOISY_CONDITION, STUDY_BEHAVIOR, SEED
+    )
+    assert session.fingerprint() == expected  # deterministic, byte for byte
+    return {
+        "rng_bytes_speedup": reference_seconds / raw_seconds,
+        "rng_reference_seconds": reference_seconds,
+        "rng_raw_seconds": raw_seconds,
+        "simulate_sessions_per_s": 1.0 / session_seconds,
+        "simulate_packets": session.trace.packet_count,
+    }
+
+
+def test_simulation_rate(benchmark, study_graph, noisy_session):
+    metrics = run_once(
+        benchmark, _simulation_workload, study_graph, noisy_session.fingerprint()
+    )
+    benchmark.extra_info.update(metrics)
+    print(
+        f"\nsession simulation ({int(metrics['simulate_packets'])} packets):\n"
+        f"  integers uint8 draw ({RNG_BYTES >> 20} MiB): "
+        f"{metrics['rng_reference_seconds'] * 1e3:.2f}ms\n"
+        f"  raw PCG64 bytes:                {metrics['rng_raw_seconds'] * 1e3:.2f}ms\n"
+        f"  random-bytes speedup:           {metrics['rng_bytes_speedup']:.1f}x\n"
+        f"  simulate_session:               "
+        f"{metrics['simulate_sessions_per_s']:.2f} sessions/s"
+    )
+    assert metrics["rng_bytes_speedup"] >= MIN_RNG_BYTES_SPEEDUP

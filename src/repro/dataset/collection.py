@@ -16,7 +16,6 @@ from repro.dataset.population import Viewer
 from repro.engine.executor import BatchExecutor, ProgressCallback
 from repro.engine.plan import SessionPlan
 from repro.exceptions import DatasetError
-from repro.media.manifest import MediaManifest, build_manifest
 from repro.narrative.bandersnatch import build_bandersnatch_script
 from repro.narrative.graph import StoryGraph
 from repro.streaming.session import SessionConfig, SessionResult
@@ -78,7 +77,6 @@ def default_study_script() -> StoryGraph:
 def collection_plan(
     viewer: Viewer,
     graph: StoryGraph,
-    manifest: MediaManifest | None,
     dataset_seed: int,
     config: SessionConfig | None = None,
 ) -> SessionPlan:
@@ -94,7 +92,6 @@ def collection_plan(
         behavior=viewer.behavior,
         seed=derive_seed(dataset_seed, "collection", viewer.viewer_id),
         config=config,
-        manifest=manifest,
         session_id=viewer.viewer_id,
     )
 
@@ -110,26 +107,17 @@ def build_collection_plans(
         raise DatasetError("cannot collect a dataset for an empty population")
     graph = graph or default_study_script()
     config = config or SessionConfig()
-    manifest = build_manifest(
-        graph,
-        content_seed=config.content_seed,
-        chunk_duration_seconds=config.chunk_duration_seconds,
-    )
-    return [
-        collection_plan(viewer, graph, manifest, dataset_seed, config)
-        for viewer in viewers
-    ]
+    return [collection_plan(viewer, graph, dataset_seed, config) for viewer in viewers]
 
 
 def collect_datapoint(
     viewer: Viewer,
     graph: StoryGraph,
-    manifest: MediaManifest,
     dataset_seed: int,
     config: SessionConfig | None = None,
 ) -> DataPoint:
     """Run the viewing session for one viewer and package the data point."""
-    plan = collection_plan(viewer, graph, manifest, dataset_seed, config)
+    plan = collection_plan(viewer, graph, dataset_seed, config)
     return DataPoint(viewer=viewer, session=plan.execute())
 
 

@@ -13,7 +13,7 @@ Components
 :class:`~repro.engine.plan.SessionPlan`
     A frozen, picklable description of one session to simulate: the story
     graph, the operational condition, the viewer behaviour and the seed
-    (plus optional config, prebuilt manifest, forced choices and session
+    (plus optional config, forced choices and session
     id).  ``plan.execute()`` produces exactly the :class:`SessionResult`
     that calling :func:`repro.streaming.session.simulate_session` with the
     same arguments would.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior
-from repro.media.manifest import MediaManifest
 from repro.narrative.graph import StoryGraph
 from repro.streaming.session import SessionConfig, SessionResult, simulate_session
 
@@ -36,10 +35,6 @@ class SessionPlan:
         seed, so the plan is reproducible independent of execution order.
     config:
         Optional session configuration; ``None`` means the defaults.
-    manifest:
-        Optional prebuilt media manifest.  Supplying one avoids rebuilding
-        it per session; the manifest built from ``graph`` and ``config`` is
-        itself deterministic, so this is purely an optimisation.
     forced_choices:
         Optional scripted default/non-default decisions (Figure 1 style).
     session_id:
@@ -51,7 +46,6 @@ class SessionPlan:
     behavior: ViewerBehavior
     seed: int
     config: SessionConfig | None = None
-    manifest: MediaManifest | None = None
     forced_choices: tuple[bool, ...] | None = None
     session_id: str | None = None
 
@@ -73,7 +67,6 @@ class SessionPlan:
             behavior=self.behavior,
             seed=self.seed,
             config=self.config,
-            manifest=self.manifest,
             forced_choices=self.forced_choices,
             session_id=self.session_id,
         )

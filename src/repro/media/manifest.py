@@ -7,6 +7,8 @@ can translate "stream segment S3b" into a sequence of byte transfers.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError, NarrativeError
@@ -72,6 +74,13 @@ class MediaManifest:
         }
 
 
+#: How many default-ladder manifests :func:`build_manifest` keeps.  A process
+#: streams one or a handful of titles, so a few entries cover every caller.
+_MEMO_SIZE = 8
+_memo: OrderedDict[tuple[str, int, float], MediaManifest] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def build_manifest(
     graph: StoryGraph,
     content_seed: int,
@@ -83,10 +92,39 @@ def build_manifest(
     The ``content_seed`` pins the VBR chunk sizes: the same seed always
     produces byte-identical manifests, which the dataset generator relies on
     (all viewers stream the *same* encode of the movie).
+
+    Default-ladder manifests (``ladder=None``) are memoized per process,
+    keyed on ``(graph.fingerprint(), content_seed, chunk_duration_seconds)``
+    -- every input the chunk maps depend on -- in a least-recently-used
+    memo of :data:`_MEMO_SIZE` entries, so every session of a title shares
+    one build.  A memoized manifest is shared by all its callers: treat it,
+    like every manifest, as read-only.  An explicit ``ladder`` always builds
+    afresh.
     """
     if chunk_duration_seconds <= 0:
         raise ConfigurationError("chunk duration must be positive")
-    ladder = ladder or default_ladder()
+    if ladder is not None:
+        return _build(graph, content_seed, chunk_duration_seconds, ladder)
+    key = (graph.fingerprint(), content_seed, chunk_duration_seconds)
+    with _memo_lock:
+        manifest = _memo.get(key)
+        if manifest is not None:
+            _memo.move_to_end(key)
+            return manifest
+    manifest = _build(graph, content_seed, chunk_duration_seconds, default_ladder())
+    with _memo_lock:
+        _memo[key] = manifest
+        while len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return manifest
+
+
+def _build(
+    graph: StoryGraph,
+    content_seed: int,
+    chunk_duration_seconds: float,
+    ladder: BitrateLadder,
+) -> MediaManifest:
     chunk_maps = {
         segment.segment_id: ladder_chunk_maps(
             segment, ladder, chunk_duration_seconds, content_seed

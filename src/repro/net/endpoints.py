@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.exceptions import PacketError
 from repro.net.headers import parse_ipv4
@@ -31,9 +32,9 @@ class FiveTuple:
     client: Endpoint
     server: Endpoint
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Canonical string form, client side first."""
+        """Canonical string form, client side first (formatted once per tuple)."""
         return f"{self.client}->{self.server}"
 
     def reversed(self) -> "FiveTuple":

@@ -33,6 +33,10 @@ class Direction(str, Enum):
         return self is Direction.CLIENT_TO_SERVER
 
 
+#: Timestamps live in ``[0, MAX_TIMESTAMP)``: the range the pcap record
+#: header's unsigned 32-bit seconds field can carry.
+MAX_TIMESTAMP = 2**32
+
 _CLIENT_MAC = "02:00:00:00:00:01"
 _SERVER_MAC = "02:00:00:00:00:02"
 
@@ -58,10 +62,31 @@ class Packet:
     annotations: dict[str, object] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise PacketError(f"packet timestamp must be non-negative, got {self.timestamp}")
+        # The chained comparison also rejects NaN and infinities.
+        if not 0 <= self.timestamp < MAX_TIMESTAMP:
+            raise PacketError(
+                f"packet timestamp must be finite, non-negative and below 2**32 s, "
+                f"got {self.timestamp}"
+            )
         if self.sequence_number < 0 or self.acknowledgment_number < 0:
             raise PacketError("sequence/acknowledgment numbers must be non-negative")
+
+    def _next_segment(
+        self, payload: bytes, sequence_number: int, annotations: dict[str, object]
+    ) -> "Packet":
+        """A copy carrying a later segment of the same application write.
+
+        Skips ``__init__`` and ``__post_init__``: every other field is this
+        validated packet's, and ``sequence_number`` only ever grows past a
+        validated one.  :meth:`repro.net.tcp.TCPSender.send` is the caller.
+        """
+        packet = object.__new__(Packet)
+        fields = packet.__dict__
+        fields.update(self.__dict__)
+        fields["payload"] = payload
+        fields["sequence_number"] = sequence_number
+        fields["annotations"] = annotations
+        return packet
 
     @property
     def source(self) -> Endpoint:

@@ -36,6 +36,7 @@ use :func:`read_pcap`, which returns owned ``bytes`` copies.
 
 from __future__ import annotations
 
+import math
 import mmap
 import struct
 from dataclasses import dataclass, field
@@ -163,8 +164,9 @@ class PcapWriter:
         """Append one packet record."""
         if self._handle is None:
             raise PcapError("PcapWriter must be used as a context manager")
-        if timestamp < 0:
-            raise PcapError(f"timestamp must be non-negative, got {timestamp}")
+        # The chained comparison also rejects NaN and infinities.
+        if not 0 <= timestamp < math.inf:
+            raise PcapError(f"timestamp must be finite and non-negative, got {timestamp}")
         if not frame:
             raise PcapError("cannot write an empty frame")
         seconds = int(timestamp)
@@ -172,6 +174,10 @@ class PcapWriter:
         if microseconds >= 1_000_000:
             seconds += 1
             microseconds -= 1_000_000
+        if seconds > 0xFFFFFFFF:
+            raise PcapError(
+                f"timestamp {timestamp} overflows the record header's 32-bit seconds"
+            )
         captured = frame[: self._snaplen]
         self._handle.write(
             _PACKET_HEADER.pack(seconds, microseconds, len(captured), len(frame))

@@ -72,26 +72,30 @@ class TCPSender:
     ) -> list[Packet]:
         """Segment ``payload`` into packets stamped at ``timestamp``.
 
-        All segments of one application write share the same annotations; the
-        capture layer later spaces their timestamps by serialization delay.
+        All segments of one application write share the same annotations
+        (each packet gets its own copy); the capture layer later spaces their
+        timestamps by serialization delay.  Only the first segment is built
+        through the validating constructor; the rest copy its fields.
         """
         if not payload:
             raise PacketError("cannot send an empty payload")
-        packets: list[Packet] = []
-        for segment in segment_payload(payload, self.mss):
-            packets.append(
-                Packet(
-                    timestamp=timestamp,
-                    direction=self.direction,
-                    five_tuple=self.five_tuple,
-                    payload=segment,
-                    sequence_number=self._next_sequence,
-                    acknowledgment_number=self._peer_sequence,
-                    flags=push_flags(),
-                    annotations=dict(annotations or {}),
-                )
-            )
-            self._next_sequence += len(segment)
+        segments = segment_payload(payload, self.mss)
+        first = Packet(
+            timestamp=timestamp,
+            direction=self.direction,
+            five_tuple=self.five_tuple,
+            payload=segments[0],
+            sequence_number=self._next_sequence,
+            acknowledgment_number=self._peer_sequence,
+            flags=push_flags(),
+            annotations=dict(annotations or {}),
+        )
+        packets = [first]
+        sequence = self._next_sequence + len(segments[0])
+        for segment in segments[1:]:
+            packets.append(first._next_segment(segment, sequence, dict(first.annotations)))
+            sequence += len(segment)
+        self._next_sequence = sequence
         return packets
 
     def send_ack(self, timestamp: float) -> Packet:

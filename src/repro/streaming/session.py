@@ -32,7 +32,7 @@ from repro.client.json_state import (
 from repro.client.profiles import ClientProfile, OperationalCondition, profile_for
 from repro.client.viewer import ViewerBehavior, ViewerChoiceModel
 from repro.exceptions import StreamingError
-from repro.media.manifest import MediaManifest, build_manifest
+from repro.media.manifest import build_manifest
 from repro.narrative.choices import ChoiceRecord
 from repro.narrative.graph import StoryGraph
 from repro.narrative.path import ViewingPath
@@ -162,7 +162,6 @@ class InteractiveStreamingSession:
         behavior: ViewerBehavior,
         rng: RandomSource,
         config: SessionConfig | None = None,
-        manifest: MediaManifest | None = None,
         forced_choices: Sequence[bool] | None = None,
     ) -> None:
         self._graph = graph
@@ -172,7 +171,7 @@ class InteractiveStreamingSession:
         self._config = config or SessionConfig()
         self._profile = profile_for(condition)
         self._network = conditions_for(condition)
-        self._manifest = manifest or build_manifest(
+        self._manifest = build_manifest(
             graph,
             content_seed=self._config.content_seed,
             chunk_duration_seconds=self._config.chunk_duration_seconds,
@@ -643,7 +642,6 @@ def simulate_session(
     behavior: ViewerBehavior,
     seed: int,
     config: SessionConfig | None = None,
-    manifest: MediaManifest | None = None,
     forced_choices: Sequence[bool] | None = None,
     session_id: str | None = None,
 ) -> SessionResult:
@@ -655,7 +653,6 @@ def simulate_session(
         behavior=behavior,
         rng=rng,
         config=config,
-        manifest=manifest,
         forced_choices=forced_choices,
     )
     return session.run(session_id=session_id or f"session-{seed}")

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import TLSError
+from repro.utils.rng import _next_uint32_bytes
 
 _EXPANSION_FN = Callable[[int], int]
 
@@ -71,9 +72,14 @@ class CipherSpec:
         """Produce pseudo-ciphertext of the correct length.
 
         The bytes are a deterministic keystream seeded (via SHA-256) from
-        ``(key_id, cipher, sequence number)`` XORed over the padded plaintext
-        — not secure, but deterministic, length-correct and high-entropy,
-        which is all the capture needs.
+        ``(key_id, cipher, sequence number)`` XORed over the plaintext
+        zero-padded to the ciphertext length -- not secure, but
+        deterministic, length-correct and high-entropy, which is all the
+        capture needs.  The keystream is the generator's
+        ``integers(0, 256, dtype=np.uint8)`` byte stream, read at raw-draw
+        speed through :func:`repro.utils.rng._next_uint32_bytes`, and the
+        plaintext is XORed into it in place (past the plaintext, the zero
+        padding leaves the keystream as it is).
         """
         if sequence_number < 0:
             raise TLSError("sequence number must be non-negative")
@@ -82,10 +88,9 @@ class CipherSpec:
             f"{key_id}:{self.name}:{sequence_number}".encode("utf-8")
         ).digest()
         seed = int.from_bytes(digest[:8], "big")
-        keystream = np.random.default_rng(seed).integers(0, 256, size=target, dtype=np.uint8)
-        padded = np.zeros(target, dtype=np.uint8)
-        padded[: len(plaintext)] = np.frombuffer(plaintext, dtype=np.uint8)
-        return (padded ^ keystream).tobytes()
+        keystream = _next_uint32_bytes(np.random.PCG64(seed), target)
+        keystream[: len(plaintext)] ^= np.frombuffer(plaintext, dtype=np.uint8)
+        return keystream.tobytes()
 
 
 CIPHER_SUITES: dict[str, CipherSpec] = {

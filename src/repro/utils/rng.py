@@ -9,6 +9,11 @@ the library flows through :class:`RandomSource`, a thin wrapper around
   stream for the same parent seed), and
 * convenience draws used throughout the simulator (jittered integers,
   truncated normals, categorical picks).
+
+Uniform bytes come from :func:`_next_uint32_bytes`, which reads the bit
+generator's raw 64-bit output directly instead of going through
+``Generator.integers``, yet yields exactly the bytes ``integers`` would and
+leaves the generator in exactly the state ``integers`` would.
 """
 
 from __future__ import annotations
@@ -43,6 +48,44 @@ def derive_seed(base_seed: int, *names: str | int) -> int:
         hasher.update(b"/")
         hasher.update(str(name).encode("utf-8"))
     return int.from_bytes(hasher.digest()[:8], "big") % _MAX_SEED
+
+
+def _next_uint32_bytes(bit_generator: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The ``count`` bytes ``integers(0, 256, size=count, dtype=np.uint8)`` draws.
+
+    ``bit_generator`` is a :class:`numpy.random.PCG64`, ``default_rng``'s.
+    numpy fills a full-range ``uint8`` array with the little-endian bytes of
+    successive ``next_uint32`` words, dropping the unused tail of the last
+    word.  PCG64's ``next_uint32`` hands out a 64-bit raw draw as its low
+    half and then its buffered high half, so the byte stream is the raw
+    output of ``random_raw`` -- preceded by the buffered half when the
+    generator holds one on entry (an earlier scalar ``integers`` call may
+    leave one), and leaving the last raw draw's high half buffered when an
+    odd number of words came from raw draws.  Both halves of that contract
+    are restored here through ``bit_generator.state``, so every following
+    draw matches the ``integers`` call's.  (``integers`` also leaves a stale
+    copy of the last high half in the state's ``uinteger`` field after
+    consuming it; no draw reads that field while ``has_uint32`` is 0, so it
+    is not copied.)  The bytes come back as a fresh writable array.
+    """
+    state = bit_generator.state
+    buffered = state["has_uint32"]
+    raw_words = max(0, -(-count // 4) - buffered)
+    raw = bit_generator.random_raw(-(-raw_words // 2))
+    body = raw.astype("<u8", copy=False).view(np.uint8)
+    if buffered:
+        head = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        drawn = np.concatenate((head, body))[:count]
+    else:
+        drawn = body[:count]
+    leftover = raw_words % 2
+    if buffered or leftover:
+        state = bit_generator.state
+        state["has_uint32"] = leftover
+        if leftover:
+            state["uinteger"] = int(raw[-1]) >> 32
+        bit_generator.state = state
+    return drawn
 
 
 def spawn_rng(base_seed: int, *names: str | int) -> np.random.Generator:
@@ -167,12 +210,16 @@ class RandomSource:
         return keys[index]
 
     def random_bytes(self, count: int) -> bytes:
-        """Draw ``count`` uniformly random bytes (vectorised, cheap for large counts)."""
+        """Draw ``count`` uniformly random bytes (vectorised, cheap for large counts).
+
+        The bytes, and the stream position they leave, are exactly those of
+        ``generator.integers(0, 256, size=count, dtype=np.uint8)``.
+        """
         if count < 0:
             raise ConfigurationError(f"byte count must be non-negative, got {count}")
         if count == 0:
             return b""
-        return self._rng.integers(0, 256, size=count, dtype=np.uint8).tobytes()
+        return _next_uint32_bytes(self._rng.bit_generator, count).tobytes()
 
     def shuffled(self, items: Iterable[T]) -> list[T]:
         """Return a new list with the items in a random order."""

@@ -1,10 +1,11 @@
 """Hypothesis strategies and settings shared by the property suites.
 
-    from strategies import STANDARD_SETTINGS, captures, packets
+    from strategies import STANDARD_SETTINGS, captures, packets, rng_draws
 """
 
 from strategies.frames import Capture, captures, tls_streams
 from strategies.packets import packets
+from strategies.rng import rng_draws
 from strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 
 __all__ = [
@@ -13,5 +14,6 @@ __all__ = [
     "STANDARD_SETTINGS",
     "captures",
     "packets",
+    "rng_draws",
     "tls_streams",
 ]

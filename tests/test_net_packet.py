@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.exceptions import PacketError
@@ -47,6 +49,25 @@ class TestPacket:
     def test_negative_timestamp_rejected(self, five_tuple):
         with pytest.raises(PacketError):
             Packet(-1.0, Direction.CLIENT_TO_SERVER, five_tuple, b"")
+
+    @pytest.mark.parametrize(
+        "timestamp", [float("nan"), float("inf"), -float("inf"), 2.0**32, 2**32, 1e300]
+    )
+    def test_non_finite_and_out_of_range_timestamps_rejected(self, five_tuple, timestamp):
+        # The pcap record header stores unsigned 32-bit seconds.
+        with pytest.raises(PacketError, match="timestamp"):
+            Packet(timestamp, Direction.CLIENT_TO_SERVER, five_tuple, b"x")
+        packet = Packet(1.0, Direction.CLIENT_TO_SERVER, five_tuple, b"x")
+        with pytest.raises(PacketError, match="timestamp"):
+            packet.with_timestamp(timestamp)
+
+    def test_five_tuple_key_is_cached_and_leaves_equality_alone(self, five_tuple):
+        key = five_tuple.key
+        assert five_tuple.key is key
+        twin = FiveTuple(client=five_tuple.client, server=five_tuple.server)
+        assert twin == five_tuple and hash(twin) == hash(five_tuple)
+        restored = pickle.loads(pickle.dumps(five_tuple))
+        assert restored == five_tuple and restored.key == key
 
     def test_with_timestamp_and_retransmission(self, five_tuple):
         packet = Packet(1.0, Direction.CLIENT_TO_SERVER, five_tuple, b"x")

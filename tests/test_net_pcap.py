@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from repro.exceptions import PcapError
+from repro.net.capture import CapturedTrace
 from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.packet import Direction, Packet
 from repro.net.pcap import (
@@ -76,6 +77,37 @@ class TestPcapRoundTrip:
         with PcapWriter(tmp_path / "x.pcap") as writer:
             with pytest.raises(PcapError):
                 writer.write(0.0, b"")
+
+    @pytest.mark.parametrize(
+        "timestamp",
+        [float("nan"), float("inf"), -float("inf"), -0.5, 2.0**32, 2**32 + 7, 1e300],
+    )
+    def test_writer_rejects_unrepresentable_timestamps_before_writing(
+        self, tmp_path, sample_frames, timestamp
+    ):
+        path = tmp_path / "x.pcap"
+        with PcapWriter(path) as writer:
+            writer.write(*sample_frames[0])
+            with pytest.raises(PcapError, match="timestamp"):
+                writer.write(timestamp, sample_frames[1][1])
+            assert writer.packets_written == 1
+        # The rejected record left no byte behind.
+        assert [packet.frame for packet in read_pcap(path)] == [sample_frames[0][1]]
+
+    def test_largest_timestamp_round_trips(self, tmp_path):
+        largest = 2.0**32 - 2.0**-20  # the last float64 below 2**32, which Packet accepts
+        five_tuple = FiveTuple(
+            client=Endpoint("192.168.1.23", 51742), server=Endpoint("198.51.100.7", 443)
+        )
+        trace = CapturedTrace(
+            packets=(Packet(largest, Direction.CLIENT_TO_SERVER, five_tuple, b"x"),),
+            client_ip="192.168.1.23",
+            server_ip="198.51.100.7",
+        )
+        path = tmp_path / "late.pcap"
+        assert trace.to_pcap(path) == 1
+        (packet,) = read_pcap(path)
+        assert packet.timestamp == 0xFFFFFFFF + 0.999999
 
 
 def _write_big_endian_pcap(path, packets) -> None:
