@@ -1,5 +1,5 @@
 """Hot-path micro-benchmarks: band matching, pcap ingest, capture decode,
-capture encode and session simulation.
+capture encode, session simulation and session write.
 
 Unlike the experiment benchmarks (which reproduce paper artefacts), these
 measure the vectorized kernels against the scalar reference paths they
@@ -8,7 +8,10 @@ speedups: >= 10x on batch classification, >= 3x on pcap ingest, >= 10x
 on capture decode (columnar records against ``from_pcap`` + record
 extraction) and >= 10x on capture encode (``to_pcap`` against the
 per-packet ``serialize_frame`` loop), plus >= 2x on the simulator's
-random bytes (raw PCG64 draws against ``Generator.integers``).  The
+random bytes (raw PCG64 draws against ``Generator.integers``) and >= 1.5x on
+a session's write (``to_pcap`` and its sidecar entry from the capture's
+columns against encoding packet objects, re-reading the pcap and the
+labelled packet-path extraction).  The
 measured ratios and absolute rates land in ``benchmark.extra_info`` so
 ``check_perf_ratchet.py`` can gate regressions against the checked-in
 baselines in ``BENCH_baselines.json``.
@@ -26,14 +29,21 @@ import pytest
 
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior
-from repro.core.features import ClientRecord, extract_client_records
+from repro.core.features import (
+    LABEL_BY_CODE,
+    ClientRecord,
+    extract_client_records,
+    select_streaming_flow,
+)
 from repro.core.fingerprint import (
     FingerprintLibrary,
     LengthBand,
     RecordLengthFingerprint,
 )
 from repro.core.pipeline import capture_client_records
+from repro.dataset.sidecar import sidecar_entry_for
 from repro.net.capture import CapturedTrace
+from repro.net.columnar import TcpSegments, encode_tcp_frames
 from repro.net.pcap import PcapWriter, read_pcap_columns
 from repro.streaming.session import simulate_session
 from repro.utils.rng import _next_uint32_bytes
@@ -49,6 +59,7 @@ MIN_DECODE_SPEEDUP = 10.0
 MIN_ENCODE_SPEEDUP = 10.0
 RNG_BYTES = 1 << 20
 MIN_RNG_BYTES_SPEEDUP = 2.0
+MIN_WRITE_SPEEDUP = 1.5
 REPETITIONS = 5
 
 
@@ -342,3 +353,63 @@ def test_simulation_rate(benchmark, study_graph, noisy_session):
         f"{metrics['simulate_sessions_per_s']:.2f} sessions/s"
     )
     assert metrics["rng_bytes_speedup"] >= MIN_RNG_BYTES_SPEEDUP
+
+
+def _write_workload(trace: CapturedTrace, directory: Path) -> dict[str, float]:
+    expected, actual = directory / "oracle.pcap", directory / "columnar.pcap"
+    client_ip, server_ip = trace.client_ip, trace.server_ip
+
+    def oracle() -> tuple:
+        ordered = sorted(trace.packets, key=lambda packet: packet.timestamp)
+        with PcapWriter(expected) as writer:
+            encode_tcp_frames(TcpSegments.from_packets(ordered), writer)
+        observed = capture_client_records(expected, client_ip, server_ip)
+        labelled = extract_client_records(
+            trace, server_ip, flow=select_streaming_flow(trace, server_ip)
+        )
+        return (
+            [record.timestamp for record in observed],
+            [record.wire_length for record in observed],
+            [record.content_type for record in observed],
+            [record.label for record in labelled],
+        )
+
+    def columnar() -> tuple:
+        trace.to_pcap(actual)
+        entry = sidecar_entry_for(actual, trace, "viewer", "env")
+        return (
+            entry.timestamps.tolist(),
+            entry.wire_lengths.tolist(),
+            entry.content_types.tolist(),
+            [LABEL_BY_CODE[code] for code in entry.label_codes.tolist()],
+        )
+
+    trace.packets  # The packet route starts from packets that already exist.
+    oracle_seconds, reference = _best_of(oracle)
+    columnar_seconds, columns = _best_of(columnar)
+    assert columns == reference  # the re-read's records, the packet path's labels
+    assert actual.read_bytes() == expected.read_bytes()
+    return {
+        "write_speedup": oracle_seconds / columnar_seconds,
+        "write_sessions_per_s": 1.0 / columnar_seconds,
+        "write_packets": trace.packet_count,
+        "write_oracle_seconds": oracle_seconds,
+        "write_columnar_seconds": columnar_seconds,
+    }
+
+
+def test_session_write_rate(benchmark, study_graph, tmp_path):
+    # A trace of its own: the packet route materializes and keeps packets.
+    trace = simulate_session(study_graph, NOISY_CONDITION, STUDY_BEHAVIOR, seed=SEED).trace
+    metrics = run_once(benchmark, _write_workload, trace, tmp_path)
+    benchmark.extra_info.update(metrics)
+    print(
+        f"\nsession write ({int(metrics['write_packets'])} packets):\n"
+        f"  packets, re-read, packet-path labels: "
+        f"{metrics['write_oracle_seconds'] * 1e3:.1f}ms\n"
+        f"  columns to_pcap + sidecar entry:      "
+        f"{metrics['write_columnar_seconds'] * 1e3:.1f}ms "
+        f"({metrics['write_sessions_per_s']:.1f} sessions/s)\n"
+        f"  speedup:                              {metrics['write_speedup']:.1f}x"
+    )
+    assert metrics["write_speedup"] >= MIN_WRITE_SPEEDUP

@@ -13,6 +13,15 @@ The extractor works exactly the way a passive observer has to:
 Ground-truth labels are attached *only* when the trace still carries the
 simulator's annotations (in-memory traces used for training and evaluation);
 traces loaded back from pcap yield unlabelled records, as real captures would.
+
+:func:`_extract_records_scalar`, the per-packet parser, is the definition
+of every record and label.  With the server address known, records come
+from the trace's segment columns instead: one framing pass over the
+streaming flow's uplink, each record labelled from the segment it starts
+in (:func:`_labelled_segment_records`).  Anything the columns cannot prove
+goes through the packets and the scalar parser, and property tests pin the
+column path to it.  :func:`columnar_client_records` does the same for
+columns decoded from a pcap file.
 """
 
 from __future__ import annotations
@@ -25,7 +34,12 @@ import numpy as np
 from repro.core import kernel
 from repro.exceptions import AttackError
 from repro.net.capture import CapturedTrace
-from repro.net.columnar import TcpColumns, canonical_ipv4
+from repro.net.columnar import (
+    TcpColumns,
+    TcpSegments,
+    canonical_ipv4,
+    reassembly_order,
+)
 from repro.net.flow import Flow, FlowTable
 from repro.net.packet import Direction, Packet
 from repro.tls.records import (
@@ -75,11 +89,13 @@ class ClientRecord:
         return self.wire_length - RECORD_HEADER_LENGTH
 
 
-def _label_from_annotations(packet: Packet) -> tuple[str | None, str | None]:
-    kind = packet.annotations.get("kind")
+def _label_from_annotations(
+    annotations: dict[str, object],
+) -> tuple[str | None, str | None]:
+    kind = annotations.get("kind")
     if kind is None:
         return None, None
-    question = packet.annotations.get("question_id")
+    question = annotations.get("question_id")
     if kind == LABEL_TYPE1:
         return LABEL_TYPE1, question
     if kind == LABEL_TYPE2:
@@ -127,23 +143,88 @@ def extract_client_records(
     flow:
         Pre-selected flow; skips flow selection when provided.
     """
-    flow = flow or select_streaming_flow(trace, server_ip)
-    packets = [
-        packet
-        for packet in flow.client_packets()
-        if packet.payload and not packet.is_retransmission
-    ]
-    # Order by sequence number (capture order can interleave retransmissions),
-    # drop duplicate segments the way any TCP reassembler does.
-    packets.sort(key=lambda packet: (packet.sequence_number, packet.timestamp))
-    records = _extract_records_vectorized(packets)
+    records = None
+    if flow is None and server_ip is not None:
+        records = _labelled_segment_records(trace.segments, server_ip)
     if records is None:
-        records = _extract_records_scalar(packets)
+        flow = flow or select_streaming_flow(trace, server_ip)
+        packets = [
+            packet
+            for packet in flow.client_packets()
+            if packet.payload and not packet.is_retransmission
+        ]
+        # Order by sequence number (capture order can interleave
+        # retransmissions), drop duplicate segments the way any TCP
+        # reassembler does.
+        packets.sort(key=lambda packet: (packet.sequence_number, packet.timestamp))
+        records = _extract_records_vectorized(packets)
+        if records is None:
+            records = _extract_records_scalar(packets)
     if application_data_only:
         records = [record for record in records if record.is_application_data]
     if not records:
         raise AttackError("no client-side TLS records found in the trace")
     return records
+
+
+def _labelled_segment_records(
+    segments: TcpSegments, server_ip: str, server_port: int = 443
+) -> list[ClientRecord] | None:
+    """Every record :func:`_extract_records_scalar` finds in the flow
+    :func:`select_streaming_flow` picks, labels included, from the trace's
+    segment columns.
+
+    The flow is the first-created one to ``server_ip:server_port``; its
+    uplink, non-retransmitted payload segments go in
+    :func:`~repro.net.columnar.reassembly_order`, and one framing pass over
+    the gap-free stream finds the records.  Returns ``None`` — the caller
+    then runs the packet path — when no flow matches, the flow has no
+    uplink payload, a sequence number needs more than 63 bits, the stream
+    has a gap or an overlap, it loses TLS framing, or a label cannot be
+    placed (see :func:`_framed_records`).
+    """
+    five_tuples = segments.five_tuples
+    # A flow is created by its first row, as FlowTable creates it.
+    slots, first_rows = np.unique(segments.flows, return_index=True)
+    created = [
+        row
+        for slot, row in zip(slots.tolist(), first_rows.tolist())
+        if five_tuples[slot].server.ip == server_ip
+        and five_tuples[slot].server.port == server_port
+    ]
+    if not created or segments.sequence_numbers.dtype == object:
+        return None
+    lengths = segments.payload_lengths
+    order = reassembly_order(
+        np.flatnonzero(
+            (segments.flows == segments.flows[min(created)])
+            & segments.uplink
+            & (lengths > 0)
+            & ~segments.retransmissions
+        ),
+        segments.sequence_numbers,
+        segments.timestamps,
+    )
+    sequence, lengths = segments.sequence_numbers[order], lengths[order]
+    if order.size == 0 or not np.array_equal(
+        sequence[1:], sequence[:-1] + lengths[:-1]
+    ):
+        return None
+    notes = segments.notes[order].tolist()
+    label_of = {
+        note: _label_from_annotations(segments.annotations[note]) for note in set(notes)
+    }
+    labels = None
+    if any(label != (None, None) for label in label_of.values()):
+        labels = [label_of[note] for note in notes]
+    payload = memoryview(segments.payload)
+    stream = b"".join(
+        payload[offset : offset + length]
+        for offset, length in zip(
+            segments.payload_offsets[order].tolist(), lengths.tolist()
+        )
+    )
+    return _framed_records(stream, lengths, segments.timestamps[order], labels)
 
 
 def columnar_client_records(
@@ -215,11 +296,16 @@ def _framed_records(
     stream: bytes,
     payload_lengths: Sequence[int] | np.ndarray,
     timestamps: Sequence[float] | np.ndarray,
+    labels: Sequence[tuple[str | None, str | None]] | None = None,
 ) -> list[ClientRecord] | None:
     """Records of a gap-free uplink stream built from consecutive segments.
 
-    ``payload_lengths``/``timestamps`` describe the segments ``stream``
-    concatenates, in order.  ``None`` when the stream loses TLS framing.
+    ``payload_lengths``/``timestamps`` — and ``labels``, ``(label,
+    question_id)`` pairs, when the segments carry any — describe the
+    segments ``stream`` concatenates, in order.  ``None`` when the stream
+    loses TLS framing, or when a labelled record does not start a segment
+    that holds its whole header: the scalar parser labels a record with the
+    segment its header is read from.
     """
     spans = kernel.tls_record_spans(stream)
     if spans is None:
@@ -230,17 +316,31 @@ def _framed_records(
     # The scalar parser stamps each record with the packet that completed it:
     # the first packet whose cumulative payload covers the record's end
     # offset in the reassembled stream.
+    payload_lengths = np.asarray(payload_lengths)
     payload_ends = np.cumsum(payload_lengths)
     completed_by = np.searchsorted(payload_ends, starts + wire_lengths, side="left")
     stamps = np.asarray(timestamps, dtype=np.float64)[completed_by]
+    if labels is None:
+        record_labels = [(None, None)] * starts.size
+    else:
+        segment_starts = payload_ends - payload_lengths
+        started_in = np.searchsorted(segment_starts, starts, side="right") - 1
+        if not (
+            np.array_equal(segment_starts[started_in], starts)
+            and bool((payload_lengths[started_in] >= _HEADER).all())
+        ):
+            return None
+        record_labels = [labels[segment] for segment in started_in.tolist()]
     return [
         ClientRecord(
             timestamp=timestamp,
             wire_length=wire_length,
             content_type=content_type,
+            label=label,
+            question_id=question,
         )
-        for timestamp, wire_length, content_type in zip(
-            stamps.tolist(), wire_lengths.tolist(), content_types.tolist()
+        for timestamp, wire_length, content_type, (label, question) in zip(
+            stamps.tolist(), wire_lengths.tolist(), content_types.tolist(), record_labels
         )
     ]
 
@@ -282,7 +382,7 @@ def _extract_records_scalar(packets: Sequence[Packet]) -> list[ClientRecord]:
             _reset_parser()
         expected_sequence = packet.sequence_number + len(packet.payload)
         buffer.extend(packet.payload)
-        label, question = _label_from_annotations(packet)
+        label, question = _label_from_annotations(packet.annotations)
         if pending_needed == 0:
             pending_label, pending_question = label, question
         # Consume as many complete records as the buffer now holds.

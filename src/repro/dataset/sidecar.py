@@ -24,8 +24,9 @@ addresses, environment key, pcap byte size, record count), sorted by
 capture filename, plus record-aligned arrays (timestamps, wire lengths,
 content types, label codes) concatenated in capture order and sliced via
 the counts.  Timestamps are the pcap-quantized values attack-time
-extraction yields — they are derived by re-parsing the just-written pcap,
-not copied from the in-memory trace — and label codes use the
+extraction yields — they are derived from the writer's columns, pinned to
+the re-parse by tests, not copied from the in-memory trace — and label
+codes use the
 :data:`repro.core.features.LABEL_BY_CODE` encoding, aligned positionally
 against the annotated in-memory extraction.  Writing is deterministic byte
 for byte (sorted captures, sorted archive entries, fixed dtypes), so
@@ -44,6 +45,7 @@ import numpy as np
 from repro.core.features import (
     CODE_BY_LABEL,
     ClientRecord,
+    columnar_client_records,
     extract_client_records,
 )
 from repro.core.fingerprint import FingerprintAccumulator
@@ -51,6 +53,7 @@ from repro.core.pipeline import capture_client_records
 from repro.dataset.format import TRACES_DIRNAME, load_dataset_metadata
 from repro.exceptions import DatasetError, ReproError
 from repro.net.capture import CapturedTrace
+from repro.net.columnar import written_tcp_columns
 
 SIDECAR_FILENAME = "records.npz"
 SIDECAR_FORMAT_VERSION = 1
@@ -95,21 +98,32 @@ def sidecar_entry_for(
 ) -> SidecarEntry | None:
     """Build one capture's sidecar columns right after its pcap is written.
 
-    The record columns are re-derived *from the just-written pcap* through
-    :func:`~repro.core.pipeline.capture_client_records` — exactly the
-    extraction the attack performs later, quantized timestamps and all —
-    while the ground-truth label codes come from the annotated in-memory
-    ``trace``, aligned by position (both extractions walk the same
-    reassembled TLS stream).  Returns ``None`` — which disables the sidecar
-    for the whole shard — rather than ever persisting columns the pcap does
-    not back: on any extraction failure or the slightest misalignment the
-    pcaps alone remain authoritative.
+    The record columns are those the attack later extracts from the pcap,
+    quantized timestamps and all.  They are derived from the writer's
+    columns — :func:`~repro.net.columnar.written_tcp_columns` gives what
+    decoding the just-written file yields, and
+    :func:`~repro.core.features.columnar_client_records` frames it as
+    :func:`~repro.core.pipeline.capture_client_records` would — and when
+    the columns cannot prove that answer, the pcap is re-read through
+    ``capture_client_records`` itself.  The ground-truth label codes come
+    from the annotated in-memory ``trace``, aligned by position (both
+    extractions walk the same reassembled TLS stream).  Returns ``None`` —
+    which disables the sidecar for the whole shard — rather than ever
+    persisting columns the pcap does not back: on any extraction failure
+    or the slightest misalignment the pcaps alone remain authoritative.
     """
     pcap_path = Path(pcap_path)
     try:
-        observed = capture_client_records(
-            pcap_path, client_ip=trace.client_ip, server_ip=trace.server_ip
+        columns = written_tcp_columns(trace.segments.in_capture_order(), trace.client_ip)
+        observed = (
+            columnar_client_records(columns, trace.server_ip)
+            if columns is not None
+            else None
         )
+        if observed is None:
+            observed = capture_client_records(
+                pcap_path, client_ip=trace.client_ip, server_ip=trace.server_ip
+            )
         labelled = extract_client_records(trace, server_ip=trace.server_ip)
     except ReproError:
         return None
@@ -265,7 +279,8 @@ class ShardSidecar:
         """Load a shard's sidecar; ``None`` when absent or unusable.
 
         Unusable covers unreadable files, foreign formats and version or
-        consistency mismatches — every such case means "parse the pcaps",
+        consistency mismatches, negative or non-integer record counts
+        included — every such case means "parse the pcaps",
         never an error: the sidecar is a cache, not dataset content.
         """
         path = Path(traces_directory) / SIDECAR_FILENAME
@@ -280,6 +295,8 @@ class ShardSidecar:
         if arrays["format_version"].tolist() != [SIDECAR_FORMAT_VERSION]:
             return None
         counts = arrays["record_counts"]
+        if counts.dtype.kind not in "iu" or bool((counts < 0).any()):
+            return None
         capture_count = int(arrays["captures"].size)
         per_capture = ("viewer_ids", "client_ips", "server_ips", "environments",
                        "pcap_sizes", "record_counts")

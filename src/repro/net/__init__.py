@@ -1,10 +1,11 @@
 """Packet-level substrate: headers, segmentation, flows, pcap and conditions.
 
 Everything the eavesdropper can see lives here.  The streaming simulator
-hands TLS record bytes to a :class:`~repro.net.tcp.TCPSender`, which segments
-them into IPv4/TCP packets; a :class:`~repro.net.capture.CaptureSink`
-timestamps them (after the network-condition model has had its say) and can
-persist them as a standards-compliant pcap file that external tools can read.
+writes TLS record bytes through a :class:`~repro.net.tcp.TCPSender` into a
+:class:`~repro.net.capture.CaptureSink`, which records their IPv4/TCP
+segments as columns (after the network-condition model has had its say);
+the resulting trace can be persisted as a standards-compliant pcap file
+that external tools can read.
 """
 
 from repro.net.headers import (

@@ -1,10 +1,20 @@
 """The capture point: where the eavesdropper sits.
 
-A :class:`CaptureSink` collects the packets the simulator emits, applies the
-observable consequences of the network-condition model (serialization delays,
-occasional retransmitted duplicates, cross-traffic flows to unrelated
-servers), and produces a :class:`CapturedTrace` — the passive observer's view
-of one viewing session.  Traces can be persisted to and restored from pcap.
+A :class:`CaptureSink` records the TCP writes the simulator emits, applies
+the observable consequences of the network-condition model (occasional
+retransmitted duplicates, cross-traffic flows to unrelated servers), and
+produces a :class:`CapturedTrace` — the passive observer's view of one
+viewing session.  Traces can be persisted to and restored from pcap.
+
+The sink never builds a :class:`Packet`: each write becomes rows of a
+:class:`~repro.net.columnar.TcpSegments` (timestamp, direction, flow,
+sequence and acknowledgment numbers, flags, retransmission flag,
+annotations), laid out by :func:`repro.net.tcp.segment_layout`, with its
+payload kept once.  A trace is backed by those columns.  Its ``packets``
+are a view built on first use; ``packet_count``, ``duration_seconds``,
+:meth:`CapturedTrace.to_pcap`, the shard sidecar and labelled record
+extraction read the columns directly.  Traces built from packets — by
+hand or by :meth:`CapturedTrace.from_pcap` — hold the same columns.
 
 :meth:`CapturedTrace.from_pcap`, built on :meth:`Packet.parse_frame`, is the
 oracle for reading a capture: ``repro inspect`` and the dataset loader use
@@ -12,53 +22,95 @@ it, and the attack's columnar decoder (:mod:`repro.net.columnar`) defers to
 it for any capture whose frames the columns cannot prove it decodes the same
 way.  Property tests pin the decoder to it.
 
-Writing mirrors that: :meth:`CapturedTrace.to_pcap` encodes blocks of
-packets as header columns (:func:`repro.net.columnar.encode_tcp_frames`),
-and :meth:`Packet.serialize_frame` written record by record stays the oracle
-— the encoder hands it every block holding a packet the columns cannot
+Writing mirrors that: :meth:`CapturedTrace.to_pcap` encodes blocks of rows
+as header columns (:func:`repro.net.columnar.encode_tcp_frames`), and
+:meth:`Packet.serialize_frame` written record by record stays the oracle
+— the encoder hands it every block holding a row the columns cannot
 express, and property tests pin the encoder's bytes to it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from repro.exceptions import PacketError
-from repro.net.columnar import encode_tcp_frames
+from repro.net.columnar import TcpSegments, _int_column, encode_tcp_frames
 from repro.net.conditions import NetworkConditions
 from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.flow import FlowTable
-from repro.net.packet import Direction, Packet
+from repro.net.packet import Direction, Packet, check_timestamp, push_flags
 from repro.net.pcap import PcapReader, PcapWriter
-from repro.net.tcp import TCPSender
+from repro.net.tcp import TCPSender, segment_layout
 from repro.utils.rng import RandomSource
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CapturedTrace:
-    """Everything the eavesdropper recorded for one session."""
+    """Everything the eavesdropper recorded for one session.
 
-    packets: tuple[Packet, ...]
+    Built from ``packets`` or from ``segments``, its columns; either way
+    the rows keep the order given.
+    """
+
+    segments: TcpSegments
     client_ip: str
     server_ip: str
 
-    def __post_init__(self) -> None:
-        if not self.packets:
+    def __init__(
+        self,
+        packets: Iterable[Packet] | None = None,
+        *,
+        client_ip: str,
+        server_ip: str,
+        segments: TcpSegments | None = None,
+    ) -> None:
+        if (packets is None) == (segments is None):
+            raise TypeError("a captured trace takes either packets or segments")
+        if segments is None:
+            segments = TcpSegments.from_packets(tuple(packets))
+        if len(segments) == 0:
             raise PacketError("a captured trace must contain at least one packet")
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "client_ip", client_ip)
+        object.__setattr__(self, "server_ip", server_ip)
+
+    @cached_property
+    def packets(self) -> tuple[Packet, ...]:
+        """The rows as packets, built on first use and then kept."""
+        return self.segments.packets()
+
+    def __getstate__(self) -> dict[str, object]:
+        # The packet view is rebuilt on demand, never shipped.
+        state = dict(self.__dict__)
+        state.pop("packets", None)
+        return state
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CapturedTrace):
+            return NotImplemented
+        return (self.client_ip, self.server_ip, self.packets) == (
+            other.client_ip, other.server_ip, other.packets,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.client_ip, self.server_ip, self.packet_count))
 
     @property
     def packet_count(self) -> int:
         """Total packets in the trace."""
-        return len(self.packets)
+        return len(self.segments)
 
     @property
     def duration_seconds(self) -> float:
         """Time between the first and last captured packet."""
-        timestamps = [packet.timestamp for packet in self.packets]
-        return max(timestamps) - min(timestamps)
+        timestamps = self.segments.timestamps
+        return float(timestamps.max()) - float(timestamps.min())
 
     def client_packets(self) -> list[Packet]:
         """Uplink packets in capture order."""
@@ -70,7 +122,7 @@ class CapturedTrace:
 
     def total_bytes(self) -> int:
         """Sum of frame lengths across the trace."""
-        return sum(packet.wire_length for packet in self.packets)
+        return int(self.segments.wire_lengths.sum())
 
     def flow_table(self) -> FlowTable:
         """Group the trace's packets into flows."""
@@ -81,13 +133,12 @@ class CapturedTrace:
     def to_pcap(self, path: str | Path) -> int:
         """Write the trace to a pcap file; returns the packet count written.
 
-        Packets go out in stable timestamp order through the columnar
+        Rows go out in stable timestamp order through the columnar
         encoder, whose bytes equal ``serialize_frame`` written packet by
         packet (the oracle it falls back to).
         """
-        ordered = sorted(self.packets, key=lambda packet: packet.timestamp)
         with PcapWriter(path) as writer:
-            encode_tcp_frames(ordered, writer)
+            encode_tcp_frames(self.segments.in_capture_order(), writer)
             return writer.packets_written
 
     def to_pcap_atomic(self, path: str | Path) -> int:
@@ -128,11 +179,39 @@ class CapturedTrace:
                 packets.append(packet)
         if not packets:
             raise PacketError(f"pcap file {path} contained no parseable TCP packets")
-        return cls(packets=tuple(packets), client_ip=client_ip, server_ip=server_ip)
+        return cls(packets=packets, client_ip=client_ip, server_ip=server_ip)
+
+
+def draw_losses(
+    generator: np.random.Generator, count: int, probability: float
+) -> list[tuple[int, float]]:
+    """Which of a write's ``count`` data segments are lost, with each
+    loss's retransmit factor.
+
+    Every segment takes one ``random()`` double and is lost when it falls
+    below ``probability``; a lost segment then takes one more double ``u``
+    for its factor ``1 + u`` (``uniform(1.0, 2.0)``).  The doubles come
+    from ``generator`` in exactly that order — one ``random(count)`` call,
+    topped up by one double per loss — so the stream, and every later
+    draw, is a per-segment loop's.  Returns ``(segment index, factor)`` per
+    loss, in order.
+    """
+    draws = generator.random(count).tolist()
+    losses: list[tuple[int, float]] = []
+    cursor = 0
+    for segment in range(count):
+        cursor += 1
+        if draws[cursor - 1] < probability:
+            # The double after the loss draw is the factor; the segments
+            # after the lost one take the doubles after that.
+            draws.append(generator.random())
+            losses.append((segment, 1.0 + draws[cursor]))
+            cursor += 1
+    return losses
 
 
 class CaptureSink:
-    """Collects simulator packets and applies capture-side noise.
+    """Records simulator writes as segment rows and applies capture noise.
 
     Parameters
     ----------
@@ -156,7 +235,17 @@ class CaptureSink:
         self._rng = rng
         self._client_ip = client_ip
         self._server_ip = server_ip
-        self._packets: list[Packet] = []
+        # One entry per write: (timestamp, uplink, flow, sequence,
+        # acknowledgment, note, length, mss), and its payload.
+        self._writes: list[tuple[float, bool, int, int, int, int, int, int]] = []
+        self._payloads: list[bytes] = []
+        self._segment_count = 0
+        # (segment row, retransmission timestamp) per lost segment.
+        self._losses: list[tuple[int, float]] = []
+        # Flow slots keyed by five-tuple key, and the five-tuples in slot order.
+        self._flows: dict[str, int] = {}
+        self._five_tuples: list[FiveTuple] = []
+        self._annotations: list[dict[str, object]] = [{}]
 
     @property
     def client_ip(self) -> str:
@@ -168,22 +257,56 @@ class CaptureSink:
         """IP address of the streaming server."""
         return self._server_ip
 
-    def observe(self, packet: Packet) -> None:
-        """Record one packet, possibly duplicating it as a retransmission."""
-        self._packets.append(packet)
-        if packet.payload and self._conditions.is_lost(self._rng):
-            # The original made it to the capture point but was lost
-            # downstream; the sender retransmits after roughly one RTT and the
-            # duplicate is captured too.
-            retransmit_delay = self._conditions.base_rtt_seconds * self._rng.uniform(1.0, 2.0)
-            self._packets.append(
-                packet.as_retransmission(packet.timestamp + retransmit_delay)
+    def _record(
+        self,
+        sender: TCPSender,
+        payload: bytes,
+        timestamp: float,
+        annotations: dict[str, object] | None,
+    ) -> tuple[int, int]:
+        """Append one write's segments; returns its first row and row count."""
+        check_timestamp(timestamp)
+        sequence, acknowledgment = sender.advance(len(payload))
+        five_tuple = sender.five_tuple
+        flow = self._flows.get(five_tuple.key)
+        if flow is None:
+            flow = self._flows[five_tuple.key] = len(self._five_tuples)
+            self._five_tuples.append(five_tuple)
+        note = 0
+        if annotations:
+            note = len(self._annotations)
+            self._annotations.append(dict(annotations))
+        self._writes.append(
+            (
+                timestamp, sender.direction is Direction.CLIENT_TO_SERVER, flow,
+                sequence, acknowledgment, note, len(payload), sender.mss,
             )
+        )
+        self._payloads.append(payload)
+        first = self._segment_count
+        count = -(-len(payload) // sender.mss)
+        self._segment_count += count
+        return first, count
 
-    def observe_all(self, packets: Iterable[Packet]) -> None:
-        """Record an iterable of packets."""
-        for packet in packets:
-            self.observe(packet)
+    def write(
+        self,
+        sender: TCPSender,
+        payload: bytes,
+        timestamp: float,
+        annotations: dict[str, object] | None = None,
+    ) -> None:
+        """Record one application write from ``sender`` at ``timestamp``.
+
+        Each segment may be lost downstream of the capture point; the
+        sender then retransmits it after one to two RTTs, and the duplicate
+        is captured too.  ``annotations`` label every segment of the write.
+        """
+        first, count = self._record(sender, payload, timestamp, annotations)
+        losses = draw_losses(self._rng.generator, count, self._conditions.loss_probability)
+        for segment, factor in losses:
+            retransmitted = timestamp + self._conditions.base_rtt_seconds * factor
+            check_timestamp(retransmitted)
+            self._losses.append((first + segment, retransmitted))
 
     def add_cross_traffic(
         self,
@@ -223,22 +346,56 @@ class CaptureSink:
                 response_size = flow_rng.integer(400, 9000)
                 request_payload = flow_rng.random_bytes(request_size)
                 response_payload = flow_rng.random_bytes(response_size)
-                for packet in uplink.send(request_payload, clock):
-                    self._packets.append(packet)
-                    added += 1
+                added += self._record(uplink, request_payload, clock, None)[1]
                 clock += self._conditions.base_rtt_seconds
-                for packet in downlink.send(response_payload, clock):
-                    self._packets.append(packet)
-                    added += 1
+                added += self._record(downlink, response_payload, clock, None)[1]
                 clock += flow_rng.exponential(0.8)
         return added
 
     def trace(self) -> CapturedTrace:
-        """Finalize the capture into an immutable trace, sorted by time."""
-        ordered = tuple(sorted(self._packets, key=lambda packet: packet.timestamp))
+        """Finalize the capture into an immutable trace, sorted by time.
+
+        Each retransmission follows its original, and the stable sort by
+        timestamp keeps that order among equal timestamps.
+        """
+        if not self._writes:
+            raise PacketError("a captured trace must contain at least one packet")
+        (
+            stamps, uplink, flows, sequences, acknowledgments, notes, lengths, mss,
+        ) = zip(*self._writes)
+        sequences = _int_column(sequences)
+        acknowledgments = _int_column(acknowledgments)
+        stamps, uplink, flows, notes = map(np.array, (stamps, uplink, flows, notes))
+        writes, offsets, sizes = segment_layout(lengths, mss)
+        lost = np.array([row for row, _ in self._losses], dtype=np.intp)
+        rows = np.concatenate((np.arange(writes.size), lost))
+        timestamps = np.concatenate(
+            (stamps[writes], [stamp for _, stamp in self._losses])
+        ).astype(np.float64)
+        # Original before its retransmission, then stable by timestamp.
+        retransmissions = np.arange(rows.size) >= writes.size
+        order = np.argsort(2 * rows + retransmissions, kind="stable")
+        order = order[np.argsort(timestamps[order], kind="stable")]
+        rows, timestamps = rows[order], timestamps[order]
+        row_writes = writes[rows]
+        segments = TcpSegments(
+            timestamps=timestamps,
+            uplink=uplink[row_writes],
+            flows=flows[row_writes],
+            five_tuples=tuple(self._five_tuples),
+            sequence_numbers=sequences[row_writes] + offsets[rows],
+            acknowledgment_numbers=acknowledgments[row_writes],
+            flags=np.full(rows.size, push_flags(), dtype=np.int64),
+            retransmissions=retransmissions[order],
+            notes=notes[row_writes],
+            annotations=tuple(self._annotations),
+            spans=rows,
+            span_offsets=np.concatenate(([0], np.cumsum(sizes))),
+            payload=b"".join(self._payloads),
+        )
         return CapturedTrace(
-            packets=ordered, client_ip=self._client_ip, server_ip=self._server_ip
+            segments=segments, client_ip=self._client_ip, server_ip=self._server_ip
         )
 
     def __len__(self) -> int:
-        return len(self._packets)
+        return self._segment_count + len(self._losses)

@@ -19,29 +19,35 @@ the oracle, which raises its own error.  Flow selection mirrors
 :func:`repro.core.features.select_streaming_flow` over
 :meth:`FlowTable.largest_flow`, ties and creation order included.
 
-Writing runs the same way in reverse.  :func:`encode_tcp_frames` turns a
-block of :class:`Packet` objects into pcap records at once: the record
-header and the Ethernet/IPv4/TCP headers of every packet are one row of a
-structured array, each address is parsed once per capture, and the IPv4 and
-TCP checksums are two batched RFC 1071 sums over big-endian word views.
-:meth:`Packet.serialize_frame` (and :func:`~repro.net.headers.checksum16`
-under it) written through :meth:`PcapWriter.write` stays the definition of
-correct: a block holding any packet the rows cannot express — a payload too
-long for one IPv4 datagram, a frame over the writer's snaplen, a timestamp
-the record header cannot hold — is written by that per-packet loop, which
-raises its own error.  Property tests pin the encoder's bytes to it.
+Writing runs the same way in reverse.  A capture's segments are columns
+from the moment the simulator emits them (:class:`TcpSegments`: one row
+per segment, payloads kept once in one buffer), and
+:func:`encode_tcp_frames` turns blocks of rows into pcap records at once:
+the record header and the Ethernet/IPv4/TCP headers of every row are one
+row of a structured array, each address is parsed once per capture, the
+IPv4 and TCP checksums are batched RFC 1071 sums over big-endian word
+views, and the payload sums come from one pass over the capture's payload
+buffer.  :meth:`Packet.serialize_frame` (and
+:func:`~repro.net.headers.checksum16` under it) written through
+:meth:`PcapWriter.write` stays the definition of correct: a block holding
+any row the structured rows cannot express — a payload too long for one
+IPv4 datagram, a frame over the writer's snaplen, a timestamp the record
+header cannot hold — is written by that per-packet loop, which raises its
+own error.  Property tests pin the encoder's bytes to it.
+:func:`written_tcp_columns` gives the :class:`TcpColumns` decoding the
+written file would yield, without reading it, for the shard sidecar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import PacketError
+from repro.net.endpoints import FiveTuple
 from repro.net.headers import (
     ETHERNET_HEADER_LENGTH,
     ETHERTYPE_IPV4,
@@ -77,6 +83,22 @@ def canonical_ipv4(address: str) -> int | None:
     if format_ipv4(raw) != address:
         return None
     return int.from_bytes(raw, "big")
+
+
+def reassembly_order(
+    rows: np.ndarray, sequence_numbers: np.ndarray, timestamps: np.ndarray
+) -> np.ndarray:
+    """``rows`` in the order the record parser reassembles them.
+
+    Rows sort by ``(sequence number, timestamp)`` — stably, so equal keys
+    keep capture order — and a repeated sequence number keeps only its first
+    row, as the record parser's duplicate suppression does.
+    """
+    order = rows[np.lexsort((timestamps[rows], sequence_numbers[rows]))]
+    sequence = sequence_numbers[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sequence[1:] != sequence[:-1]
+    return order[first]
 
 
 def _gather_be(data: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:
@@ -168,21 +190,16 @@ class TcpColumns:
     def uplink_segments(
         self, flow: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The flow's uplink payload segments in reassembly order.
+        """The flow's uplink payload segments in :func:`reassembly_order`.
 
-        Segments sort by ``(sequence number, timestamp)`` — stably, so equal
-        keys keep capture order — and a repeated sequence number keeps only
-        its first segment, as the record parser's duplicate suppression does.
         Returns ``(timestamps, sequence_numbers, payload_offsets,
         payload_lengths)``.
         """
-        chosen = np.flatnonzero(flow & self.uplink & (self.payload_lengths > 0))
-        sequence = self.sequence_numbers[chosen]
-        order = chosen[np.lexsort((self.timestamps[chosen], sequence))]
-        sequence = self.sequence_numbers[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = sequence[1:] != sequence[:-1]
-        order = order[first]
+        order = reassembly_order(
+            np.flatnonzero(flow & self.uplink & (self.payload_lengths > 0)),
+            self.sequence_numbers,
+            self.timestamps,
+        )
         return (
             self.timestamps[order],
             self.sequence_numbers[order],
@@ -272,8 +289,205 @@ def decode_tcp_columns(columns: PcapColumns, client_ip: str) -> TcpColumns | Non
     )
 
 
-#: Packets encoded at once: bounds the rows, payload copies and checksum
-#: words alive at any moment to one block's worth, whatever the capture size.
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """``values`` as int64, or as Python ints when one does not fit 63 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+_DIRECTIONS = (Direction.SERVER_TO_CLIENT, Direction.CLIENT_TO_SERVER)
+_PACKET_FIELDS = attrgetter(
+    "timestamp", "direction", "five_tuple", "payload", "sequence_number",
+    "acknowledgment_number", "flags", "is_retransmission", "annotations",
+)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TcpSegments:
+    """A capture's TCP segments as columns: one row per segment.
+
+    The row arrays share the row index.  ``flows`` indexes ``five_tuples``
+    and ``notes`` indexes ``annotations`` (the simulator's ground truth,
+    never written to pcap).  Payloads live once in ``payload``, cut into
+    consecutive *spans* by ``span_offsets`` — span ``i`` is
+    ``payload[span_offsets[i]:span_offsets[i + 1]]`` — and ``spans`` gives
+    each row its span, so a retransmitted row shares its original's bytes.
+    Sequence, acknowledgment and flag columns are int64, or hold Python
+    ints when a value needs more than 63 bits.
+    """
+
+    timestamps: np.ndarray
+    uplink: np.ndarray
+    flows: np.ndarray
+    five_tuples: tuple[FiveTuple, ...]
+    sequence_numbers: np.ndarray
+    acknowledgment_numbers: np.ndarray
+    flags: np.ndarray
+    retransmissions: np.ndarray
+    notes: np.ndarray
+    annotations: tuple[dict[str, object], ...]
+    spans: np.ndarray
+    span_offsets: np.ndarray
+    payload: bytes
+
+    def __len__(self) -> int:
+        return int(self.timestamps.size)
+
+    def __repr__(self) -> str:
+        return (
+            f"TcpSegments(rows={len(self)}, flows={len(self.five_tuples)}, "
+            f"payload_bytes={len(self.payload)})"
+        )
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet]) -> "TcpSegments":
+        """The columns of ``packets``, rows in the order given."""
+        count = len(packets)
+        (
+            timestamps, directions, five_tuples, payloads, sequences,
+            acknowledgments, flags, retransmissions, annotations,
+        ) = zip(*map(_PACKET_FIELDS, packets)) if count else ((),) * 9
+        slots: dict[FiveTuple, int] = {}
+        flows = np.fromiter(
+            (slots.setdefault(five_tuple, len(slots)) for five_tuple in five_tuples),
+            dtype=np.intp,
+            count=count,
+        )
+        # Unannotated packets share note 0; every other one gets its own copy.
+        notes: list[dict[str, object]] = [{}]
+        note_rows = np.zeros(count, dtype=np.intp)
+        for row, note in enumerate(annotations):
+            if note:
+                note_rows[row] = len(notes)
+                notes.append(dict(note))
+        lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=count)
+        return cls(
+            timestamps=np.array(timestamps, dtype=np.float64),
+            uplink=np.fromiter(
+                (direction is Direction.CLIENT_TO_SERVER for direction in directions),
+                dtype=bool,
+                count=count,
+            ),
+            flows=flows,
+            five_tuples=tuple(slots),
+            sequence_numbers=_int_column(sequences),
+            acknowledgment_numbers=_int_column(acknowledgments),
+            flags=_int_column(flags),
+            retransmissions=np.array(retransmissions, dtype=bool),
+            notes=note_rows,
+            annotations=tuple(notes),
+            spans=np.arange(count),
+            span_offsets=np.concatenate(([0], np.cumsum(lengths))),
+            payload=b"".join(payloads),
+        )
+
+    @property
+    def payload_offsets(self) -> np.ndarray:
+        """Where each row's payload starts in ``payload``."""
+        return self.span_offsets[self.spans]
+
+    @property
+    def payload_lengths(self) -> np.ndarray:
+        """Each row's payload length."""
+        return np.diff(self.span_offsets)[self.spans]
+
+    @property
+    def wire_lengths(self) -> np.ndarray:
+        """Each row's frame length on the wire (Ethernet + IP + TCP + payload)."""
+        return self.payload_lengths + _HEADERS
+
+    def take(self, rows: np.ndarray) -> "TcpSegments":
+        """The columns of ``rows``, in that order."""
+        return replace(
+            self,
+            timestamps=self.timestamps[rows],
+            uplink=self.uplink[rows],
+            flows=self.flows[rows],
+            sequence_numbers=self.sequence_numbers[rows],
+            acknowledgment_numbers=self.acknowledgment_numbers[rows],
+            flags=self.flags[rows],
+            retransmissions=self.retransmissions[rows],
+            notes=self.notes[rows],
+            spans=self.spans[rows],
+        )
+
+    def in_capture_order(self) -> "TcpSegments":
+        """The rows in stable timestamp order, as a pcap stores them."""
+        timestamps = self.timestamps
+        if bool((timestamps[1:] >= timestamps[:-1]).all()):
+            return self
+        return self.take(np.argsort(timestamps, kind="stable"))
+
+    def packets(self) -> tuple[Packet, ...]:
+        """One :class:`Packet` per row, each with its own annotations dict."""
+        payload = self.payload
+        starts = self.payload_offsets.tolist()
+        ends = self.span_offsets[self.spans + 1].tolist()
+        five_tuples = self.five_tuples
+        annotations = self.annotations
+        return tuple(
+            Packet(
+                timestamp=timestamp,
+                direction=_DIRECTIONS[uplink],
+                five_tuple=five_tuples[flow],
+                payload=payload[start:end],
+                sequence_number=sequence,
+                acknowledgment_number=acknowledgment,
+                flags=flags,
+                is_retransmission=retransmission,
+                annotations=dict(annotations[note]),
+            )
+            for (
+                timestamp, uplink, flow, start, end, sequence, acknowledgment,
+                flags, retransmission, note,
+            ) in zip(
+                self.timestamps.tolist(), self.uplink.tolist(), self.flows.tolist(),
+                starts, ends, self.sequence_numbers.tolist(),
+                self.acknowledgment_numbers.tolist(), self.flags.tolist(),
+                self.retransmissions.tolist(), self.notes.tolist(),
+            )
+        )
+
+    def span_sums(self) -> np.ndarray:
+        """Each span's sum of big-endian 16-bit words, an odd tail zero-padded.
+
+        One ``reduceat`` over the aligned words of the whole buffer: a span
+        starting at an odd offset sums its bytes with the high and low
+        halves swapped, which the buffer's aligned words give directly.
+        """
+        data = np.frombuffer(self.payload, dtype=np.uint8)
+        size = data.size
+        words = data[: size - size % 2].view(">u2")
+        starts, ends = self.span_offsets[:-1], self.span_offsets[1:]
+        # Bytes at even offsets weigh 256 in an aligned word, odd ones 1.
+        # Window i of the reduceat covers words [ceil(s/2), ceil(e/2)): the
+        # span's bytes from its first even offset on, plus the byte just
+        # past an odd end, which is taken off again below.
+        first_words = (starts + 1) // 2
+        inside = np.flatnonzero(first_words < words.size)
+        aligned = np.zeros(starts.size, dtype=np.int64)
+        if inside.size:
+            aligned[inside] = np.add.reduceat(
+                words, first_words[inside], dtype=np.uint32
+            )
+        aligned[first_words == (ends + 1) // 2] = 0
+        odd_start = (starts & 1).astype(bool) & (ends > starts)
+        aligned[odd_start] += data[starts[odd_start]]
+        odd_end = (ends & 1).astype(bool) & (ends > starts)
+        past = odd_end & (ends < size)
+        aligned[past] -= data[ends[past]]
+        last = odd_end & (ends == size)
+        aligned[last] += data[ends[last] - 1].astype(np.int64) << 8
+        # A swapped sum is 256 times the aligned one, modulo 0xFFFF: what a
+        # ones' complement fold of it, and so the checksum, depends on.
+        aligned[(starts & 1) == 1] <<= 8
+        return aligned
+
+
+#: Rows encoded at once: bounds the header rows and payload views alive at
+#: any moment to one block's worth, whatever the capture size.
 _BLOCK_PACKETS = 4096
 
 #: One packet's pcap record header followed by its Ethernet, option-less
@@ -325,12 +539,6 @@ _TEMPLATE["protocol"] = IP_PROTO_TCP
 _TEMPLATE["data_offset"] = (TCP_HEADER_LENGTH // 4) << 4
 _TEMPLATE["window"] = 0xFFFF
 
-_PADS = (b"", b"\0")
-_PACKET_FIELDS = attrgetter(
-    "timestamp", "direction", "five_tuple", "payload",
-    "sequence_number", "acknowledgment_number", "flags",
-)
-
 
 def _ones_complement(total: np.ndarray) -> np.ndarray:
     """Fold int64 word sums with end-around carry and complement them."""
@@ -341,135 +549,181 @@ def _ones_complement(total: np.ndarray) -> np.ndarray:
         total = (total & 0xFFFF) + carry
 
 
-def _payload_sums(payloads: tuple, lengths: np.ndarray) -> np.ndarray:
-    """Each payload's sum of big-endian 16-bit words, odd ones zero-padded.
+def _record_times(
+    lengths: np.ndarray, timestamps: np.ndarray, snaplen: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(seconds, microseconds)`` of each row's record header, as float64.
 
-    One ``>u2`` view covers every payload of the block; the pad byte after an
-    odd payload exists only in this buffer, never in the file.
+    ``PcapWriter.write``: truncate, round half to even, carry a full second.
+    ``None`` when a row needs the oracle: a payload too long for one IPv4
+    datagram, a frame over ``snaplen``, a time the header cannot hold.
     """
-    pads = map(_PADS.__getitem__, (lengths & 1).tolist())
-    # Two trailing zero bytes give a last word that trailing empty payloads
-    # can start at, so every ``reduceat`` index stays in range.
-    joined = b"".join(chain.from_iterable(zip(payloads, pads))) + b"\0\0"
-    words = np.frombuffer(joined, dtype=">u2")
-    word_counts = (lengths + 1) // 2
-    starts = np.cumsum(word_counts) - word_counts
-    # A payload is at most _MAX_PAYLOAD bytes, so its sum stays below
-    # 32_748 * 0xFFFF < 2**31: a 32-bit accumulator cannot overflow.
-    sums = np.add.reduceat(words, starts, dtype=np.uint32).astype(np.int64)
-    # ``reduceat`` yields the element at an empty segment's start, not 0.
-    sums[word_counts == 0] = 0
-    return sums
-
-
-def _encode_block(
-    block: Sequence[Packet], snaplen: int, addresses: dict[str, int]
-) -> bytes | None:
-    """The pcap records of ``block``, or ``None`` if a packet needs the oracle."""
-    count = len(block)
-    (
-        timestamps, directions, flows, payloads, sequences, acknowledgments, flags
-    ) = zip(*map(_PACKET_FIELDS, block))
-    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=count)
-    frame_lengths = lengths + _HEADERS
-    stamps = np.array(timestamps, dtype=np.float64)
+    longest = int(lengths.max())
     if (
-        int(lengths.max()) > _MAX_PAYLOAD
-        or int(frame_lengths.max()) > snaplen
-        or not bool(np.isfinite(stamps).all())
+        longest > _MAX_PAYLOAD
+        or longest + _HEADERS > snaplen
+        or not bool(np.isfinite(timestamps).all())
     ):
         return None
-    # ``PcapWriter.write``: truncate, round half to even, carry a full second.
-    seconds = np.floor(stamps)
-    microseconds = np.rint((stamps - seconds) * 1_000_000)
+    seconds = np.floor(timestamps)
+    microseconds = np.rint((timestamps - seconds) * 1_000_000)
     carry = microseconds >= 1_000_000
     seconds[carry] += 1
     microseconds[carry] -= 1_000_000
     if float(seconds.max()) > 0xFFFFFFFF:
         return None
+    return seconds, microseconds
 
-    # Each distinct five-tuple object resolves to integer endpoints once.
-    distinct = list({id(flow): flow for flow in flows}.values())
-    slot = {id(flow): index for index, flow in enumerate(distinct)}
-    endpoints = np.array(
+
+def _endpoints(five_tuples: Sequence[FiveTuple]) -> np.ndarray:
+    """``(client ip, client port, server ip, server port)`` per five-tuple."""
+    addresses: dict[str, int] = {}
+
+    def address(value: str) -> int:
+        if value not in addresses:
+            addresses[value] = int.from_bytes(parse_ipv4(value), "big")
+        return addresses[value]
+
+    return np.array(
         [
-            (
-                _address(flow.client.ip, addresses), flow.client.port,
-                _address(flow.server.ip, addresses), flow.server.port,
-            )
-            for flow in distinct
+            (address(flow.client.ip), flow.client.port,
+             address(flow.server.ip), flow.server.port)
+            for flow in five_tuples
         ],
         dtype=np.int64,
-    )[np.fromiter(map(slot.__getitem__, map(id, flows)), np.int64, count)]
-    uplink = np.fromiter(
-        (direction is Direction.CLIENT_TO_SERVER for direction in directions),
-        dtype=bool,
-        count=count,
-    )
-    sequence_numbers = np.array([s & 0xFFFFFFFF for s in sequences], dtype=np.int64)
+    ).reshape(-1, 4)
 
-    rows = np.full(count, _TEMPLATE, dtype=_FRAME_HEADER)
-    rows["seconds"] = seconds
-    rows["microseconds"] = microseconds
-    rows["captured_length"] = frame_lengths
-    rows["original_length"] = frame_lengths
-    rows["destination_mac"] = np.where(uplink, _SERVER_MAC_BYTES, _CLIENT_MAC_BYTES)
-    rows["source_mac"] = np.where(uplink, _CLIENT_MAC_BYTES, _SERVER_MAC_BYTES)
-    rows["total_length"] = IPV4_HEADER_LENGTH + TCP_HEADER_LENGTH + lengths
-    rows["identification"] = sequence_numbers & 0xFFFF
-    rows["source_ip"] = np.where(uplink, endpoints[:, 0], endpoints[:, 2])
-    rows["destination_ip"] = np.where(uplink, endpoints[:, 2], endpoints[:, 0])
-    rows["source_port"] = np.where(uplink, endpoints[:, 1], endpoints[:, 3])
-    rows["destination_port"] = np.where(uplink, endpoints[:, 3], endpoints[:, 1])
-    rows["sequence_number"] = sequence_numbers
-    rows["acknowledgment_number"] = [a & 0xFFFFFFFF for a in acknowledgments]
-    rows["flags"] = [f & 0x3F for f in flags]
+
+def _sides(
+    endpoints: np.ndarray, uplink: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's source and destination address, then port, from its
+    five-tuple's ``_endpoints`` row and its direction."""
+    client, server = endpoints[:, :2], endpoints[:, 2:]
+    source = np.where(uplink[:, None], client, server)
+    destination = np.where(uplink[:, None], server, client)
+    return source[:, 0], destination[:, 0], source[:, 1], destination[:, 1]
+
+
+def _encode_block(
+    segments: TcpSegments,
+    rows: np.ndarray,
+    snaplen: int,
+    endpoints: np.ndarray,
+    span_sums: np.ndarray,
+) -> bytes | None:
+    """The pcap records of ``rows``, or ``None`` if one needs the oracle."""
+    count = rows.size
+    spans = segments.spans[rows]
+    starts = segments.span_offsets[spans]
+    lengths = segments.span_offsets[spans + 1] - starts
+    times = _record_times(lengths, segments.timestamps[rows], snaplen)
+    if times is None:
+        return None
+    seconds, microseconds = times
+    frame_lengths = lengths + _HEADERS
+
+    ends = endpoints[segments.flows[rows]]
+    uplink = segments.uplink[rows]
+    sequence_numbers = (segments.sequence_numbers[rows] & 0xFFFFFFFF).astype(np.int64)
+
+    headers = np.full(count, _TEMPLATE, dtype=_FRAME_HEADER)
+    headers["seconds"] = seconds
+    headers["microseconds"] = microseconds
+    headers["captured_length"] = frame_lengths
+    headers["original_length"] = frame_lengths
+    headers["destination_mac"] = np.where(uplink, _SERVER_MAC_BYTES, _CLIENT_MAC_BYTES)
+    headers["source_mac"] = np.where(uplink, _CLIENT_MAC_BYTES, _SERVER_MAC_BYTES)
+    headers["total_length"] = IPV4_HEADER_LENGTH + TCP_HEADER_LENGTH + lengths
+    headers["identification"] = sequence_numbers & 0xFFFF
+    (
+        headers["source_ip"], headers["destination_ip"],
+        headers["source_port"], headers["destination_port"],
+    ) = _sides(ends, uplink)
+    headers["sequence_number"] = sequence_numbers
+    headers["acknowledgment_number"] = segments.acknowledgment_numbers[rows] & 0xFFFFFFFF
+    headers["flags"] = segments.flags[rows] & 0x3F
 
     # Words 0-9 are the IPv4 header, 6-9 its addresses (the pseudo-header's
     # first half) and 10-19 the TCP header; both checksum fields are still 0.
-    words = rows.view(np.uint8).reshape(count, -1)[:, _ROW_IP:].view(">u2")
+    words = headers.view(np.uint8).reshape(count, -1)[:, _ROW_IP:].view(">u2")
     ip_sums = words[:, :10].sum(axis=1, dtype=np.int64)
     tcp_sums = (
         words[:, 6:].sum(axis=1, dtype=np.int64)
         + IP_PROTO_TCP
         + TCP_HEADER_LENGTH
         + lengths
-        + _payload_sums(payloads, lengths)
+        + span_sums[spans]
     )
-    rows["ip_checksum"] = _ones_complement(ip_sums)
-    rows["tcp_checksum"] = _ones_complement(tcp_sums)
+    headers["ip_checksum"] = _ones_complement(ip_sums)
+    headers["tcp_checksum"] = _ones_complement(tcp_sums)
 
-    headers = rows.tobytes()
+    header_bytes = memoryview(headers.tobytes())
+    payload = memoryview(segments.payload)
     size = _FRAME_HEADER.itemsize
     parts: list = [None] * (2 * count)
-    parts[0::2] = [headers[start : start + size] for start in range(0, len(headers), size)]
-    parts[1::2] = payloads
+    parts[0::2] = [header_bytes[start : start + size] for start in range(0, count * size, size)]
+    parts[1::2] = [
+        payload[start:end]
+        for start, end in zip(starts.tolist(), (starts + lengths).tolist())
+    ]
     return b"".join(parts)
 
 
-def _address(address: str, addresses: dict[str, int]) -> int:
-    """``address`` as a 32-bit integer, parsed at most once per capture."""
-    value = addresses.get(address)
-    if value is None:
-        value = addresses[address] = int.from_bytes(parse_ipv4(address), "big")
-    return value
-
-
-def encode_tcp_frames(packets: Sequence[Packet], writer: PcapWriter) -> None:
-    """Append ``packets`` to ``writer`` as pcap records, in the order given.
+def encode_tcp_frames(segments: TcpSegments, writer: PcapWriter) -> None:
+    """Append the rows of ``segments`` to ``writer`` as pcap records, in order.
 
     The bytes are exactly those of ``writer.write(packet.timestamp,
-    packet.serialize_frame())`` for each packet in turn.  Blocks of
-    :data:`_BLOCK_PACKETS` packets are encoded as columns; a block holding a
-    packet the columns cannot express is written by that per-packet loop
+    packet.serialize_frame())`` for each row's packet in turn.  Blocks of
+    :data:`_BLOCK_PACKETS` rows are encoded as columns; a block holding a
+    row the columns cannot express is written by that per-packet loop
     instead, so it raises the oracle's own error after the same records.
     """
-    addresses: dict[str, int] = {}
-    for start in range(0, len(packets), _BLOCK_PACKETS):
-        block = packets[start : start + _BLOCK_PACKETS]
-        records = _encode_block(block, writer.snaplen, addresses)
+    endpoints = _endpoints(segments.five_tuples)
+    span_sums = segments.span_sums()
+    for start in range(0, len(segments), _BLOCK_PACKETS):
+        rows = np.arange(start, min(start + _BLOCK_PACKETS, len(segments)))
+        records = _encode_block(segments, rows, writer.snaplen, endpoints, span_sums)
         if records is None:
-            for packet in block:
+            for packet in segments.take(rows).packets():
                 writer.write(packet.timestamp, packet.serialize_frame())
         else:
-            writer.write_records(records, len(block))
+            writer.write_records(records, rows.size)
+
+
+def written_tcp_columns(
+    segments: TcpSegments, client_ip: str, snaplen: int = 65_535
+) -> TcpColumns | None:
+    """What :func:`decode_tcp_columns` reads back from ``segments`` once
+    :func:`encode_tcp_frames` has written them, computed without the file.
+
+    Timestamps are quantized to the record header's microseconds exactly
+    as :meth:`PcapReader.read_columns` computes them, and payload offsets
+    index ``segments.payload`` instead of the file.  ``None`` when the
+    columns cannot prove the decode: a non-canonical ``client_ip``, or a
+    frame the writer would truncate or could not encode.
+    """
+    client = canonical_ipv4(client_ip)
+    if client is None or len(segments) == 0:
+        return None
+    lengths = segments.payload_lengths
+    times = _record_times(lengths, segments.timestamps, snaplen)
+    if times is None:
+        return None
+    seconds, microseconds = times
+    sources, destinations, source_ports, destination_ports = _sides(
+        _endpoints(segments.five_tuples)[segments.flows], segments.uplink
+    )
+    uplink = sources == client
+    return TcpColumns(
+        data=np.frombuffer(segments.payload, dtype=np.uint8),
+        timestamps=seconds + microseconds / 1e6,
+        uplink=uplink,
+        client_ips=np.where(uplink, sources, destinations),
+        client_ports=np.where(uplink, source_ports, destination_ports),
+        server_ips=np.where(uplink, destinations, sources),
+        server_ports=np.where(uplink, destination_ports, source_ports),
+        sequence_numbers=(segments.sequence_numbers & 0xFFFFFFFF).astype(np.int64),
+        payload_offsets=segments.payload_offsets,
+        payload_lengths=lengths,
+    )

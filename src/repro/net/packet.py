@@ -37,6 +37,17 @@ class Direction(str, Enum):
 #: header's unsigned 32-bit seconds field can carry.
 MAX_TIMESTAMP = 2**32
 
+
+def check_timestamp(timestamp: float) -> None:
+    """Raise :class:`PacketError` unless ``0 <= timestamp < MAX_TIMESTAMP``."""
+    # The chained comparison also rejects NaN and infinities.
+    if not 0 <= timestamp < MAX_TIMESTAMP:
+        raise PacketError(
+            f"packet timestamp must be finite, non-negative and below 2**32 s, "
+            f"got {timestamp}"
+        )
+
+
 _CLIENT_MAC = "02:00:00:00:00:01"
 _SERVER_MAC = "02:00:00:00:00:02"
 
@@ -62,31 +73,9 @@ class Packet:
     annotations: dict[str, object] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        # The chained comparison also rejects NaN and infinities.
-        if not 0 <= self.timestamp < MAX_TIMESTAMP:
-            raise PacketError(
-                f"packet timestamp must be finite, non-negative and below 2**32 s, "
-                f"got {self.timestamp}"
-            )
+        check_timestamp(self.timestamp)
         if self.sequence_number < 0 or self.acknowledgment_number < 0:
             raise PacketError("sequence/acknowledgment numbers must be non-negative")
-
-    def _next_segment(
-        self, payload: bytes, sequence_number: int, annotations: dict[str, object]
-    ) -> "Packet":
-        """A copy carrying a later segment of the same application write.
-
-        Skips ``__init__`` and ``__post_init__``: every other field is this
-        validated packet's, and ``sequence_number`` only ever grows past a
-        validated one.  :meth:`repro.net.tcp.TCPSender.send` is the caller.
-        """
-        packet = object.__new__(Packet)
-        fields = packet.__dict__
-        fields.update(self.__dict__)
-        fields["payload"] = payload
-        fields["sequence_number"] = sequence_number
-        fields["annotations"] = annotations
-        return packet
 
     @property
     def source(self) -> Endpoint:

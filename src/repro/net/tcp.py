@@ -1,21 +1,52 @@
-"""TCP send-side behaviour: segmentation of TLS record streams into packets."""
+"""TCP send-side behaviour: segmentation of TLS record streams into packets.
+
+:func:`segment_layout` is the one definition of how an application write
+splits into segments; the capture sink lays out every simulated write
+with it, and :func:`segment_payload` and :meth:`TCPSender.send` slice
+payloads by it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.exceptions import PacketError
 from repro.net.endpoints import FiveTuple
 from repro.net.packet import Direction, Packet, push_flags
 
 
+def segment_layout(
+    lengths: Sequence[int] | np.ndarray, mss: int | Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How writes of ``lengths`` bytes split into <= ``mss``-byte segments.
+
+    ``mss`` is one value or one per write.  Returns three arrays with one
+    entry per segment, writes in order and each write's segments in order:
+    the write it belongs to, its byte offset within the write and its
+    length.  An empty write has no segment.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+    mss = np.broadcast_to(np.asarray(mss, dtype=np.int64), lengths.shape)
+    if lengths.size and int(mss.min()) <= 0:
+        raise PacketError(f"MSS must be positive, got {int(mss.min())}")
+    counts = -(-lengths // mss)
+    writes = np.repeat(np.arange(lengths.size), counts)
+    firsts = np.cumsum(counts) - counts
+    segment_mss = mss[writes]
+    offsets = (np.arange(writes.size) - firsts[writes]) * segment_mss
+    return writes, offsets, np.minimum(segment_mss, lengths[writes] - offsets)
+
+
 def segment_payload(payload: bytes, mss: int) -> list[bytes]:
     """Split an application byte string into <= ``mss``-byte TCP payloads."""
-    if mss <= 0:
-        raise PacketError(f"MSS must be positive, got {mss}")
-    if not payload:
-        return []
-    return [payload[start : start + mss] for start in range(0, len(payload), mss)]
+    _, offsets, sizes = segment_layout([len(payload)], mss)
+    return [
+        payload[offset : offset + size]
+        for offset, size in zip(offsets.tolist(), sizes.tolist())
+    ]
 
 
 @dataclass
@@ -64,6 +95,18 @@ class TCPSender:
             raise PacketError("peer sequence must be non-negative")
         self._peer_sequence = peer_next_sequence
 
+    def advance(self, length: int) -> tuple[int, int]:
+        """Claim the next ``length`` stream bytes for one application write.
+
+        Returns the write's first sequence number and the acknowledgment
+        number its segments carry.
+        """
+        if length <= 0:
+            raise PacketError("cannot send an empty payload")
+        sequence = self._next_sequence
+        self._next_sequence = sequence + length
+        return sequence, self._peer_sequence
+
     def send(
         self,
         payload: bytes,
@@ -73,30 +116,24 @@ class TCPSender:
         """Segment ``payload`` into packets stamped at ``timestamp``.
 
         All segments of one application write share the same annotations
-        (each packet gets its own copy); the capture layer later spaces their
-        timestamps by serialization delay.  Only the first segment is built
-        through the validating constructor; the rest copy its fields.
+        (each packet gets its own copy).  The capture sink records the same
+        write as rows instead (:meth:`repro.net.capture.CaptureSink.write`).
         """
-        if not payload:
-            raise PacketError("cannot send an empty payload")
-        segments = segment_payload(payload, self.mss)
-        first = Packet(
-            timestamp=timestamp,
-            direction=self.direction,
-            five_tuple=self.five_tuple,
-            payload=segments[0],
-            sequence_number=self._next_sequence,
-            acknowledgment_number=self._peer_sequence,
-            flags=push_flags(),
-            annotations=dict(annotations or {}),
-        )
-        packets = [first]
-        sequence = self._next_sequence + len(segments[0])
-        for segment in segments[1:]:
-            packets.append(first._next_segment(segment, sequence, dict(first.annotations)))
-            sequence += len(segment)
-        self._next_sequence = sequence
-        return packets
+        sequence, acknowledgment = self.advance(len(payload))
+        _, offsets, sizes = segment_layout([len(payload)], self.mss)
+        return [
+            Packet(
+                timestamp=timestamp,
+                direction=self.direction,
+                five_tuple=self.five_tuple,
+                payload=payload[offset : offset + size],
+                sequence_number=sequence + offset,
+                acknowledgment_number=acknowledgment,
+                flags=push_flags(),
+                annotations=dict(annotations or {}),
+            )
+            for offset, size in zip(offsets.tolist(), sizes.tolist())
+        ]
 
     def send_ack(self, timestamp: float) -> Packet:
         """Emit a bare ACK (no payload)."""

@@ -132,13 +132,23 @@ class SessionResult:
         structures.
         """
         hasher = hashlib.sha256()
-        for packet in self.trace.packets:
+        segments = self.trace.segments
+        payload = memoryview(segments.payload)
+        directions = (Direction.SERVER_TO_CLIENT.value, Direction.CLIENT_TO_SERVER.value)
+        for timestamp, uplink, sequence, wire_length, retransmission, start, length in zip(
+            segments.timestamps.tolist(),
+            segments.uplink.tolist(),
+            segments.sequence_numbers.tolist(),
+            segments.wire_lengths.tolist(),
+            segments.retransmissions.tolist(),
+            segments.payload_offsets.tolist(),
+            segments.payload_lengths.tolist(),
+        ):
             hasher.update(
-                f"{packet.timestamp!r}|{packet.direction.value}|"
-                f"{packet.sequence_number}|{packet.wire_length}|"
-                f"{int(packet.is_retransmission)}\n".encode("utf-8")
+                f"{timestamp!r}|{directions[uplink]}|{sequence}|{wire_length}|"
+                f"{int(retransmission)}\n".encode("utf-8")
             )
-            hasher.update(packet.payload)
+            hasher.update(payload[start : start + length])
         hasher.update("|".join(self.path.segment_ids).encode("utf-8"))
         for choice in self.path.choices:
             hasher.update(
@@ -382,12 +392,9 @@ class InteractiveStreamingSession:
             payload = entry.record.serialize()
             delay = self._network.one_way_delay(handshake_rng)
             self._clock += delay
-            packets = sender.send(
-                payload,
-                self._clock,
-                annotations={ANNOTATION_KIND: "handshake"},
+            capture.write(
+                sender, payload, self._clock, annotations={ANNOTATION_KIND: "handshake"}
             )
-            capture.observe_all(packets)
         self._events.record(self._clock, EventKind.HANDSHAKE_COMPLETED)
 
     def _send_application_payload(
@@ -407,8 +414,7 @@ class InteractiveStreamingSession:
         for index, record in enumerate(tls.protect(payload)):
             record_annotations = dict(annotations)
             record_annotations[ANNOTATION_RECORD_INDEX] = index
-            packets = sender.send(record.serialize(), timestamp, record_annotations)
-            capture.observe_all(packets)
+            capture.write(sender, record.serialize(), timestamp, record_annotations)
 
     def _send_state_message(
         self,

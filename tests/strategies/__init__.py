@@ -4,7 +4,7 @@
 """
 
 from strategies.frames import Capture, captures, tls_streams
-from strategies.packets import packets
+from strategies.packets import annotated, packets, record_aligned_packets
 from strategies.rng import rng_draws
 from strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 
@@ -12,8 +12,10 @@ __all__ = [
     "Capture",
     "DETERMINISM_SETTINGS",
     "STANDARD_SETTINGS",
+    "annotated",
     "captures",
     "packets",
+    "record_aligned_packets",
     "rng_draws",
     "tls_streams",
 ]

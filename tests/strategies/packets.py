@@ -8,11 +8,15 @@ into segments) plus cross-traffic connections on other addresses and ports,
 empty, 1-byte, odd and near-maximum payloads, sequence and acknowledgment
 numbers at or above 2**32, flag words above 0x3F, tied timestamps and
 timestamps whose microseconds round up into the next second.
+:func:`annotated` adds simulator ground truth to any of them, and
+:func:`record_aligned_packets` builds an annotated uplink stream whose
+segments start at TLS record starts, the shape simulated sessions have.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -117,4 +121,92 @@ def packets(draw, max_extra: int = 12) -> list[Packet]:
     rng.shuffle(trace)
     if draw(st.sampled_from((False,) * 9 + (True,))):
         trace = trace[:1]
+    return trace
+
+
+#: Simulator ground truth a packet may carry: labelled state reports, an
+#: unlabelled kind, a question without a kind, or nothing.
+NOTES = (
+    {},
+    {"kind": "type1", "question_id": "q1"},
+    {"kind": "type2", "question_id": "q2"},
+    {"kind": "chunk_request"},
+    {"question_id": "q3"},
+)
+
+
+@st.composite
+def annotated(draw, trace_strategy):
+    """The packets ``trace_strategy`` draws, each carrying one of :data:`NOTES`."""
+    trace = draw(trace_strategy)
+    notes = draw(
+        st.lists(st.sampled_from(NOTES), min_size=len(trace), max_size=len(trace))
+    )
+    return [replace(packet, annotations=dict(note)) for packet, note in zip(trace, notes)]
+
+
+_ALIGNED_FLOW = FiveTuple(
+    client=Endpoint(CLIENT_IP, 40_001), server=Endpoint(SERVER_IP, 443)
+)
+
+
+@st.composite
+def record_aligned_packets(draw) -> list[Packet]:
+    """An uplink record stream cut into segments that start at record
+    starts, each record annotated (a few segments differently), with
+    retransmitted and unflagged duplicates, downlink traffic and a
+    shuffled capture order."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    records = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((23, 23, 22, 20)),
+                st.integers(1, 3_000),
+                st.sampled_from(NOTES),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    mss = draw(st.sampled_from((1, 3, 5, 7, 100, 1460)))
+    sequence = draw(st.integers(0, 2**40))
+    clock = 0.0
+    trace: list[Packet] = []
+    for content_type, length, note in records:
+        record = bytes((content_type, 3, 3)) + length.to_bytes(2, "big") + rng.randbytes(length)
+        clock += draw(st.sampled_from((0.0, 0.25, 1.0)))
+        for offset in range(0, len(record), mss):
+            trace.append(
+                Packet(
+                    timestamp=clock,
+                    direction=Direction.CLIENT_TO_SERVER,
+                    five_tuple=_ALIGNED_FLOW,
+                    payload=record[offset : offset + mss],
+                    sequence_number=sequence + offset,
+                    flags=0x18,
+                    annotations=dict(note if rng.random() < 0.8 else rng.choice(NOTES)),
+                )
+            )
+        sequence += len(record)
+    for packet in list(trace):
+        if rng.random() < 0.1:
+            trace.append(
+                replace(
+                    packet,
+                    timestamp=max(0.0, packet.timestamp + rng.choice((-0.5, 0.5))),
+                    is_retransmission=rng.random() < 0.5,
+                    annotations=dict(rng.choice(NOTES)),
+                )
+            )
+        if rng.random() < 0.1:
+            trace.append(
+                Packet(
+                    timestamp=packet.timestamp + 0.01,
+                    direction=Direction.SERVER_TO_CLIENT,
+                    five_tuple=_ALIGNED_FLOW,
+                    payload=rng.randbytes(rng.randint(0, 900)),
+                    sequence_number=rng.randint(0, 2**32),
+                )
+            )
+    rng.shuffle(trace)
     return trace

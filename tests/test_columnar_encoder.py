@@ -22,7 +22,7 @@ from repro.core.pipeline import capture_client_records
 from repro.exceptions import PacketError
 from repro.net import columnar
 from repro.net.capture import CapturedTrace
-from repro.net.columnar import decode_tcp_columns, encode_tcp_frames
+from repro.net.columnar import TcpSegments, decode_tcp_columns, encode_tcp_frames
 from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.headers import parse_ipv4
 from repro.net.packet import Direction, Packet
@@ -64,7 +64,7 @@ def _oracle_write(trace: list[Packet], path, snaplen: int = _SNAPLEN):
 
 def _encoder_write(trace: list[Packet], path, snaplen: int = _SNAPLEN):
     with PcapWriter(path, snaplen=snaplen) as writer:
-        encode_tcp_frames(_ordered(trace), writer)
+        encode_tcp_frames(TcpSegments.from_packets(_ordered(trace)), writer)
         return writer.packets_written
 
 

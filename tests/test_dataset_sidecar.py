@@ -21,6 +21,7 @@ from repro.cli.main import main
 from repro.core.fingerprint import FingerprintAccumulator
 from repro.dataset.sidecar import (
     SIDECAR_FILENAME,
+    SIDECAR_FORMAT_VERSION,
     ShardSidecar,
     fold_shard_sidecar,
     load_sidecar_cached,
@@ -295,3 +296,55 @@ class TestSidecarUnitBehaviour:
             (sharded_dir / "shard-000" / "metadata.json").read_text()
         )
         assert all("trace_file" in entry for entry in metadata["entries"])
+
+
+def _hand_built_sidecar(directory: Path, record_counts: np.ndarray) -> Path:
+    """A two-capture sidecar over two records with the given counts."""
+    arrays = {
+        "format_version": np.asarray([SIDECAR_FORMAT_VERSION], dtype=np.int64),
+        "captures": np.asarray(["a.pcap", "b.pcap"]),
+        "viewer_ids": np.asarray(["a", "b"]),
+        "client_ips": np.asarray(["192.168.1.23"] * 2),
+        "server_ips": np.asarray(["198.51.100.7"] * 2),
+        "environments": np.asarray(["linux/firefox"] * 2),
+        "pcap_sizes": np.asarray([100, 100], dtype=np.int64),
+        "record_counts": record_counts,
+        "timestamps": np.asarray([1.0, 2.0]),
+        "wire_lengths": np.asarray([300, 400], dtype=np.int64),
+        "content_types": np.asarray([23, 23], dtype=np.int64),
+        "label_codes": np.asarray([1, 2], dtype=np.int64),
+    }
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in ("a.pcap", "b.pcap"):
+        (directory / name).write_bytes(bytes(100))
+    with open(directory / SIDECAR_FILENAME, "wb") as handle:
+        np.savez(handle, **arrays)
+    return directory
+
+
+@pytest.mark.parametrize(
+    "record_counts",
+    [
+        np.asarray([-1, 3], dtype=np.int64),
+        np.asarray([3, -1], dtype=np.int64),
+        np.asarray([0.5, 1.5]),
+        np.asarray([True, True]),
+    ],
+    ids=["negative-first", "negative-last", "fractional", "boolean"],
+)
+def test_load_rejects_negative_or_non_integer_record_counts(tmp_path, record_counts):
+    """Counts that sum to the record total but cannot slice it are refused,
+    so every capture takes the parse path."""
+    traces = _hand_built_sidecar(tmp_path / "traces", record_counts)
+    assert ShardSidecar.load(traces) is None
+
+
+def test_load_accepts_the_same_sidecar_with_valid_counts(tmp_path):
+    traces = _hand_built_sidecar(
+        tmp_path / "traces", np.asarray([1, 1], dtype=np.int64)
+    )
+    sidecar = ShardSidecar.load(traces)
+    assert sidecar is not None
+    # The pcaps are older than the sidecar they were written before.
+    records = sidecar.records_for(traces / "b.pcap")
+    assert records is not None and records.wire_lengths.tolist() == [400]

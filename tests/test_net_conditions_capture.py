@@ -9,7 +9,7 @@ from repro.exceptions import PacketError
 from repro.net.capture import CaptureSink, CapturedTrace
 from repro.net.conditions import conditions_for
 from repro.net.endpoints import Endpoint, FiveTuple
-from repro.net.packet import Direction, Packet
+from repro.net.packet import Direction
 from repro.net.tcp import TCPSender
 from repro.utils.rng import RandomSource
 
@@ -64,8 +64,8 @@ class TestCaptureSink:
     def test_observe_and_trace_sorted(self, wired_noon_conditions, five_tuple):
         sink = CaptureSink(wired_noon_conditions, RandomSource(2))
         sender = TCPSender(five_tuple, Direction.CLIENT_TO_SERVER)
-        sink.observe_all(sender.send(b"b" * 10, 2.0))
-        sink.observe_all(sender.send(b"a" * 10, 1.0))
+        sink.write(sender, b"b" * 10, 2.0)
+        sink.write(sender, b"a" * 10, 1.0)
         trace = sink.trace()
         timestamps = [p.timestamp for p in trace.packets]
         assert timestamps == sorted(timestamps)
@@ -78,14 +78,14 @@ class TestCaptureSink:
         sink = CaptureSink(lossy, RandomSource(3))
         sender = TCPSender(five_tuple, Direction.CLIENT_TO_SERVER)
         for index in range(500):
-            sink.observe_all(sender.send(b"x" * 100, float(index)))
+            sink.write(sender, b"x" * 100, float(index))
         trace = sink.trace()
         assert any(p.is_retransmission for p in trace.packets)
 
     def test_cross_traffic_uses_other_five_tuples(self, wired_noon_conditions, five_tuple):
         sink = CaptureSink(wired_noon_conditions, RandomSource(4))
         sender = TCPSender(five_tuple, Direction.CLIENT_TO_SERVER)
-        sink.observe_all(sender.send(b"x" * 100, 0.0))
+        sink.write(sender, b"x" * 100, 0.0)
         added = sink.add_cross_traffic(session_duration_seconds=600.0)
         trace = sink.trace()
         if added:
