@@ -16,12 +16,14 @@ traces loaded back from pcap yield unlabelled records, as real captures would.
 
 :func:`_extract_records_scalar`, the per-packet parser, is the definition
 of every record and label.  With the server address known, records come
-from the trace's segment columns instead: one framing pass over the
-streaming flow's uplink, each record labelled from the segment it starts
-in (:func:`_labelled_segment_records`).  Anything the columns cannot prove
-goes through the packets and the scalar parser, and property tests pin the
-column path to it.  :func:`columnar_client_records` does the same for
-columns decoded from a pcap file.
+from the trace's rows as columns instead
+(:meth:`~repro.net.columnar.TcpSegments.tcp_columns`):
+one framing pass over the streaming flow's uplink, each record labelled
+from the segment it starts in (:func:`_column_records`).  Anything the
+columns cannot prove goes through the packets and the scalar parser, and
+property tests pin the column path to it.  The same pass frames columns
+decoded from a pcap file, or computed as the writer writes them
+(:func:`columnar_client_records`).
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ import numpy as np
 from repro.core import kernel
 from repro.exceptions import AttackError
 from repro.net.capture import CapturedTrace
-from repro.net.columnar import (
-    TcpColumns,
-    TcpSegments,
-    canonical_ipv4,
-    reassembly_order,
-)
+from repro.net.columnar import TcpColumns, canonical_ipv4
 from repro.net.flow import Flow, FlowTable
 from repro.net.packet import Direction, Packet
 from repro.tls.records import (
@@ -145,7 +142,9 @@ def extract_client_records(
     """
     records = None
     if flow is None and server_ip is not None:
-        records = _labelled_segment_records(trace.segments, server_ip)
+        columns = trace.segments.tcp_columns()
+        if columns is not None:
+            records = _column_records(columns, server_ip)
     if records is None:
         flow = flow or select_streaming_flow(trace, server_ip)
         packets = [
@@ -167,66 +166,6 @@ def extract_client_records(
     return records
 
 
-def _labelled_segment_records(
-    segments: TcpSegments, server_ip: str, server_port: int = 443
-) -> list[ClientRecord] | None:
-    """Every record :func:`_extract_records_scalar` finds in the flow
-    :func:`select_streaming_flow` picks, labels included, from the trace's
-    segment columns.
-
-    The flow is the first-created one to ``server_ip:server_port``; its
-    uplink, non-retransmitted payload segments go in
-    :func:`~repro.net.columnar.reassembly_order`, and one framing pass over
-    the gap-free stream finds the records.  Returns ``None`` — the caller
-    then runs the packet path — when no flow matches, the flow has no
-    uplink payload, a sequence number needs more than 63 bits, the stream
-    has a gap or an overlap, it loses TLS framing, or a label cannot be
-    placed (see :func:`_framed_records`).
-    """
-    five_tuples = segments.five_tuples
-    # A flow is created by its first row, as FlowTable creates it.
-    slots, first_rows = np.unique(segments.flows, return_index=True)
-    created = [
-        row
-        for slot, row in zip(slots.tolist(), first_rows.tolist())
-        if five_tuples[slot].server.ip == server_ip
-        and five_tuples[slot].server.port == server_port
-    ]
-    if not created or segments.sequence_numbers.dtype == object:
-        return None
-    lengths = segments.payload_lengths
-    order = reassembly_order(
-        np.flatnonzero(
-            (segments.flows == segments.flows[min(created)])
-            & segments.uplink
-            & (lengths > 0)
-            & ~segments.retransmissions
-        ),
-        segments.sequence_numbers,
-        segments.timestamps,
-    )
-    sequence, lengths = segments.sequence_numbers[order], lengths[order]
-    if order.size == 0 or not np.array_equal(
-        sequence[1:], sequence[:-1] + lengths[:-1]
-    ):
-        return None
-    notes = segments.notes[order].tolist()
-    label_of = {
-        note: _label_from_annotations(segments.annotations[note]) for note in set(notes)
-    }
-    labels = None
-    if any(label != (None, None) for label in label_of.values()):
-        labels = [label_of[note] for note in notes]
-    payload = memoryview(segments.payload)
-    stream = b"".join(
-        payload[offset : offset + length]
-        for offset, length in zip(
-            segments.payload_offsets[order].tolist(), lengths.tolist()
-        )
-    )
-    return _framed_records(stream, lengths, segments.timestamps[order], labels)
-
-
 def columnar_client_records(
     columns: TcpColumns, server_ip: str | None = None
 ) -> list[ClientRecord] | None:
@@ -235,13 +174,32 @@ def columnar_client_records(
 
     With ``server_ip`` unknown the streaming server is resolved the way
     :func:`repro.core.pipeline.load_attack_trace` does (largest downlink
-    flow), then the flow is selected by endpoint exactly as
-    :func:`select_streaming_flow` does.  The uplink segments are deduplicated
-    by sequence number first, and the gap-free result is framed by one
-    :func:`kernel.tls_record_spans` pass.  Returns ``None`` — the caller then
-    runs the oracle, which raises its own error — when the server address is
+    flow).  Returns ``None`` — the caller then runs the oracle, which
+    raises its own error — wherever :func:`_column_records` does, or when
+    no application-data record is found.
+    """
+    records = _column_records(columns, server_ip)
+    if records is None:
+        return None
+    return [record for record in records if record.is_application_data] or None
+
+
+def _column_records(
+    columns: TcpColumns, server_ip: str | None
+) -> list[ClientRecord] | None:
+    """Every record of the streaming flow's uplink, from the columns.
+
+    The flow is selected by endpoint exactly as :func:`select_streaming_flow`
+    does.  Its uplink payload rows are deduplicated by sequence number
+    (:meth:`TcpColumns.uplink_rows`), and the gap-free result is framed by
+    one :func:`kernel.tls_record_spans` pass.  Columns that keep the
+    simulator's rows label each record from the segment it starts in, as
+    the scalar parser does.  Returns ``None`` when the server address is
     not canonical, no flow matches, the stream has a gap or an overlap, it
-    loses TLS framing, or no record is found.
+    loses TLS framing, or the simulator's rows disagree with what the
+    record parser would see: a retransmission kept in place of an original
+    (the parser drops retransmissions first), or a label that cannot be
+    placed (see :func:`_framed_records`).
     """
     if server_ip is None:
         server = columns.largest_flow_server()
@@ -252,15 +210,31 @@ def columnar_client_records(
     flow = columns.flow_to(server)
     if flow is None:
         return None
-    timestamps, sequence, offsets, lengths = columns.uplink_segments(flow)
-    if sequence.size == 0 or not np.array_equal(
+    rows = columns.uplink_rows(flow)
+    sequence = columns.sequence_numbers[rows]
+    lengths = columns.payload_lengths[rows]
+    if rows.size == 0 or not np.array_equal(
         sequence[1:], sequence[:-1] + lengths[:-1]
     ):
         return None
-    records = _framed_records(columns.gather(offsets, lengths), lengths, timestamps)
-    if records is None:
-        return None
-    return [record for record in records if record.is_application_data] or None
+    labels = None
+    segments = columns.segments
+    if segments is not None:
+        if bool(segments.retransmissions[rows].any()):
+            return None
+        notes = segments.notes[rows].tolist()
+        label_of = {
+            note: _label_from_annotations(segments.annotations[note])
+            for note in set(notes)
+        }
+        if any(label != (None, None) for label in label_of.values()):
+            labels = [label_of[note] for note in notes]
+    return _framed_records(
+        columns.gather(columns.payload_offsets[rows], lengths),
+        lengths,
+        columns.timestamps[rows],
+        labels,
+    )
 
 
 def _extract_records_vectorized(packets: Sequence[Packet]) -> list[ClientRecord] | None:

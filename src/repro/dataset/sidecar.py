@@ -26,9 +26,8 @@ content types, label codes) concatenated in capture order and sliced via
 the counts.  Timestamps are the pcap-quantized values attack-time
 extraction yields — they are derived from the writer's columns, pinned to
 the re-parse by tests, not copied from the in-memory trace — and label
-codes use the
-:data:`repro.core.features.LABEL_BY_CODE` encoding, aligned positionally
-against the annotated in-memory extraction.  Writing is deterministic byte
+codes use the :data:`repro.core.features.LABEL_BY_CODE` encoding, the
+labels the annotated in-memory extraction gives the same records.  Writing is deterministic byte
 for byte (sorted captures, sorted archive entries, fixed dtypes), so
 sidecars survive the repo's serial-vs-parallel / resumed / stitched
 ``diff -r`` equivalences like every other dataset artefact.
@@ -99,23 +98,27 @@ def sidecar_entry_for(
     """Build one capture's sidecar columns right after its pcap is written.
 
     The record columns are those the attack later extracts from the pcap,
-    quantized timestamps and all.  They are derived from the writer's
-    columns — :func:`~repro.net.columnar.written_tcp_columns` gives what
-    decoding the just-written file yields, and
-    :func:`~repro.core.features.columnar_client_records` frames it as
-    :func:`~repro.core.pipeline.capture_client_records` would — and when
-    the columns cannot prove that answer, the pcap is re-read through
-    ``capture_client_records`` itself.  The ground-truth label codes come
-    from the annotated in-memory ``trace``, aligned by position (both
-    extractions walk the same reassembled TLS stream).  Returns ``None`` —
-    which disables the sidecar for the whole shard — rather than ever
-    persisting columns the pcap does not back: on any extraction failure
-    or the slightest misalignment the pcaps alone remain authoritative.
+    quantized timestamps and all, and the label codes those
+    :func:`~repro.core.features.extract_client_records` gives the same
+    records of the annotated in-memory ``trace``.  One pass over the
+    writer's columns gives both:
+    :func:`~repro.net.columnar.written_tcp_columns` is what decoding the
+    just-written file yields, still carrying the simulator's annotations,
+    and :func:`~repro.core.features.columnar_client_records` frames it as
+    :func:`~repro.core.pipeline.capture_client_records` would, labels
+    included.  When the columns cannot prove that answer, the oracle route
+    runs instead: the pcap is re-read through ``capture_client_records``
+    and the labels come from ``extract_client_records``, aligned by
+    position (both walk the same reassembled TLS stream).  Returns
+    ``None`` — which disables the sidecar for the whole shard — rather
+    than ever persisting columns the pcap does not back: on any extraction
+    failure or the slightest misalignment the pcaps alone remain
+    authoritative.
     """
     pcap_path = Path(pcap_path)
     try:
-        columns = written_tcp_columns(trace.segments.in_capture_order(), trace.client_ip)
-        observed = (
+        columns = written_tcp_columns(trace.segments, trace.client_ip)
+        observed = labelled = (
             columnar_client_records(columns, trace.server_ip)
             if columns is not None
             else None
@@ -124,7 +127,7 @@ def sidecar_entry_for(
             observed = capture_client_records(
                 pcap_path, client_ip=trace.client_ip, server_ip=trace.server_ip
             )
-        labelled = extract_client_records(trace, server_ip=trace.server_ip)
+            labelled = extract_client_records(trace, server_ip=trace.server_ip)
     except ReproError:
         return None
     if len(observed) != len(labelled):

@@ -34,8 +34,12 @@ any row the structured rows cannot express — a payload too long for one
 IPv4 datagram, a frame over the writer's snaplen, a timestamp the record
 header cannot hold — is written by that per-packet loop, which raises its
 own error.  Property tests pin the encoder's bytes to it.
-:func:`written_tcp_columns` gives the :class:`TcpColumns` decoding the
-written file would yield, without reading it, for the shard sidecar.
+:meth:`TcpSegments.tcp_columns` gives a trace's rows as :class:`TcpColumns`,
+grouped as the flow table groups them, for labelled record extraction;
+:func:`written_tcp_columns` gives the same rows as decoding the written
+file would yield them, without reading it, for the shard sidecar.  Both
+keep the simulator's rows, whose retransmission flags and annotations a
+pcap cannot hold.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from repro.net.headers import (
     parse_mac,
 )
 from repro.net.packet import _CLIENT_MAC, _SERVER_MAC, Direction, Packet
-from repro.net.pcap import PcapColumns, PcapWriter
+from repro.net.pcap import DEFAULT_SNAPLEN, PcapColumns, PcapWriter
 
 _IP = ETHERNET_HEADER_LENGTH
 #: Frame bytes up to the end of the option-less IPv4 header.
@@ -117,6 +121,11 @@ class TcpColumns:
     address is the client's, and its client endpoint is then its source
     (otherwise its destination).  Payload offsets index ``data``, the whole
     file's bytes.
+
+    Columns built from the simulator's rows (:meth:`TcpSegments.tcp_columns`,
+    :func:`written_tcp_columns`) keep those rows in ``segments``, row for
+    row: the retransmission flags and annotations a pcap cannot hold.
+    Decoded captures have none.
     """
 
     data: np.ndarray
@@ -129,6 +138,7 @@ class TcpColumns:
     sequence_numbers: np.ndarray
     payload_offsets: np.ndarray
     payload_lengths: np.ndarray
+    segments: TcpSegments | None = None
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -187,24 +197,12 @@ class TcpColumns:
         best = creation[int(np.argmax(totals[creation]))]
         return int(self.server_ips[first_segment[best]])
 
-    def uplink_segments(
-        self, flow: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The flow's uplink payload segments in :func:`reassembly_order`.
-
-        Returns ``(timestamps, sequence_numbers, payload_offsets,
-        payload_lengths)``.
-        """
-        order = reassembly_order(
+    def uplink_rows(self, flow: np.ndarray) -> np.ndarray:
+        """The flow's uplink payload rows in :func:`reassembly_order`."""
+        return reassembly_order(
             np.flatnonzero(flow & self.uplink & (self.payload_lengths > 0)),
             self.sequence_numbers,
             self.timestamps,
-        )
-        return (
-            self.timestamps[order],
-            self.sequence_numbers[order],
-            self.payload_offsets[order],
-            self.payload_lengths[order],
         )
 
     def gather(self, offsets: np.ndarray, lengths: np.ndarray) -> bytes:
@@ -397,6 +395,40 @@ class TcpSegments:
     def wire_lengths(self) -> np.ndarray:
         """Each row's frame length on the wire (Ethernet + IP + TCP + payload)."""
         return self.payload_lengths + _HEADERS
+
+    def tcp_columns(self) -> TcpColumns | None:
+        """The rows as :class:`TcpColumns`, grouped as a
+        :class:`~repro.net.flow.FlowTable` groups their packets.
+
+        Each row's five-tuple gives its sides and its direction whether it
+        is uplink; payload offsets index ``payload``.  ``None`` when integer
+        addresses could match where the flow table's strings do not (an
+        address that is not canonical) or a sequence number needs more
+        than 63 bits.
+        """
+        addresses = {
+            address
+            for five_tuple in self.five_tuples
+            for address in (five_tuple.client.ip, five_tuple.server.ip)
+        }
+        if self.sequence_numbers.dtype == object or any(
+            canonical_ipv4(address) is None for address in addresses
+        ):
+            return None
+        endpoints = _endpoints(self.five_tuples)[self.flows]
+        return TcpColumns(
+            data=np.frombuffer(self.payload, dtype=np.uint8),
+            timestamps=self.timestamps,
+            uplink=self.uplink,
+            client_ips=endpoints[:, 0],
+            client_ports=endpoints[:, 1],
+            server_ips=endpoints[:, 2],
+            server_ports=endpoints[:, 3],
+            sequence_numbers=self.sequence_numbers,
+            payload_offsets=self.payload_offsets,
+            payload_lengths=self.payload_lengths,
+            segments=self,
+        )
 
     def take(self, rows: np.ndarray) -> "TcpSegments":
         """The columns of ``rows``, in that order."""
@@ -691,39 +723,40 @@ def encode_tcp_frames(segments: TcpSegments, writer: PcapWriter) -> None:
             writer.write_records(records, rows.size)
 
 
-def written_tcp_columns(
-    segments: TcpSegments, client_ip: str, snaplen: int = 65_535
-) -> TcpColumns | None:
+def written_tcp_columns(segments: TcpSegments, client_ip: str) -> TcpColumns | None:
     """What :func:`decode_tcp_columns` reads back from ``segments`` once
-    :func:`encode_tcp_frames` has written them, computed without the file.
+    :meth:`~repro.net.capture.CapturedTrace.to_pcap` has written them,
+    computed without the file.
 
     Timestamps are quantized to the record header's microseconds exactly
     as :meth:`PcapReader.read_columns` computes them, and payload offsets
-    index ``segments.payload`` instead of the file.  ``None`` when the
-    columns cannot prove the decode: a non-canonical ``client_ip``, or a
-    frame the writer would truncate or could not encode.
+    index ``segments.payload`` instead of the file.  The rows are also
+    those of :meth:`TcpSegments.tcp_columns`, so they keep ``segments``.
+    ``None`` unless both hold: the rows are in capture order (``to_pcap``
+    would reorder them), ``client_ip`` is every five-tuple's client address
+    and no server's (decoding takes each segment's sides from it), every
+    sequence number fits the header's 32 bits, and the writer encodes
+    every frame whole.
     """
+    columns = segments.tcp_columns()
     client = canonical_ipv4(client_ip)
-    if client is None or len(segments) == 0:
+    if (
+        columns is None
+        or client is None
+        or len(segments) == 0
+        or segments.in_capture_order() is not segments
+    ):
         return None
-    lengths = segments.payload_lengths
-    times = _record_times(lengths, segments.timestamps, snaplen)
+    sequence = columns.sequence_numbers
+    if bool(
+        (columns.client_ips != client).any()
+        or (columns.server_ips == client).any()
+        or (sequence < 0).any()
+        or (sequence > 0xFFFFFFFF).any()
+    ):
+        return None
+    times = _record_times(columns.payload_lengths, columns.timestamps, DEFAULT_SNAPLEN)
     if times is None:
         return None
     seconds, microseconds = times
-    sources, destinations, source_ports, destination_ports = _sides(
-        _endpoints(segments.five_tuples)[segments.flows], segments.uplink
-    )
-    uplink = sources == client
-    return TcpColumns(
-        data=np.frombuffer(segments.payload, dtype=np.uint8),
-        timestamps=seconds + microseconds / 1e6,
-        uplink=uplink,
-        client_ips=np.where(uplink, sources, destinations),
-        client_ports=np.where(uplink, source_ports, destination_ports),
-        server_ips=np.where(uplink, destinations, sources),
-        server_ports=np.where(uplink, destination_ports, source_ports),
-        sequence_numbers=(segments.sequence_numbers & 0xFFFFFFFF).astype(np.int64),
-        payload_offsets=segments.payload_offsets,
-        payload_lengths=lengths,
-    )
+    return replace(columns, timestamps=seconds + microseconds / 1e6)

@@ -50,6 +50,8 @@ from repro.exceptions import PcapError
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 LINKTYPE_ETHERNET = 1
+#: The snapshot length a :class:`PcapWriter` truncates frames to by default.
+DEFAULT_SNAPLEN = 65_535
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _PACKET_HEADER = struct.Struct("<IIII")
@@ -129,7 +131,7 @@ class PcapWriter:
             writer.write(timestamp, frame_bytes)
     """
 
-    def __init__(self, path: str | Path, snaplen: int = 65_535) -> None:
+    def __init__(self, path: str | Path, snaplen: int = DEFAULT_SNAPLEN) -> None:
         if snaplen <= 0:
             raise PcapError(f"snaplen must be positive, got {snaplen}")
         self._path = Path(path)

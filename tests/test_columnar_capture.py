@@ -324,8 +324,11 @@ def test_simulated_sidecar_entries_come_from_the_columns(simulated, tmp_path):
     trace = simulated.result.trace
     path = tmp_path / "capture.pcap"
     trace.to_pcap(path)
+    # One pass over the writer's columns: no re-read, no second extraction.
     with mock.patch.object(
         sidecar_module, "capture_client_records", side_effect=AssertionError
+    ), mock.patch.object(
+        sidecar_module, "extract_client_records", side_effect=AssertionError
     ):
         entry = _entry(path, trace)
     assert entry is not None
@@ -362,6 +365,74 @@ def test_gapped_traces_fall_back_to_the_re_read(simulated, tmp_path):
     )
 
 
+def _retransmitted_in_place(trace: CapturedTrace) -> CapturedTrace:
+    """The trace with one streaming uplink segment captured only as its
+    retransmission: the pcap keeps the bytes, the record parser drops them."""
+    flow = select_streaming_flow(trace, trace.server_ip).five_tuple
+    packets = list(trace.packets)
+    row = next(
+        row
+        for row, packet in enumerate(packets)
+        if packet.five_tuple == flow
+        and packet.direction is Direction.CLIENT_TO_SERVER
+        and packet.payload
+    )
+    packets[row] = replace(packets[row], is_retransmission=True)
+    return CapturedTrace(packets=packets, client_ip=trace.client_ip, server_ip=trace.server_ip)
+
+
+def _reversed(trace: CapturedTrace) -> CapturedTrace:
+    """The trace's rows out of capture order: ``to_pcap`` reorders them."""
+    return CapturedTrace(
+        packets=trace.packets[::-1], client_ip=trace.client_ip, server_ip=trace.server_ip
+    )
+
+
+@pytest.mark.parametrize("mutate", (_retransmitted_in_place, _reversed))
+def test_traces_the_columns_cannot_prove_fall_back_to_the_re_read(
+    simulated, tmp_path, mutate
+):
+    trace = mutate(simulated.result.trace)
+    path = tmp_path / "mutated.pcap"
+    trace.to_pcap(path)
+    with mock.patch.object(
+        sidecar_module, "capture_client_records", wraps=capture_client_records
+    ) as reread:
+        entry = _entry(path, trace)
+    assert reread.called
+    assert entry == _oracle_entry(path, trace)
+    assert _outcome(extract_client_records, trace, trace.server_ip) == _outcome(
+        _packet_path_records, trace, trace.server_ip
+    )
+
+
+def test_hand_built_entries_in_capture_order_come_from_the_columns(tmp_path):
+    """A retransmitted duplicate and an unlabelled record: the one pass over
+    the writer's columns labels each record from the segment it starts in."""
+    record = bytes((23, 3, 3)) + (40).to_bytes(2, "big") + bytes(40)
+    state = {"kind": "type1", "question_id": "q1"}
+    uplink, downlink = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
+    trace = CapturedTrace(
+        packets=[
+            Packet(1.0, uplink, _FLOW, record[:20], 100, annotations=dict(state)),
+            Packet(1.0, uplink, _FLOW, record[20:], 120, annotations=dict(state)),
+            Packet(1.5, uplink, _FLOW, record[:20], 100, is_retransmission=True),
+            Packet(2.0, downlink, _FLOW, bytes(300), 7),
+            Packet(2.5, uplink, _FLOW, record, 145, annotations={"kind": "chunk"}),
+        ],
+        client_ip=CLIENT_IP,
+        server_ip=SERVER_IP,
+    )
+    path = tmp_path / "hand-built.pcap"
+    trace.to_pcap(path)
+    with mock.patch.object(
+        sidecar_module, "capture_client_records", side_effect=AssertionError
+    ):
+        entry = _entry(path, trace)
+    assert entry is not None and entry[3] == ["type1", "other"]
+    assert entry == _oracle_entry(path, trace)
+
+
 _HAND_BUILT = st.one_of(annotated(packets()), record_aligned_packets())
 
 
@@ -382,8 +453,12 @@ _names = itertools.count()
 
 
 @STANDARD_SETTINGS
-@given(trace=_HAND_BUILT)
-def test_hand_built_sidecar_entries_equal_the_re_read(tmp_path_factory, trace):
+@given(trace=_HAND_BUILT, in_capture_order=st.booleans())
+def test_hand_built_sidecar_entries_equal_the_re_read(
+    tmp_path_factory, trace, in_capture_order
+):
+    if in_capture_order:
+        trace = sorted(trace, key=lambda packet: packet.timestamp)
     captured = CapturedTrace(packets=trace, client_ip=CLIENT_IP, server_ip=SERVER_IP)
     path = tmp_path_factory.getbasetemp() / f"hand-built-{next(_names)}.pcap"
     try:

@@ -225,9 +225,10 @@ def test_uplink_segments_keep_the_first_of_each_sequence_number(workdir):
     frames = tuple((s.micros, *build_frame(s, None, rng)) for s in segments)
     path = _write(Capture(frames, "<", CLIENT_IP, SERVER_IP), workdir)
     columns = decode_tcp_columns(read_pcap_columns(path), CLIENT_IP)
-    timestamps, sequence, _, lengths = columns.uplink_segments(
-        columns.flow_to(canonical_ipv4(SERVER_IP))
-    )
+    rows = columns.uplink_rows(columns.flow_to(canonical_ipv4(SERVER_IP)))
+    timestamps = columns.timestamps[rows]
+    sequence = columns.sequence_numbers[rows]
+    lengths = columns.payload_lengths[rows]
     # (sequence, timestamp) order, first of each sequence number kept.
     assert sequence.tolist() == [100, 104]
     assert lengths.tolist() == [4, len(record) - 4]
