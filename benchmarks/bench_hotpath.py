@@ -1,5 +1,6 @@
 """Hot-path micro-benchmarks: band matching, pcap ingest, capture decode,
-capture encode, session simulation and session write.
+the ingest service's capture step, capture encode, session simulation and
+session write.
 
 Unlike the experiment benchmarks (which reproduce paper artefacts), these
 measure the vectorized kernels against the scalar reference paths they
@@ -11,7 +12,9 @@ per-packet ``serialize_frame`` loop), plus >= 2x on the simulator's
 random bytes (raw PCG64 draws against ``Generator.integers``) and >= 1.5x on
 a session's write (``to_pcap`` and its sidecar entry from the capture's
 columns against encoding packet objects, re-reading the pcap and the
-labelled packet-path extraction).  The
+labelled packet-path extraction) and >= 1.2x on one capture step of the
+ingest service (one read, hashed on a helper thread while it is decoded,
+against hashing the file and then attacking it).  The
 measured ratios and absolute rates land in ``benchmark.extra_info`` so
 ``check_perf_ratchet.py`` can gate regressions against the checked-in
 baselines in ``BENCH_baselines.json``.
@@ -40,8 +43,10 @@ from repro.core.fingerprint import (
     LengthBand,
     RecordLengthFingerprint,
 )
-from repro.core.pipeline import capture_client_records
+from repro.core.pipeline import WhiteMirrorAttack, capture_client_records
 from repro.dataset.sidecar import sidecar_entry_for
+from repro.ingest.log import capture_fingerprint
+from repro.ingest.service import StreamingAttackService
 from repro.net.capture import CapturedTrace
 from repro.net.columnar import TcpSegments, encode_tcp_frames
 from repro.net.pcap import PcapWriter, read_pcap_columns
@@ -60,6 +65,7 @@ MIN_ENCODE_SPEEDUP = 10.0
 RNG_BYTES = 1 << 20
 MIN_RNG_BYTES_SPEEDUP = 2.0
 MIN_WRITE_SPEEDUP = 1.5
+MIN_CAPTURE_STEP_SPEEDUP = 1.2
 REPETITIONS = 5
 
 
@@ -273,6 +279,66 @@ def test_capture_decode_speedup(benchmark, noisy_session, tmp_path):
         f"  speedup:              {metrics['decode_speedup']:.1f}x"
     )
     assert metrics["decode_speedup"] >= MIN_DECODE_SPEEDUP
+
+
+def _capture_step_workload(
+    path: Path, attack: WhiteMirrorAttack, condition_key: str, client_ip: str, server_ip: str
+) -> dict[str, float]:
+    def oracle() -> tuple[str, tuple[bool, ...]]:
+        fingerprint = capture_fingerprint(path)
+        result = attack.attack_pcap(
+            path, condition_key=condition_key, client_ip=client_ip, server_ip=server_ip
+        )
+        return fingerprint, result.recovered_pattern
+
+    # No results log: every step attacks the capture instead of skipping it.
+    service = StreamingAttackService(
+        attack.library,
+        log_path=None,
+        environment=condition_key,
+        client_ip=client_ip,
+        server_ip=server_ip,
+    )
+
+    def step() -> tuple[str, tuple[bool, ...]]:
+        (verdict,) = service.process([path])
+        return verdict.fingerprint, verdict.pattern
+
+    oracle_seconds, expected = _best_of(oracle)
+    step_seconds, observed = _best_of(step)
+    assert observed == expected  # the same fingerprint and verdict
+    return {
+        "capture_step_speedup": oracle_seconds / step_seconds,
+        "capture_step_bytes": path.stat().st_size,
+        "capture_step_oracle_seconds": oracle_seconds,
+        "capture_step_seconds": step_seconds,
+    }
+
+
+def test_capture_step_overlap(benchmark, noisy_session, study_graph, tmp_path):
+    path = tmp_path / "session.pcap"
+    noisy_session.trace.to_pcap(path)
+    attack = WhiteMirrorAttack(graph=study_graph)
+    attack.train([noisy_session])
+    metrics = run_once(
+        benchmark,
+        _capture_step_workload,
+        path,
+        attack,
+        noisy_session.condition.fingerprint_key,
+        noisy_session.trace.client_ip,
+        noisy_session.trace.server_ip,
+    )
+    benchmark.extra_info.update(metrics)
+    print(
+        f"\ncapture step ({metrics['capture_step_bytes'] / 1e6:.1f}MB):\n"
+        f"  capture_fingerprint, then attack_pcap: "
+        f"{metrics['capture_step_oracle_seconds'] * 1e3:.1f}ms\n"
+        f"  process([capture]):                    "
+        f"{metrics['capture_step_seconds'] * 1e3:.1f}ms\n"
+        f"  speedup:                               {metrics['capture_step_speedup']:.2f}x"
+    )
+    assert metrics["capture_step_speedup"] >= MIN_CAPTURE_STEP_SPEEDUP
 
 
 def _encode_workload(trace: CapturedTrace, directory: Path) -> dict[str, float]:

@@ -35,12 +35,12 @@ from repro.core.inference import InferredChoices, infer_choices, reconstruct_pat
 from repro.core.profiling import BehavioralProfile, profile_from_path
 from repro.engine.cache import RecordCache
 from repro.engine.executor import BatchExecutor
-from repro.exceptions import AttackError
+from repro.exceptions import AttackError, PcapError
 from repro.narrative.graph import StoryGraph
 from repro.narrative.path import ViewingPath
 from repro.net.capture import CapturedTrace
 from repro.net.columnar import decode_tcp_columns
-from repro.net.pcap import read_pcap_columns
+from repro.net.pcap import BufferFingerprint, PcapReader, file_fingerprint, map_capture
 from repro.streaming.session import SessionResult
 
 
@@ -54,6 +54,9 @@ class AttackResult:
     inferred: InferredChoices
     reconstructed_path: ViewingPath | None
     profile: BehavioralProfile | None
+    #: SHA-256 hex digest of the capture file the records came from, when
+    #: :meth:`WhiteMirrorAttack.attack_pcap` was asked for it.
+    fingerprint: str | None = None
 
     @property
     def recovered_pattern(self) -> tuple[bool, ...]:
@@ -91,19 +94,23 @@ def load_attack_trace(
 
 
 def capture_client_records(
-    path: str | Path, client_ip: str, server_ip: str | None = None
+    path: str | Path,
+    client_ip: str,
+    server_ip: str | None = None,
+    data: memoryview | None = None,
 ) -> tuple[ClientRecord, ...]:
     """The application-data records of a capture file's streaming flow.
 
     Decodes the capture as header columns (:mod:`repro.net.columnar`) and
-    extracts the records from them (:func:`columnar_client_records`).  When
+    extracts the records from them (:func:`columnar_client_records`);
+    ``data`` is the file's bytes if the caller already mapped them.  When
     the columns cannot prove the answer — a frame ``parse_frame`` would
     reject, a non-canonical address, no flow or no records — the whole
     capture goes through the oracle instead, :func:`load_attack_trace` plus
     :func:`extract_client_records`, which also raises its own errors.  The
     records are the oracle's either way.
     """
-    columns = decode_tcp_columns(read_pcap_columns(path), client_ip)
+    columns = decode_tcp_columns(PcapReader(path).read_columns(data), client_ip)
     records = (
         columnar_client_records(columns, server_ip) if columns is not None else None
     )
@@ -165,6 +172,7 @@ def _attack_pcap_task(attack: "WhiteMirrorAttack", task: PcapAttackTask) -> Atta
         condition_key=task.condition_key,
         client_ip=task.client_ip,
         server_ip=task.server_ip,
+        fingerprint=True,
     )
 
 
@@ -399,6 +407,7 @@ class WhiteMirrorAttack:
         condition_key: str,
         client_ip: str,
         server_ip: str | None = None,
+        fingerprint: bool = False,
     ) -> AttackResult:
         """Run the full attack on one capture file.
 
@@ -412,15 +421,36 @@ class WhiteMirrorAttack:
         the ``parse_frame`` oracle for anything it cannot prove.  Both
         paths feed :meth:`_attack_records`, so the verdict is byte-identical
         whichever served the records.
+
+        ``fingerprint=True`` also fills :attr:`AttackResult.fingerprint`
+        with the SHA-256 of the capture.  On the decode path the file is
+        mapped once: a :class:`~repro.net.pcap.BufferFingerprint` hashes the
+        mapping on a helper thread while this thread decodes and classifies
+        the same bytes, and is joined before the method returns or raises.
+        A sidecar-served capture is not decoded, so it is hashed with
+        bounded block reads instead of being mapped for the hash alone.
         """
         records = _sidecar_capture_records(
             path, client_ip=client_ip, server_ip=server_ip
         )
-        if records is None:
+        if records is not None:
+            result = self._attack_records(records, condition_key)
+            if not fingerprint:
+                return result
+            try:
+                return replace(result, fingerprint=file_fingerprint(path))
+            except OSError as error:
+                raise PcapError(f"cannot read pcap file {path}: {error}") from error
+        data = map_capture(path)
+        hasher = BufferFingerprint(data) if fingerprint else None
+        try:
             records = capture_client_records(
-                path, client_ip=client_ip, server_ip=server_ip
+                path, client_ip=client_ip, server_ip=server_ip, data=data
             )
-        return self._attack_records(records, condition_key)
+            result = self._attack_records(records, condition_key)
+        finally:
+            digest = hasher.result() if hasher is not None else None
+        return result if digest is None else replace(result, fingerprint=digest)
 
     def iter_attack_pcaps(
         self,
@@ -428,7 +458,9 @@ class WhiteMirrorAttack:
         workers: int | None = None,
         progress: Callable[[int, int | None], None] | None = None,
     ) -> Iterator[AttackResult]:
-        """Attack a batch of capture files, yielding results in task order.
+        """Attack a batch of capture files, yielding results in task order,
+        each with the fingerprint of the bytes its worker read
+        (:meth:`attack_pcap` with ``fingerprint=True``).
 
         Fans record extraction + classification out through the engine's
         streaming :meth:`repro.engine.BatchExecutor.imap` path: with
@@ -438,8 +470,8 @@ class WhiteMirrorAttack:
         parallel iteration yield identical results.
 
         ``tasks`` may be any iterable: the live ingest service feeds a lazy
-        generator whose production (hashing, metadata resolution) pipelines
-        with the attacking of earlier captures, and ``imap`` never
+        generator whose production (metadata resolution) pipelines with
+        the attacking of earlier captures, and ``imap`` never
         materialises it.  An empty *sequence* is rejected loudly (a batch
         caller that found no captures made an error upstream); an empty lazy
         iterable simply yields nothing — "no new arrivals" is a normal state

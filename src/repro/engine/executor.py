@@ -149,7 +149,7 @@ class BatchExecutor:
         ``items`` may be any iterable, including an unbounded generator (the
         live capture-ingest path feeds one): the input is consumed lazily —
         never materialised — pulling just far enough ahead to keep the
-        in-flight window full, so producing an item (hashing a capture,
+        in-flight window full, so producing an item (resolving a capture,
         building a task) pipelines with executing earlier ones.
 
         Failures follow the :meth:`execute` model — the first failed item

@@ -23,7 +23,6 @@ on exactly one verdict per capture: no duplicates, no gaps.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import IngestError
+from repro.net.pcap import file_fingerprint
 
 #: Format version stamped into every log line.
 RESULTS_LOG_VERSION = 1
@@ -42,15 +42,17 @@ def capture_fingerprint(path: str | Path) -> str:
     The identity the results log dedupes on: a restart must skip captures it
     already attacked even if they were re-dropped under a new name, and must
     *not* skip a new capture that reuses an old name.
+
+    This reads the file in bounded blocks (:func:`repro.net.pcap.file_fingerprint`).
+    A capture the service decodes is not read a second time for its
+    fingerprint: the attack hashes the same mapping it decodes
+    (``WhiteMirrorAttack.attack_pcap(..., fingerprint=True)``), with the
+    same digest.
     """
-    digest = hashlib.sha256()
     try:
-        with open(path, "rb") as handle:
-            for block in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(block)
+        return file_fingerprint(path)
     except OSError as error:
         raise IngestError(f"cannot fingerprint capture {path}: {error}") from error
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,20 @@
 :class:`StreamingAttackService` is the one attack step behind the online
 (``repro watch``, driven by the watch loop in :mod:`repro.ingest.fleet`)
 and offline (``repro attack`` over a directory) paths.  Both hand
-:meth:`~StreamingAttackService.process` capture files; it fingerprints each
-one, skips what the results log already knows, resolves the rest into
-:class:`~repro.core.pipeline.PcapAttackTask`\\ s, streams them through
-:meth:`WhiteMirrorAttack.iter_attack_pcaps` (the engine's bounded-window
-``imap``, so ``--workers N`` parses and attacks captures in parallel while
-results come back in order), and appends one durable verdict line per
-capture to the :class:`~repro.ingest.log.ResultsLog`.
+:meth:`~StreamingAttackService.process` capture files; it resolves each one
+into a :class:`~repro.core.pipeline.PcapAttackTask`, streams the tasks
+through :meth:`WhiteMirrorAttack.iter_attack_pcaps` (the engine's
+bounded-window ``imap``, so ``--workers N`` parses and attacks captures in
+parallel while results come back in order), and appends one durable verdict
+line per capture to the :class:`~repro.ingest.log.ResultsLog`.
+
+Each capture is read once.  The attack maps the file and hashes that
+mapping on a helper thread while it decodes the same bytes, so the content
+fingerprint a verdict is logged under costs no wall time on a second core
+and comes from the bytes the verdict was derived from.  What the results
+log already knows is therefore skipped when the verdict is *recorded*, in
+capture order, not before the attack: a duplicate capture is decoded
+before it is skipped.
 
 Because the two paths share this one code path and the log is deterministic,
 ``repro watch --once`` over a drop directory and ``repro attack
@@ -36,8 +43,9 @@ attached sinks.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline import AttackResult, PcapAttackTask, WhiteMirrorAttack
@@ -59,6 +67,16 @@ SKIP_UNREADABLE = "capture unreadable (deleted or rotated away mid-scan?)"
 VerdictCallback = Callable[[CaptureVerdict, AttackResult], None]
 SkipCallback = Callable[[Path, str], None]
 ErrorCallback = Callable[[ReproError], None]
+
+
+class _Slot(NamedTuple):
+    """One capture of a batch, in input order: the task to attack it with,
+    or why it cannot be attacked."""
+
+    path: Path
+    task: PcapAttackTask | None = None
+    truth: tuple[bool, ...] | None = None
+    skip: str | None = None
 
 
 class StreamingAttackService:
@@ -171,21 +189,27 @@ class StreamingAttackService:
     ) -> list[CaptureVerdict]:
         """Attack a batch of captures; returns the fresh verdicts in order.
 
-        Captures are fingerprinted (and resume skips settled) up front —
-        hashing is cheap and the fresh count decides serial vs pool — while
-        metadata resolution and task building stream lazily against the
+        Metadata resolution and task building stream lazily against the
         attacking of earlier captures (the engine's bounded-window
-        streaming).  Each verdict is appended to the results log *before*
-        the next one is reported — a crash mid-batch loses at most the
-        capture whose line was being written.
+        streaming).  The attack reads each capture once and returns the
+        SHA-256 of the bytes it read along with the result, so the resume
+        check runs when the verdict is recorded: results arrive in capture
+        order on the serial and the pool path alike, so a duplicate in the
+        batch is skipped behind its original either way and serial and
+        ``workers=N`` logs stay byte-identical.  Each verdict is appended to
+        the results log *before* the next one is reported — a crash
+        mid-batch loses at most the capture whose line was being written.
+        Skips and verdicts are reported in capture order.
 
         Skips (already-attacked content, unknown environment, an
         environment the library has no fingerprint for, a capture deleted
         between scan and read) are reported through ``on_skip`` and never
-        logged, so they are re-examined — cheaply — on the next batch or
-        restart.  Content dedup applies only when a results log is
-        configured: without one there is no resume state to protect, and a
-        batch caller expects every named capture attacked.
+        logged, so they are re-examined on the next batch or restart.  An
+        unreadable capture is reported as such first; then "already
+        attacked" wins over every other reason, an attack error included.
+        Content dedup applies only when a results log is configured: without
+        one there is no resume state to protect, and a batch caller expects
+        every named capture attacked.
 
         ``source`` stamps per-source attribution into every verdict (fleet
         mode) and scopes the content dedup to that source; ``None`` keeps
@@ -196,97 +220,116 @@ class StreamingAttackService:
         there instead and the rest of the batch is still attacked; the
         failed capture is not logged, so a restart re-examines it.
         """
-        # Hashing is cheap against attacking, so the resume skips are settled
-        # up front: a follow-mode poll that re-reports N attacked captures
-        # plus one new arrival must route the single fresh capture through
-        # the serial path, not spawn a pool for it.
-        candidates: list[tuple[Path, str]] = []
-        for raw_path in paths:
-            path = Path(raw_path)
-            try:
-                fingerprint = capture_fingerprint(path)
-            except IngestError:
-                # The follow-mode service must outlive a capture that a
-                # foreign writer rotated away between scan and read.
-                if on_skip is not None:
-                    on_skip(path, SKIP_UNREADABLE)
-                continue
-            if self._log is not None and (source, fingerprint) in self._attacked:
-                if on_skip is not None:
-                    on_skip(path, SKIP_ALREADY_ATTACKED)
-                continue
-            candidates.append((path, fingerprint))
-        workers = self._workers if len(candidates) > 1 else None
-        pending: list[tuple[Path, str, PcapAttackTask, tuple[bool, ...] | None]] = []
-        # Dedup within the batch at *generation* time: deciding against the
-        # result-time ``self._attacked`` set would race the parallel pull-
-        # ahead window (a duplicate's task can be submitted before the
-        # original's verdict lands), making serial and parallel logs differ.
-        batch_fingerprints: set[str] = set()
+        paths = [Path(raw_path) for raw_path in paths]
+        # How many captures are fresh is only known as verdicts are recorded,
+        # so the batch size picks the path: one capture never spawns a pool.
+        workers = self._workers if len(paths) > 1 else None
+        slots: deque[_Slot] = deque()
+
+        def skip(path: Path, reason: str) -> None:
+            if on_skip is not None:
+                on_skip(path, reason)
 
         def tasks() -> Iterator[PcapAttackTask]:
-            for path, fingerprint in candidates:
-                if self._log is not None and fingerprint in batch_fingerprints:
-                    if on_skip is not None:
-                        on_skip(path, SKIP_ALREADY_ATTACKED)
-                    continue
-                entry = self._entries_for(path.parent).get(path.name)
-                try:
-                    task = build_pcap_task(
-                        path,
-                        entry,
-                        environment=self._environment,
-                        client_ip=self._client_ip,
-                        server_ip=self._server_ip,
-                    )
-                    truth = entry_truth(entry)
-                except IngestError as error:
-                    # Undeterminable environment or a malformed metadata
-                    # entry: skip loudly; a long-running watch must outlive
-                    # foreign metadata just like foreign captures.
-                    if on_skip is not None:
-                        on_skip(path, str(error))
-                    continue
-                if task.condition_key not in self.library:
-                    if on_skip is not None:
-                        on_skip(
-                            path,
-                            f"environment {task.condition_key} not in the "
-                            "fingerprint library",
-                        )
-                    continue
-                batch_fingerprints.add(fingerprint)
-                pending.append((path, fingerprint, task, truth))
-                yield task
+            for path in paths:
+                slot = self._slot(path)
+                slots.append(slot)
+                if slot.task is not None:
+                    yield slot.task
+
+        def settle_skips() -> None:
+            # The captures ahead of the next result that were never attacked.
+            while slots and slots[0].task is None:
+                path, _, _, reason = slots.popleft()
+                skip(path, self._passed_over(path, source) or reason)
 
         fresh: list[CaptureVerdict] = []
         queued: Iterator[PcapAttackTask] = tasks()
         while True:
             try:
                 for result in self._attack.iter_attack_pcaps(queued, workers=workers):
-                    self._record(pending.pop(0), result, source, fresh, on_verdict)
+                    settle_skips()
+                    slot = slots.popleft()
+                    if self._already_attacked(source, result.fingerprint):
+                        skip(slot.path, SKIP_ALREADY_ATTACKED)
+                    else:
+                        self._record(slot, result, source, fresh, on_verdict)
+                settle_skips()
                 return fresh
             except EngineError as error:
-                if on_error is None:
+                # imap preserves input order and fails at the first failed
+                # slot, so the front task slot is the capture that failed.
+                settle_skips()
+                path = slots.popleft().path
+                reason = self._passed_over(path, source)
+                if reason is not None:
+                    skip(path, reason)
+                elif on_error is None:
                     raise
-                on_error(error)
-            # imap preserves input order and fails at the first failed slot,
-            # so the front of ``pending`` is the capture that failed; the
-            # rest of ``pending`` was in flight and is resubmitted ahead of
+                else:
+                    on_error(error)
+            # The rest of ``slots`` was in flight and is resubmitted ahead of
             # the captures not yet produced.
-            pending.pop(0)
-            queued = itertools.chain([entry[2] for entry in pending], queued)
+            queued = itertools.chain(
+                [slot.task for slot in slots if slot.task is not None], queued
+            )
+
+    def _slot(self, path: Path) -> _Slot:
+        """Resolve one capture's task from its metadata and the overrides."""
+        entry = self._entries_for(path.parent).get(path.name)
+        try:
+            task = build_pcap_task(
+                path,
+                entry,
+                environment=self._environment,
+                client_ip=self._client_ip,
+                server_ip=self._server_ip,
+            )
+            truth = entry_truth(entry)
+        except IngestError as error:
+            # Undeterminable environment or a malformed metadata entry: skip
+            # loudly; a long-running watch must outlive foreign metadata
+            # just like foreign captures.
+            return _Slot(path, skip=str(error))
+        if task.condition_key not in self.library:
+            return _Slot(
+                path,
+                skip=f"environment {task.condition_key} not in the fingerprint library",
+            )
+        return _Slot(path, task, truth)
+
+    def _already_attacked(self, source: str | None, fingerprint: str) -> bool:
+        return self._log is not None and (source, fingerprint) in self._attacked
+
+    def _passed_over(self, path: Path, source: str | None) -> str | None:
+        """Why a capture the attack did not turn into a verdict is skipped
+        rather than reported by its own reason: it is unreadable, or the
+        results log already holds its content.  ``None`` otherwise.
+
+        Only captures without a result are hashed here, with bounded block
+        reads; a result carries the fingerprint of the bytes it was read from.
+        """
+        try:
+            fingerprint = capture_fingerprint(path)
+        except IngestError:
+            # The follow-mode service must outlive a capture that a foreign
+            # writer rotated away between scan and read.
+            return SKIP_UNREADABLE
+        if self._already_attacked(source, fingerprint):
+            return SKIP_ALREADY_ATTACKED
+        return None
 
     def _record(
         self,
-        entry: tuple[Path, str, PcapAttackTask, tuple[bool, ...] | None],
+        slot: _Slot,
         result: AttackResult,
         source: str | None,
         fresh: list[CaptureVerdict],
         on_verdict: VerdictCallback | None,
     ) -> None:
         """Log, remember and report one capture's verdict."""
-        path, fingerprint, task, truth = entry
+        path, task, truth, _ = slot
+        fingerprint = result.fingerprint
         verdict = CaptureVerdict(
             capture=path.name,
             fingerprint=fingerprint,

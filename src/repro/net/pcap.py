@@ -28,6 +28,13 @@ capture costs one sequential scan instead of a per-packet
   :class:`PcapColumns` holding timestamp/length arrays plus frame views,
   ready for the batch kernels in :mod:`repro.core.kernel`.
 
+A caller that needs the file's bytes for more than the decode maps it
+itself (:func:`map_capture`) and hands the mapping to ``read_columns``, so
+one mapping serves both.  The attack does this to fingerprint a capture
+while decoding it: :class:`BufferFingerprint` hashes the mapping on a
+helper thread, and :func:`file_fingerprint` is the same SHA-256 digest from
+bounded block reads, for captures that are not decoded.
+
 The mapping stays alive for as long as any view into it does (the columns,
 a yielded frame, …) and is released by reference counting — no explicit
 close, no dangling buffers.  Callers that need frames to outlive every view
@@ -36,9 +43,11 @@ use :func:`read_pcap`, which returns owned ``bytes`` copies.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import mmap
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -210,7 +219,7 @@ class PcapReader:
     def __iter__(self) -> Iterator[PcapPacket]:
         return self.read()
 
-    def read_columns(self) -> PcapColumns:
+    def read_columns(self, data: memoryview | None = None) -> PcapColumns:
         """Decode every packet header into columnar arrays in one pass.
 
         The sequential part of the scan is minimal by construction: packet
@@ -218,19 +227,13 @@ class PcapReader:
         record to record reading only that field (validating truncation on
         the way); the remaining header fields then decode in a single
         vectorized gather over all records at once.
+
+        ``data`` is the file's bytes as the caller already mapped them
+        (:func:`map_capture`); without it the file is mapped here.  Either
+        way the result and every error are the same.
         """
-        try:
-            with open(self._path, "rb") as handle:
-                try:
-                    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                except ValueError:
-                    # An empty file cannot be mapped — and is not a pcap.
-                    raise PcapError(
-                        f"{self._path} is too short to be a pcap file"
-                    ) from None
-        except OSError as error:
-            raise PcapError(f"cannot read pcap file {self._path}: {error}") from error
-        data = memoryview(mapped)
+        if data is None:
+            data = map_capture(self._path)
         size = len(data)
         if size < _GLOBAL_HEADER.size:
             raise PcapError(f"{self._path} is too short to be a pcap file")
@@ -288,6 +291,63 @@ class PcapReader:
         the last view is dropped.
         """
         yield from self.read_columns().iter_packets()
+
+
+def map_capture(path: str | Path) -> memoryview:
+    """The whole file as a read-only memory mapping (an empty file maps to
+    an empty view, which no pcap decode accepts)."""
+    try:
+        with open(path, "rb") as handle:
+            try:
+                return memoryview(
+                    mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                )
+            except ValueError:
+                # mmap refuses empty files.
+                return memoryview(b"")
+    except OSError as error:
+        raise PcapError(f"cannot read pcap file {path}: {error}") from error
+
+
+def file_fingerprint(path: str | Path) -> str:
+    """SHA-256 hex digest of a file, read in bounded 1 MiB blocks.
+
+    Raises ``OSError`` when the file cannot be read.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+class BufferFingerprint:
+    """SHA-256 hex digest of a buffer, computed on a helper thread.
+
+    ``hashlib`` releases the GIL for the length of one ``update`` over a
+    large buffer, so the digest runs on a second core while the starting
+    thread decodes the same bytes.  The thread starts on construction;
+    :meth:`result` joins it.  Call ``result`` before the buffer is released
+    (a ``finally`` does), so no thread outlives the step that started it.
+    The digest equals :func:`file_fingerprint` of the file the buffer maps.
+    """
+
+    def __init__(self, data: memoryview) -> None:
+        self._digest: str | None = None
+        self._thread = threading.Thread(
+            target=self._hash, args=(data,), name="capture-fingerprint"
+        )
+        self._thread.start()
+
+    def _hash(self, data: memoryview) -> None:
+        self._digest = hashlib.sha256(data).hexdigest()
+
+    def result(self) -> str:
+        """Wait for the digest and return it."""
+        self._thread.join()
+        if self._digest is None:
+            raise PcapError("the capture fingerprint thread failed")
+        return self._digest
 
 
 def write_pcap(path: str | Path, packets: Iterator[tuple[float, bytes]] | list[tuple[float, bytes]]) -> int:

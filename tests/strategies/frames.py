@@ -66,15 +66,19 @@ class Capture:
     client_ip: str
     server_ip: str | None
 
-    def write(self, path: Path) -> Path:
-        """Write the capture as a classic pcap in its byte order."""
+    def pcap_bytes(self) -> bytes:
+        """The capture as a classic pcap in its byte order."""
         order = self.byteorder
         chunks = [struct.pack(f"{order}IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65_535, 1)]
         for micros, frame, original in self.frames:
             seconds, fraction = divmod(micros, 1_000_000)
             chunks.append(struct.pack(f"{order}IIII", seconds, fraction, len(frame), original))
             chunks.append(frame)
-        path.write_bytes(b"".join(chunks))
+        return b"".join(chunks)
+
+    def write(self, path: Path) -> Path:
+        """Write :meth:`pcap_bytes` to ``path``."""
+        path.write_bytes(self.pcap_bytes())
         return path
 
 

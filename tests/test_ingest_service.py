@@ -13,12 +13,14 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli.main import main
+from repro.exceptions import ReproError
 from repro.core.pipeline import WhiteMirrorAttack
 from repro.dataset.collection import default_study_script
 from repro.dataset.shards import iter_shard_training_sessions
@@ -566,9 +568,9 @@ class TestForeignMetadataAndFlagMisuse:
     ):
         from repro.core.fingerprint import FingerprintLibrary
 
-        # The dedup decision must be taken at task-generation time: deciding
-        # against the result-time attacked set would race the parallel
-        # pull-ahead window and double-log duplicate-content captures.
+        # The dedup decision is taken when each verdict is recorded, in
+        # capture order: the parallel pull-ahead window attacks both copies,
+        # and the copy recorded second must still be skipped.
         library = FingerprintLibrary.load(library_path)
         logs = {}
         for label, workers in (("serial", None), ("parallel", 2)):
@@ -594,3 +596,138 @@ class TestForeignMetadataAndFlagMisuse:
             for line in logs["serial"].decode().splitlines()
         ]
         assert len(fingerprints) == len(set(fingerprints))
+
+
+class TestDedupeWhenRecorded:
+    """The resume check runs when a verdict is recorded, against the
+    fingerprint of the bytes the attack read: "already attacked" wins over
+    every other reason to pass a capture over, callbacks arrive in capture
+    order, and the serial and pool paths agree byte for byte."""
+
+    @staticmethod
+    def _service(library_path, log, workers=None, **overrides):
+        from repro.core.fingerprint import FingerprintLibrary
+
+        return StreamingAttackService(
+            library=FingerprintLibrary.load(library_path),
+            log_path=log,
+            workers=workers,
+            **overrides,
+        )
+
+    @staticmethod
+    def _events(service, paths):
+        events = []
+        service.process(
+            paths,
+            on_verdict=lambda verdict, result: events.append(("verdict", verdict.capture)),
+            on_skip=lambda path, reason: events.append(("skip", path.name, reason)),
+        )
+        return events
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_restart_appends_nothing_and_skips_each_capture_once(
+        self, dataset_dir, library_path, tmp_path, workers
+    ):
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        log = tmp_path / "log.jsonl"
+        self._service(library_path, log).process(captures)
+        reference = log.read_bytes()
+        events = self._events(self._service(library_path, log, workers), captures)
+        assert log.read_bytes() == reference
+        assert events == [
+            ("skip", path.name, "already attacked (content fingerprint in the results log)")
+            for path in captures
+        ]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_already_attacked_wins_over_an_environment_error(
+        self, dataset_dir, library_path, tmp_path, workers
+    ):
+        # Bare pcaps: only the --environment override resolves them.
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        captures = [
+            Path(shutil.copy(pcap, drop / pcap.name))
+            for pcap in sorted((dataset_dir / "traces").glob("*.pcap"))
+        ]
+        log = tmp_path / "log.jsonl"
+        self._service(library_path, log, environment="linux/firefox").process(captures)
+        reference = log.read_bytes()
+        events = self._events(self._service(library_path, log, workers), captures)
+        assert log.read_bytes() == reference
+        assert [event[2] for event in events] == [
+            "already attacked (content fingerprint in the results log)"
+        ] * len(captures)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_already_attacked_wins_over_an_attack_error(
+        self, dataset_dir, library_path, tmp_path, workers
+    ):
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        log = tmp_path / "log.jsonl"
+        self._service(library_path, log).process(captures)
+        reference = log.read_bytes()
+        # No flow of these captures has this client, so every decode fails;
+        # a logged capture is skipped, not raised.
+        service = self._service(library_path, log, workers, client_ip="10.0.0.1")
+        events = self._events(service, captures)
+        assert log.read_bytes() == reference
+        assert [event[:2] for event in events] == [
+            ("skip", path.name) for path in captures
+        ]
+        # The same decode error still surfaces where the log lacks the content.
+        service = self._service(
+            library_path, tmp_path / "other.jsonl", workers, client_ip="10.0.0.1"
+        )
+        with pytest.raises(ReproError, match="no client-side TLS records"):
+            service.process(captures)
+
+    def test_mixed_batch_reports_in_capture_order_serial_and_parallel(
+        self, dataset_dir, library_path, tmp_path
+    ):
+        results = {}
+        for label, workers in (("serial", None), ("parallel", 2)):
+            drop = tmp_path / f"drop-{label}"
+            first, second, third = _make_drop_directory(dataset_dir, drop)
+            # Neither extra file has a metadata entry: the copy's content is
+            # attacked earlier in the batch, the foreign file's never was.
+            copy = Path(shutil.copy(second, drop / "copy-of-second.pcap"))
+            foreign = drop / "foreign.pcap"
+            foreign.write_bytes(b"not a pcap at all")
+            log = tmp_path / f"{label}.jsonl"
+            self._service(library_path, log).process([first])
+            events = self._events(
+                self._service(library_path, log, workers),
+                [first, second, copy, third, foreign],
+            )
+            assert [event[:2] for event in events] == [
+                ("skip", first.name),
+                ("verdict", second.name),
+                ("skip", copy.name),
+                ("verdict", third.name),
+                ("skip", foreign.name),
+            ]
+            assert "already attacked" in events[0][2]
+            assert "already attacked" in events[2][2]
+            assert "environment" in events[4][2]
+            # Reasons name the capture's path; only its directory differs.
+            events = [
+                tuple(part.replace(str(drop), "DROP") for part in event)
+                for event in events
+            ]
+            results[label] = (events, log.read_bytes())
+        assert results["serial"] == results["parallel"]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_process_leaves_no_thread_behind(
+        self, dataset_dir, library_path, tmp_path, workers
+    ):
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        service = self._service(library_path, tmp_path / "log.jsonl", workers)
+        threads = threading.active_count()
+        assert len(service.process(captures)) == len(captures)
+        assert threading.active_count() == threads
