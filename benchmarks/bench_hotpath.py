@@ -1,6 +1,6 @@
 """Hot-path micro-benchmarks: band matching, pcap ingest, capture decode,
-the ingest service's capture step, capture encode, session simulation and
-session write.
+the ingest service's capture step, capture encode, session simulation,
+session write and start-up (a fresh ``import repro.jobs``).
 
 Unlike the experiment benchmarks (which reproduce paper artefacts), these
 measure the vectorized kernels against the scalar reference paths they
@@ -14,7 +14,9 @@ a session's write (``to_pcap`` and its sidecar entry from the capture's
 columns against encoding packet objects, re-reading the pcap and the
 labelled packet-path extraction) and >= 1.2x on one capture step of the
 ingest service (one read, hashed on a helper thread while it is decoded,
-against hashing the file and then attacking it).  The
+against hashing the file and then attacking it).  Start-up is gated on how
+many modules the import adds, a deterministic count, with a loose backstop
+on its time.  The
 measured ratios and absolute rates land in ``benchmark.extra_info`` so
 ``check_perf_ratchet.py`` can gate regressions against the checked-in
 baselines in ``BENCH_baselines.json``.
@@ -22,8 +24,13 @@ baselines in ``BENCH_baselines.json``.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import statistics
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -67,6 +74,8 @@ MIN_RNG_BYTES_SPEEDUP = 2.0
 MIN_WRITE_SPEEDUP = 1.5
 MIN_CAPTURE_STEP_SPEEDUP = 1.2
 REPETITIONS = 5
+START_UP_INTERPRETERS = 5
+MAX_IMPORT_MODULES = 300
 
 
 def _best_of(function, *args) -> tuple[float, object]:
@@ -482,3 +491,47 @@ def test_session_write_rate(benchmark, study_graph, tmp_path):
         f"  speedup:                              {metrics['write_speedup']:.1f}x"
     )
     assert metrics["write_speedup"] >= MIN_WRITE_SPEEDUP
+
+
+_START_UP_PROBE = """
+import json, sys, time
+before = set(sys.modules)
+start = time.perf_counter()
+import repro.jobs
+print(json.dumps([len(set(sys.modules) - before), time.perf_counter() - start]))
+"""
+
+
+def _start_up_workload() -> dict[str, float]:
+    source = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(source))
+    readings = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _START_UP_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        for _ in range(START_UP_INTERPRETERS)
+    ]
+    counts = {count for count, _ in readings}
+    assert len(counts) == 1, f"the module count moved between interpreters: {counts}"
+    return {
+        "import_modules": counts.pop(),
+        "import_ms": statistics.median(seconds for _, seconds in readings) * 1e3,
+    }
+
+
+def test_start_up(benchmark):
+    metrics = run_once(benchmark, _start_up_workload)
+    benchmark.extra_info.update(metrics)
+    print(
+        f"\nstart-up, fresh import repro.jobs "
+        f"(median of {START_UP_INTERPRETERS} interpreters):\n"
+        f"  modules added: {int(metrics['import_modules'])}\n"
+        f"  import:        {metrics['import_ms']:.0f}ms"
+    )
+    assert metrics["import_modules"] <= MAX_IMPORT_MODULES

@@ -52,6 +52,13 @@ content-fingerprinted artifacts.  Spec dicts carry ``"schema"``
 (:data:`repro.jobs.EVENT_SCHEMA_VERSION`), and coordinator traffic
 carries ``"wire"`` (:data:`repro.coordinator.WIRE_VERSION`); consumers
 must refuse versions they do not speak, as every repro component does.
+
+Importing :mod:`repro` (or :mod:`repro.jobs`, :mod:`repro.ingest.fleet`,
+:mod:`repro.cli.main`) loads only numpy and the standard library.  What
+only some runs need loads when they need it: the HTTP server with
+``serve`` or ``--metrics-port``, the process pool with ``--workers``, the
+experiments package with ``reproduce``.  ``tests/test_dependencies.py``
+holds this line.
 """
 
 from __future__ import annotations

@@ -159,6 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
             "  missing or stale sidecar (pcap resized or newer than it) "
             "falls back\n"
             "  to decoding transparently.\n"
+            "  start-up: importing repro loads only numpy and the standard "
+            "library;\n"
+            "  the HTTP server, the process pool and the experiments "
+            "package load\n"
+            "  only when a command uses them.\n"
             "  pcap reading and record classification are vectorized; CI's\n"
             "  perf-ratchet job replays benchmarks/bench_hotpath.py,\n"
             "  benchmarks/bench_ingest_latency.py and "

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from typing import Callable, Iterable, Iterator, Sequence, Sized, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Sized, TypeVar
 
 from repro.engine.plan import SessionPlan
 from repro.exceptions import EngineError
 from repro.streaming.session import SessionResult
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -196,6 +198,10 @@ class BatchExecutor:
         progress: ProgressCallback | None,
         label: Callable[[T], str] | None,
     ) -> list[R]:
+        # The pool machinery loads only when a pool is built: serial runs,
+        # and every import of the library, never pay for it.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         results: list[R | None] = [None] * len(items)
         with ProcessPoolExecutor(max_workers=min(self._workers, len(items))) as pool:
             futures: dict[Future, int] = {
@@ -261,6 +267,8 @@ class BatchExecutor:
             first_item = next(source)
         except StopIteration:
             return  # no pool spawned for an empty lazy source
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = self._workers if total is None else min(self._workers, total)
         pool = ProcessPoolExecutor(max_workers=workers)
         # Futures ride with their item and input index so a failure can be

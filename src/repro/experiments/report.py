@@ -2,7 +2,9 @@
 
 The benchmarks and the ``examples/`` scripts print their tables through these
 helpers so that the output of ``pytest benchmarks/`` and of the examples
-matches what EXPERIMENTS.md records.
+matches what EXPERIMENTS.md records.  :func:`format_table` lives in
+:mod:`repro.utils.tables` (so the console renderer need not import this
+package) and is re-exported here.
 """
 
 from __future__ import annotations
@@ -10,33 +12,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.exceptions import ReproError
+from repro.utils.tables import format_table
 
-
-def format_table(rows: Sequence[Mapping[str, object]], title: str | None = None) -> str:
-    """Render a list of row dictionaries as an aligned text table."""
-    if not rows:
-        raise ReproError("cannot format an empty table")
-    columns = list(rows[0].keys())
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    widths = {
-        column: max(len(str(column)), *(len(str(row.get(column, ""))) for row in rows))
-        for column in columns
-    }
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    header = " | ".join(str(column).ljust(widths[column]) for column in columns)
-    lines.append(header)
-    lines.append("-+-".join("-" * widths[column] for column in columns))
-    for row in rows:
-        lines.append(
-            " | ".join(str(row.get(column, "")).ljust(widths[column]) for column in columns)
-        )
-    return "\n".join(lines)
+__all__ = ["format_table", "render_experiment_report"]
 
 
 def render_experiment_report(

@@ -21,9 +21,9 @@ import sys
 from typing import Callable, Mapping, TextIO
 
 from repro.exceptions import JobError
-from repro.experiments.report import format_table
 from repro.jobs import events as ev
 from repro.jobs.events import JobEvent
+from repro.utils.tables import format_table
 
 #: Kinds that only machine consumers see; the console stays quiet.
 MACHINE_ONLY_KINDS = frozenset({ev.RESULT, ev.CAPTURE_QUEUED})

@@ -85,7 +85,6 @@ from repro.jobs.specs import (
 from repro.net.capture import CapturedTrace
 from repro.net.packet import Direction
 from repro.streaming.session import SessionConfig
-from repro.utils.jsonhttp import JsonHttpServer
 from repro.utils.stats import summarize
 
 
@@ -832,6 +831,8 @@ class JobRunner:
         )
         server = None
         if spec.metrics_port is not None:
+            from repro.utils.jsonhttp import JsonHttpServer
+
             metrics = IngestMetrics(fleet.queue)
             server = JsonHttpServer(
                 metrics.route, port=spec.metrics_port, name="repro-ingest-metrics"

@@ -6,8 +6,6 @@ import hashlib
 import json
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.exceptions import NarrativeError
 from repro.narrative.choices import Choice, ChoicePoint
 from repro.narrative.segment import Segment
@@ -33,7 +31,6 @@ class StoryGraph:
             raise NarrativeError("root segment id must be non-empty")
         self._title = title
         self._root_segment_id = root_segment_id
-        self._graph = nx.DiGraph()
         self._segments: dict[str, Segment] = {}
         self._choice_points: dict[str, ChoicePoint] = {}
         self._choice_point_by_source: dict[str, str] = {}
@@ -45,7 +42,6 @@ class StoryGraph:
         if segment.segment_id in self._segments:
             raise NarrativeError(f"duplicate segment id {segment.segment_id!r}")
         self._segments[segment.segment_id] = segment
-        self._graph.add_node(segment.segment_id)
 
     def add_segments(self, segments: Iterable[Segment]) -> None:
         """Register several segments."""
@@ -80,14 +76,6 @@ class StoryGraph:
                 )
         self._choice_points[choice_point.question_id] = choice_point
         self._choice_point_by_source[source] = choice_point.question_id
-        for option in choice_point.options:
-            self._graph.add_edge(
-                source,
-                option.target_segment_id,
-                question_id=choice_point.question_id,
-                label=option.label,
-                is_default=option.is_default,
-            )
 
     # -- lookups -----------------------------------------------------------
 
@@ -134,9 +122,20 @@ class StoryGraph:
         return self._choice_points[question_id]
 
     def successors(self, segment_id: str) -> tuple[str, ...]:
-        """Segments reachable in one step from ``segment_id``."""
+        """Segments reachable in one step from ``segment_id``.
+
+        Targets keep option order; a target shared by both options is
+        listed once.
+        """
         self.segment(segment_id)
-        return tuple(self._graph.successors(segment_id))
+        return self._targets(segment_id)
+
+    def _targets(self, segment_id: str) -> tuple[str, ...]:
+        question_id = self._choice_point_by_source.get(segment_id)
+        if question_id is None:
+            return ()
+        options = self._choice_points[question_id].options
+        return tuple(dict.fromkeys(option.target_segment_id for option in options))
 
     def ending_segments(self) -> tuple[Segment, ...]:
         """All segments flagged as endings."""
@@ -186,8 +185,13 @@ class StoryGraph:
                 raise NarrativeError(
                     f"non-ending segment {segment.segment_id!r} has no choice point"
                 )
-        reachable = set(nx.descendants(self._graph, self._root_segment_id))
-        reachable.add(self._root_segment_id)
+        reachable = {self._root_segment_id}
+        frontier = [self._root_segment_id]
+        while frontier:
+            for target in self._targets(frontier.pop()):
+                if target not in reachable:
+                    reachable.add(target)
+                    frontier.append(target)
         unreachable = set(self._segments) - reachable
         if unreachable:
             raise NarrativeError(
@@ -219,8 +223,69 @@ class StoryGraph:
         graph; loops therefore count once, which matches how the simulator
         caps re-visits.
         """
-        condensation = nx.condensation(self._graph)
-        return int(nx.dag_longest_path_length(condensation))
+        components = self._strongly_connected_components()
+        component_of: dict[str, int] = {}
+        depths: list[int] = []
+        for number, component in enumerate(components):
+            for member in component:
+                component_of[member] = number
+            # Tarjan emits a component after every component it reaches, so
+            # the depth of each successor component is already known.
+            depths.append(
+                max(
+                    (
+                        depths[component_of[target]] + 1
+                        for member in component
+                        for target in self._targets(member)
+                        if component_of[target] != number
+                    ),
+                    default=0,
+                )
+            )
+        return max(depths, default=0)
+
+    def _strongly_connected_components(self) -> list[list[str]]:
+        """Tarjan's algorithm without recursion, in reverse topological order."""
+        index: dict[str, int] = {}
+        low: dict[str, int] = {}
+        stack: list[str] = []
+        on_stack: set[str] = set()
+        components: list[list[str]] = []
+        work: list[tuple[str, Iterator[str]]] = []
+
+        def visit(node: str) -> None:
+            index[node] = low[node] = len(index)
+            stack.append(node)
+            on_stack.add(node)
+            work.append((node, iter(self._targets(node))))
+
+        for start in self._segments:
+            if start in index:
+                continue
+            visit(start)
+            while work:
+                node, targets = work[-1]
+                for target in targets:
+                    if target not in index:
+                        visit(target)
+                        break
+                    if target in on_stack:
+                        low[node] = min(low[node], index[target])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        component = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            component.append(member)
+                            if member == node:
+                                break
+                        components.append(component)
+        return components
 
     def fingerprint(self) -> str:
         """A stable digest of the script's structure and timings.
@@ -266,10 +331,6 @@ class StoryGraph:
             json.dumps(canonical, sort_keys=True).encode("utf-8")
         )
         return digest.hexdigest()
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a copy of the underlying ``networkx`` graph."""
-        return self._graph.copy()
 
     def __contains__(self, segment_id: object) -> bool:
         return segment_id in self._segments

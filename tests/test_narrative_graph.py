@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NarrativeError
+from repro.narrative.bandersnatch import build_bandersnatch_script
 from repro.narrative.choices import Choice, ChoicePoint, ChoiceRecord
 from repro.narrative.graph import StoryGraph, choice_edge_attributes
 from repro.narrative.segment import Segment
@@ -30,6 +31,31 @@ def _simple_graph() -> StoryGraph:
             ),
         )
     )
+    return graph
+
+
+def _wired_graph(
+    endings: str, choices: dict[str, tuple[str, str]], root: str = "A"
+) -> StoryGraph:
+    """A graph whose segment ids are the letters of ``endings`` and ``choices``.
+
+    ``choices`` maps a source segment to its (default, other) targets; every
+    letter in ``endings`` is an ending.
+    """
+    graph = StoryGraph(title="wired", root_segment_id=root)
+    for segment_id in dict.fromkeys([*choices, *endings]):
+        graph.add_segment(
+            Segment(segment_id, segment_id, 10.0, is_ending=segment_id in endings)
+        )
+    for source, (default, other) in choices.items():
+        graph.add_choice_point(
+            ChoicePoint(
+                question_id=f"Q{source}",
+                prompt="pick",
+                source_segment_id=source,
+                options=(Choice("yes", default, is_default=True), Choice("no", other)),
+            )
+        )
     return graph
 
 
@@ -169,8 +195,90 @@ class TestStoryGraph:
         assert len(rows) == 2
         assert {row["label"] for row in rows} == {"stay", "leave"}
 
-    def test_to_networkx_is_a_copy(self):
-        graph = _simple_graph()
-        nx_graph = graph.to_networkx()
-        nx_graph.remove_node("A")
-        assert "A" in graph
+
+class TestGraphWalks:
+    def test_successors_keep_option_order(self):
+        graph = _wired_graph("BC", {"A": ("C", "B")})
+        assert graph.successors("A") == ("C", "B")
+        assert graph.successors("B") == ()
+        with pytest.raises(NarrativeError):
+            graph.successors("missing")
+
+    def test_successors_list_a_shared_target_once(self):
+        # ChoicePoint forbids two options on one target, so build the shared
+        # case past its check; the graph must still list the target once.
+        graph = _wired_graph("BC", {"A": ("B", "C")})
+        shared = object.__new__(ChoicePoint)
+        fields = {
+            "question_id": "QA",
+            "prompt": "pick",
+            "source_segment_id": "A",
+            "options": (Choice("yes", "B", is_default=True), Choice("no", "B")),
+            "timeout_seconds": 10.0,
+        }
+        for name, value in fields.items():
+            object.__setattr__(shared, name, value)
+        graph._choice_points["QA"] = shared
+        assert graph.successors("A") == ("B",)
+
+    def test_validate_rejects_an_unreachable_island_with_a_cycle(self):
+        # X and Y point at each other and at an ending; nothing reaches them.
+        graph = _wired_graph("BCE", {"A": ("B", "C"), "X": ("Y", "E"), "Y": ("X", "E")})
+        with pytest.raises(NarrativeError, match=r"unreachable.*'E', 'X', 'Y'"):
+            graph.validate()
+
+    def test_validate_accepts_a_loop_that_can_end(self):
+        graph = _wired_graph("C", {"A": ("B", "C"), "B": ("A", "C")})
+        graph.validate()
+
+    def test_validate_rejects_a_loop_with_no_ending(self):
+        graph = _wired_graph("", {"A": ("B", "A"), "B": ("A", "B")})
+        with pytest.raises(NarrativeError, match="no ending"):
+            graph.validate()
+
+    @pytest.mark.parametrize(
+        ("endings", "choices", "expected"),
+        [
+            # chain: A -> B -> C -> D, every question one step further
+            ("XYZD", {"A": ("B", "X"), "B": ("C", "Y"), "C": ("D", "Z")}, 3),
+            # loop: A <-> B is one component, so the whole graph is one step
+            ("E", {"A": ("B", "E"), "B": ("A", "E")}, 1),
+            # diamond: A -> {B, C} -> {D, E}, both branches two questions long
+            ("DE", {"A": ("B", "C"), "B": ("D", "E"), "C": ("D", "E")}, 2),
+            # a loop B -> C -> D -> B feeding an ending E after the root
+            (
+                "EF",
+                {"A": ("B", "F"), "B": ("C", "F"), "C": ("D", "F"), "D": ("B", "E")},
+                2,
+            ),
+            # a lone ending
+            ("A", {}, 0),
+        ],
+        ids=["chain", "loop", "diamond", "loop-into-ending", "ending"],
+    )
+    def test_max_choices_on_any_path(self, endings, choices, expected):
+        assert _wired_graph(endings, choices).max_choices_on_any_path() == expected
+
+    def test_max_choices_on_a_long_chain_needs_no_recursion(self):
+        length = 5_000
+        graph = StoryGraph(title="chain", root_segment_id="S0")
+        for index in range(length + 1):
+            graph.add_segment(Segment(f"S{index}", "s", 1.0, is_ending=index == length))
+        graph.add_segment(Segment("END", "s", 1.0, is_ending=True))
+        for index in range(length):
+            graph.add_choice_point(
+                ChoicePoint(
+                    question_id=f"Q{index}",
+                    prompt="pick",
+                    source_segment_id=f"S{index}",
+                    options=(
+                        Choice("on", f"S{index + 1}", is_default=True),
+                        Choice("end", "END"),
+                    ),
+                )
+            )
+        graph.validate()
+        assert graph.max_choices_on_any_path() == length
+
+    def test_bandersnatch_script_has_ten_questions_on_its_longest_path(self):
+        assert build_bandersnatch_script().max_choices_on_any_path() == 10
