@@ -2,8 +2,9 @@
 
 The extractor works exactly the way a passive observer has to:
 
-* pick the streaming connection out of the capture (by server endpoint if
-  known, otherwise the flow carrying by far the most downlink bytes);
+* pick the streaming connection out of the capture by server endpoint (if
+  the server is unknown, it is the server of the flow carrying by far the
+  most downlink bytes);
 * follow the client-to-server TCP byte stream in sequence order, ignoring
   retransmitted duplicates;
 * walk the TLS record headers inside that stream (they are cleartext) and
@@ -15,15 +16,16 @@ simulator's annotations (in-memory traces used for training and evaluation);
 traces loaded back from pcap yield unlabelled records, as real captures would.
 
 :func:`_extract_records_scalar`, the per-packet parser, is the definition
-of every record and label.  With the server address known, records come
-from the trace's rows as columns instead
-(:meth:`~repro.net.columnar.TcpSegments.tcp_columns`):
-one framing pass over the streaming flow's uplink, each record labelled
-from the segment it starts in (:func:`_column_records`).  Anything the
-columns cannot prove goes through the packets and the scalar parser, and
-property tests pin the column path to it.  The same pass frames columns
-decoded from a pcap file, or computed as the writer writes them
-(:func:`columnar_client_records`).
+of every record and label.  Records come from the trace's rows as columns
+instead (:meth:`~repro.net.columnar.TcpSegments.tcp_columns`): one framing
+pass over the streaming flow's uplink, each record labelled from the
+segment it starts in (:func:`_column_records`).  Anything the columns
+cannot prove goes through the packets and the scalar parser, and property
+tests pin the column path to it.  The same pass frames columns decoded
+from a pcap file, or computed as the writer writes them
+(:func:`columnar_client_records`), so every caller picks the streaming
+flow by one rule: the first connection to port 443 of the server whose
+connection carries the most downlink bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.exceptions import AttackError
 from repro.net.capture import CapturedTrace
 from repro.net.columnar import TcpColumns, canonical_ipv4
 from repro.net.flow import Flow, FlowTable
-from repro.net.packet import Direction, Packet
+from repro.net.packet import Packet
 from repro.tls.records import (
     MAX_CIPHERTEXT_LENGTH,
     RECORD_HEADER_LENGTH,
@@ -133,20 +135,27 @@ def extract_client_records(
     trace:
         The captured session.
     server_ip:
-        Optional known server address used to pick the right flow.
+        Optional known server address used to pick the right flow: the
+        first connection to its port 443.  When unknown, it is the server
+        of the flow with the most downlink bytes, as
+        :func:`repro.core.pipeline.load_attack_trace` resolves it.
     application_data_only:
         Drop handshake/CCS/alert records (the observer can always identify
         them from the cleartext content-type byte).
     flow:
-        Pre-selected flow; skips flow selection when provided.
+        Pre-selected flow, whose records the scalar parser reads; skips
+        flow selection and the columns.
     """
     records = None
-    if flow is None and server_ip is not None:
+    if flow is None:
         columns = trace.segments.tcp_columns()
         if columns is not None:
             records = _column_records(columns, server_ip)
+        if records is None:
+            if server_ip is None:
+                server_ip = select_streaming_flow(trace).five_tuple.server.ip
+            flow = select_streaming_flow(trace, server_ip)
     if records is None:
-        flow = flow or select_streaming_flow(trace, server_ip)
         packets = [
             packet
             for packet in flow.client_packets()
@@ -156,9 +165,7 @@ def extract_client_records(
         # retransmissions), drop duplicate segments the way any TCP
         # reassembler does.
         packets.sort(key=lambda packet: (packet.sequence_number, packet.timestamp))
-        records = _extract_records_vectorized(packets)
-        if records is None:
-            records = _extract_records_scalar(packets)
+        records = _extract_records_scalar(packets)
     if application_data_only:
         records = [record for record in records if record.is_application_data]
     if not records:
@@ -190,23 +197,26 @@ def _column_records(
     """Every record of the streaming flow's uplink, from the columns.
 
     The flow is selected by endpoint exactly as :func:`select_streaming_flow`
-    does.  Its uplink payload rows are deduplicated by sequence number
+    does; an unknown server is the one
+    :meth:`TcpColumns.largest_flow_server` names, the server of
+    :meth:`~repro.net.flow.FlowTable.largest_flow`.  Its uplink payload
+    rows are deduplicated by sequence number
     (:meth:`TcpColumns.uplink_rows`), and the gap-free result is framed by
     one :func:`kernel.tls_record_spans` pass.  Columns that keep the
     simulator's rows label each record from the segment it starts in, as
     the scalar parser does.  Returns ``None`` when the server address is
-    not canonical, no flow matches, the stream has a gap or an overlap, it
-    loses TLS framing, or the simulator's rows disagree with what the
-    record parser would see: a retransmission kept in place of an original
-    (the parser drops retransmissions first), or a label that cannot be
-    placed (see :func:`_framed_records`).
+    not canonical or cannot be resolved, no flow matches, the stream has a
+    gap or an overlap, it loses TLS framing, or the simulator's rows
+    disagree with what the record parser would see: a retransmission kept
+    in place of an original (the parser drops retransmissions first), or a
+    label that cannot be placed (see :func:`_framed_records`).
     """
     if server_ip is None:
         server = columns.largest_flow_server()
     else:
         server = canonical_ipv4(server_ip)
-        if server is None:
-            return None
+    if server is None:
+        return None
     flow = columns.flow_to(server)
     if flow is None:
         return None
@@ -234,35 +244,6 @@ def _column_records(
         lengths,
         columns.timestamps[rows],
         labels,
-    )
-
-
-def _extract_records_vectorized(packets: Sequence[Packet]) -> list[ClientRecord] | None:
-    """Extract records through the batch TLS-framing kernel, when legal.
-
-    The scalar parser's corrective behaviours — annotation-driven labels,
-    duplicate-segment dedup, gap resynchronisation, bad-framing recovery —
-    all depend on per-packet state, so the fast path engages only for the
-    clean common case: an unannotated, gap-free, duplicate-free uplink
-    stream whose TLS framing scans end to end.  That is exactly what a
-    pcap-loaded capture of a healthy session looks like (the attack's hot
-    path); the moment any precondition fails, the caller runs the scalar
-    oracle instead.  On the clean path the output is byte-for-byte the
-    scalar parser's.
-    """
-    if not packets:
-        return []
-    expected_sequence: int | None = None
-    for packet in packets:
-        if packet.annotations:
-            return None
-        if expected_sequence is not None and packet.sequence_number != expected_sequence:
-            return None
-        expected_sequence = packet.sequence_number + len(packet.payload)
-    return _framed_records(
-        b"".join(packet.payload for packet in packets),
-        [len(packet.payload) for packet in packets],
-        [packet.timestamp for packet in packets],
     )
 
 
@@ -322,9 +303,9 @@ def _framed_records(
 def _extract_records_scalar(packets: Sequence[Packet]) -> list[ClientRecord]:
     """Reference parser: the per-packet state machine the kernel must match.
 
-    Handles everything the fast path refuses — annotated training traces,
-    duplicate segments, capture gaps, framing loss — and serves as the
-    oracle the property tests pin :func:`_extract_records_vectorized` to.
+    Handles everything the column path refuses — duplicate segments, capture
+    gaps, framing loss, labels it cannot place — and serves as the oracle
+    the property tests pin :func:`_column_records` to.
     """
     seen_sequences: set[int] = set()
     records: list[ClientRecord] = []

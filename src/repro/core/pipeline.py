@@ -9,9 +9,9 @@
    if the story graph is known, reconstruct the exact path and a behavioural
    profile.
 
-Record extraction is memoised through a :class:`repro.engine.RecordCache`,
-so training and attacking the same trace parse it exactly once, and batch
-evaluation can fan out over the engine's process pool
+Each use of a trace extracts its records afresh, in one pass over the
+trace's columns (:func:`repro.core.features.extract_client_records`), and
+batch evaluation can fan out over the engine's process pool
 (:meth:`WhiteMirrorAttack.evaluate_sessions` with ``parallel=True``).
 """
 
@@ -33,7 +33,6 @@ from repro.core.features import (
 from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
 from repro.core.inference import InferredChoices, infer_choices, reconstruct_path
 from repro.core.profiling import BehavioralProfile, profile_from_path
-from repro.engine.cache import RecordCache
 from repro.engine.executor import BatchExecutor
 from repro.exceptions import AttackError, PcapError
 from repro.narrative.graph import StoryGraph
@@ -81,7 +80,7 @@ def load_attack_trace(
     When the observer does not know the server address, the streaming
     connection is identified by the largest-downlink-flow heuristic and the
     trace's ``server_ip`` is set to that flow's server — so every later stage
-    (record extraction, caching, reporting) sees the same resolved address
+    (record extraction, reporting) sees the same resolved address
     instead of each re-deciding which flow is the streaming flow.
     """
     trace = CapturedTrace.from_pcap(
@@ -226,11 +225,6 @@ class WhiteMirrorAttack:
         the residual variability of the state reports even when only a couple
         of labelled sessions are available for an environment, while staying
         far from the nearest "other" traffic band (100+ bytes away).
-    record_cache:
-        Optional shared extraction cache.  Passing one lets several attack
-        instances (or experiment code that also inspects records) reuse each
-        other's per-trace extraction work; by default each attack carries
-        its own.
     library:
         Optional pre-trained fingerprint library (e.g. loaded from the JSON
         the CLI's ``train`` command writes).  When supplied the attack is
@@ -242,7 +236,6 @@ class WhiteMirrorAttack:
         self,
         graph: StoryGraph | None = None,
         band_margin: int = 8,
-        record_cache: RecordCache | None = None,
         library: FingerprintLibrary | None = None,
     ) -> None:
         if band_margin < 0:
@@ -250,7 +243,6 @@ class WhiteMirrorAttack:
         self._graph = graph
         self._margin = band_margin
         self._library = library if library is not None else FingerprintLibrary()
-        self._records = record_cache if record_cache is not None else RecordCache()
 
     # -- training ------------------------------------------------------------
 
@@ -264,15 +256,12 @@ class WhiteMirrorAttack:
         """A band classifier over the current fingerprint library."""
         return RecordTypeClassifier(self._library)
 
-    @property
-    def record_cache(self) -> RecordCache:
-        """The per-trace extraction cache backing this attack."""
-        return self._records
-
     def _records_for(
         self, trace: CapturedTrace, server_ip: str | None = None
     ) -> tuple[ClientRecord, ...]:
-        return self._records.records_for(trace, server_ip=server_ip or trace.server_ip)
+        return tuple(
+            extract_client_records(trace, server_ip=server_ip or trace.server_ip)
+        )
 
     def train(self, sessions: Iterable[SessionResult]) -> FingerprintLibrary:
         """Learn fingerprints from labelled (self-collected) sessions.
@@ -345,9 +334,7 @@ class WhiteMirrorAttack:
         """Train a generic ML record classifier on the same labelled sessions.
 
         Used by the ablation benchmarks; the main pipeline uses the band
-        fingerprints.  Extraction goes through the record cache, so training
-        both this and :meth:`train` on the same traces parses each exactly
-        once.
+        fingerprints.
         """
         records: list[ClientRecord] = []
         for session in sessions:
@@ -502,12 +489,10 @@ class WhiteMirrorAttack:
         """Attack a batch of sessions, in order.
 
         ``workers`` follows :class:`repro.engine.BatchExecutor` semantics:
-        ``None``/``1`` run serially (sharing this attack's record cache),
-        ``0`` uses every core, ``N > 1`` a pool of ``N`` processes.
-        Sessions are shipped to the pool in one contiguous chunk per worker,
-        so the attack state (fingerprints, graph) is pickled once per worker
-        rather than once per session; the record cache crosses the process
-        boundary empty by design.
+        ``None``/``1`` run serially, ``0`` uses every core, ``N > 1`` a pool
+        of ``N`` processes.  Sessions are shipped to the pool in one
+        contiguous chunk per worker, so the attack state (fingerprints,
+        graph) is pickled once per worker rather than once per session.
         """
         sessions = list(sessions)
         if not sessions:

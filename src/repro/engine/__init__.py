@@ -4,8 +4,9 @@ Every experiment in this reproduction boils down to the same shape of work:
 simulate a grid of viewing sessions (graph × condition × behaviour × seed),
 then run the attack over the resulting traces.  The seed repo did both
 serially, one session at a time; this package turns the first half into a
-declarative, parallelisable substrate and gives the second half a shared
-record-extraction cache.
+declarative, parallelisable substrate, and
+:class:`repro.core.pipeline.WhiteMirrorAttack` fans the second half out over
+the same pool.
 
 Components
 ----------
@@ -33,12 +34,6 @@ Components
     model, and the same byte-equivalence — the sharded dataset pipeline
     (:mod:`repro.dataset.shards`) runs entirely on them.
 
-:class:`~repro.engine.cache.RecordCache`
-    Memoises :func:`repro.core.features.extract_client_records` per trace,
-    so training and attacking the same capture never re-parses it.
-    :class:`repro.core.pipeline.WhiteMirrorAttack` carries one internally
-    and experiments can share a cache across several attack instances.
-
 Usage
 -----
 
@@ -59,12 +54,12 @@ Generate a dataset-sized batch of sessions on four workers::
     ]
     sessions = BatchExecutor(workers=4).execute(plans)   # in plan order
 
-Attack them in parallel with a shared extraction cache::
+Attack them in parallel::
 
     from repro.core.pipeline import WhiteMirrorAttack
 
     attack = WhiteMirrorAttack(graph=graph)
-    attack.train(sessions[:10])                       # fills the cache
+    attack.train(sessions[:10])
     evaluations = attack.evaluate_sessions(sessions[10:], parallel=True)
 
 The higher layers are already routed through the engine:
@@ -76,15 +71,12 @@ as ``--workers``.
 
 from __future__ import annotations
 
-from repro.engine.cache import CacheStats, RecordCache
 from repro.engine.executor import BatchExecutor
 from repro.engine.plan import SessionPlan
 from repro.exceptions import EngineError
 
 __all__ = [
     "BatchExecutor",
-    "CacheStats",
     "EngineError",
-    "RecordCache",
     "SessionPlan",
 ]

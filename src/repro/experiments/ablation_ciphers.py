@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior
 from repro.core.evaluation import aggregate_json_identification_accuracy, evaluate_attack_result
+from repro.core.features import ClientRecord, extract_client_records
 from repro.core.inference import infer_choices
 from repro.core.pipeline import WhiteMirrorAttack
-from repro.engine.cache import RecordCache
 from repro.engine.executor import BatchExecutor
 from repro.engine.plan import SessionPlan
 from repro.exceptions import AttackError
@@ -150,15 +150,13 @@ def reproduce_cipher_ablation(
         sessions_by_group[name] = flat_sessions[cursor : cursor + len(group)]
         cursor += len(group)
 
-    # One shared cache: each victim trace is extracted once even though both
-    # the non-adaptive and the adaptive fingerprints attack it.
-    cache = RecordCache()
-
-    def _accuracy(attack: WhiteMirrorAttack, sessions: list[SessionResult]) -> float:
+    def _accuracy(
+        attack: WhiteMirrorAttack,
+        victims: list[tuple[SessionResult, list[ClientRecord]]],
+    ) -> float:
         fingerprint = attack.library.get(condition.fingerprint_key)
         evaluations = []
-        for session in sessions:
-            records = cache.records_for(session.trace, server_ip=session.trace.server_ip)
+        for session, records in victims:
             labels = fingerprint.classify(records)
             inferred = infer_choices(records, labels)
             evaluations.append(
@@ -172,14 +170,19 @@ def reproduce_cipher_ablation(
         return aggregate_json_identification_accuracy(evaluations)
 
     # Non-adaptive attacker: trained once under the calibration suite.
-    gcm_attack = WhiteMirrorAttack(graph=graph, record_cache=cache)
+    gcm_attack = WhiteMirrorAttack(graph=graph)
     gcm_attack.train(sessions_by_group["train-gcm"])
 
     scores: list[CipherScore] = []
     for cipher_suite in ABLATION_CIPHER_SUITES:
-        victims = sessions_by_group[f"victim/{cipher_suite}"]
+        # Each victim trace is extracted once, though both the non-adaptive
+        # and the adaptive fingerprints attack it.
+        victims = [
+            (session, extract_client_records(session.trace, server_ip=session.trace.server_ip))
+            for session in sessions_by_group[f"victim/{cipher_suite}"]
+        ]
         non_adaptive = _accuracy(gcm_attack, victims)
-        adaptive_attack = WhiteMirrorAttack(graph=graph, record_cache=cache)
+        adaptive_attack = WhiteMirrorAttack(graph=graph)
         adaptive_attack.train(sessions_by_group[f"adaptive/{cipher_suite}"])
         adaptive = _accuracy(adaptive_attack, victims)
         scores.append(

@@ -21,9 +21,9 @@ from repro.core.evaluation import (
     aggregate_json_identification_accuracy,
     evaluate_attack_result,
 )
+from repro.core.features import extract_client_records
 from repro.core.inference import infer_choices
 from repro.core.pipeline import WhiteMirrorAttack
-from repro.engine.cache import RecordCache
 from repro.engine.executor import BatchExecutor
 from repro.engine.plan import SessionPlan
 from repro.exceptions import AttackError
@@ -154,12 +154,8 @@ def reproduce_classifier_ablation(
 
     scores: list[ClassifierScore] = []
 
-    # One extraction pass per trace serves the band rule, the generic
-    # estimators' training data and every estimator's test classification.
-    cache = RecordCache()
-
     # -- the paper's band rule -------------------------------------------------
-    attack = WhiteMirrorAttack(graph=graph, record_cache=cache)
+    attack = WhiteMirrorAttack(graph=graph)
     attack.train(train_sessions)
     evaluations = attack.evaluate_sessions(test_sessions)
     scores.append(
@@ -171,15 +167,19 @@ def reproduce_classifier_ablation(
     )
 
     # -- generic estimators over raw record lengths ------------------------------
+    # One extraction per trace serves every estimator's training data and
+    # test classification.
     train_records = [
         record
         for session in train_sessions
-        for record in cache.records_for(session.trace, server_ip=session.trace.server_ip)
+        for record in extract_client_records(
+            session.trace, server_ip=session.trace.server_ip
+        )
     ]
     test_data = [
         (
             session,
-            cache.records_for(session.trace, server_ip=session.trace.server_ip),
+            extract_client_records(session.trace, server_ip=session.trace.server_ip),
         )
         for session in test_sessions
     ]

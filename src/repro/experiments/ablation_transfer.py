@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior
 from repro.core.evaluation import aggregate_json_identification_accuracy, evaluate_attack_result
+from repro.core.features import extract_client_records
 from repro.core.inference import infer_choices
 from repro.core.pipeline import WhiteMirrorAttack
-from repro.engine.cache import RecordCache
 from repro.engine.executor import BatchExecutor
 from repro.engine.plan import SessionPlan
 from repro.exceptions import AttackError
@@ -128,14 +128,10 @@ def reproduce_transfer_ablation(
     train_sessions_flat = sessions[: len(train_plans)]
     test_sessions_flat = sessions[len(train_plans) :]
 
-    # A cache shared across every attack instance: each test trace is
-    # extracted once, no matter how many fingerprints attack it.
-    cache = RecordCache()
-
     # Train one attack per environment.
     attacks: dict[str, WhiteMirrorAttack] = {}
     for position, condition in enumerate(conditions):
-        attack = WhiteMirrorAttack(graph=graph, record_cache=cache)
+        attack = WhiteMirrorAttack(graph=graph)
         attack.train(
             train_sessions_flat[
                 position * training_sessions_per_environment : (position + 1)
@@ -144,10 +140,15 @@ def reproduce_transfer_ablation(
         )
         attacks[condition.fingerprint_key] = attack
 
-    # Evaluate every (trained-on, attacked) pair.
+    # Evaluate every (trained-on, attacked) pair.  Each test trace is
+    # extracted once, no matter how many fingerprints attack it.
     test_sessions = {
-        condition.fingerprint_key: test_sessions_flat[
-            position * sessions_per_environment : (position + 1) * sessions_per_environment
+        condition.fingerprint_key: [
+            (session, extract_client_records(session.trace, server_ip=session.trace.server_ip))
+            for session in test_sessions_flat[
+                position * sessions_per_environment : (position + 1)
+                * sessions_per_environment
+            ]
         ]
         for position, condition in enumerate(conditions)
     }
@@ -159,10 +160,7 @@ def reproduce_transfer_ablation(
         matrix[trained_on] = {}
         for attacked in environments:
             evaluations = []
-            for session in test_sessions[attacked]:
-                records = cache.records_for(
-                    session.trace, server_ip=session.trace.server_ip
-                )
+            for session, records in test_sessions[attacked]:
                 labels = fingerprint.classify(records)
                 inferred = infer_choices(records, labels)
                 evaluations.append(

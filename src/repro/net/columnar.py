@@ -15,9 +15,11 @@ can prove them: non-IPv4 and non-TCP frames drop out just as ``parse_frame``
 returns ``None`` for them, and any frame ``parse_frame`` would *reject*
 (truncated headers, a bad version, header length, total length, TTL or
 port) makes :func:`decode_tcp_columns` return ``None`` so the caller runs
-the oracle, which raises its own error.  Flow selection mirrors
-:func:`repro.core.features.select_streaming_flow` over
-:meth:`FlowTable.largest_flow`, ties and creation order included.
+the oracle, which raises its own error.  Flow selection follows
+:func:`repro.core.features.extract_client_records`: the first-created
+connection to port 443 of a known server (:meth:`TcpColumns.flow_to`), and
+for an unknown one the server of :meth:`FlowTable.largest_flow`, ties and
+creation order included (:meth:`TcpColumns.largest_flow_server`).
 
 Writing runs the same way in reverse.  A capture's segments are columns
 from the moment the simulator emits them (:class:`TcpSegments`: one row
@@ -163,12 +165,15 @@ class TcpColumns:
             & (self.server_ports == self.server_ports[first])
         )
 
-    def largest_flow_server(self) -> int:
+    def largest_flow_server(self) -> int | None:
         """Server address of the connection with the most downlink bytes.
 
         A connection's downlink bytes are the length of the union of its
         downlink ``[seq, seq + len)`` spans — what reassembling that stream
-        yields.  Ties go to the earliest-created connection.
+        yields.  Ties go to the earliest-created connection.  ``None`` when
+        a span ends at or past 2**34, which the running maximum below
+        cannot keep apart from the next connection's spans (a decoded
+        capture's never do: pcap sequence numbers are 32-bit).
         """
         keys = np.stack(
             ((self.client_ips << 16) | self.client_ports,
@@ -182,13 +187,16 @@ class TcpColumns:
         downlink = ~self.uplink & (self.payload_lengths > 0)
         flow = flows[downlink]
         starts = self.sequence_numbers[downlink]
+        lengths = self.payload_lengths[downlink]
+        if bool((starts >= 1 << 34).any() or (starts + lengths >= 1 << 34).any()):
+            return None
         order = np.lexsort((starts, flow))
         flow = flow[order]
-        # Spans end below 2**33; shifting each flow by 2**34 lets one running
+        # Spans end below 2**34; shifting each flow by 2**34 lets one running
         # maximum cover every flow without a flow seeing its predecessor's.
         shift = flow.astype(np.int64) << 34
         starts = starts[order] + shift
-        ends = starts + self.payload_lengths[downlink][order]
+        ends = starts + lengths[order]
         previous = np.zeros_like(ends)
         previous[1:] = np.maximum.accumulate(ends)[:-1]
         fresh = np.maximum(ends - np.maximum(starts, previous), 0)

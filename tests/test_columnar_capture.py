@@ -54,7 +54,7 @@ from strategies import (
     packets,
     record_aligned_packets,
 )
-from strategies.frames import CLIENT_IP, SERVER_IP
+from strategies.frames import CLIENT_IP, OTHER_IPS, SERVER_IP
 
 _NOISY = OperationalCondition("linux", "desktop", "firefox", "wireless", "night")
 _FLOW = FiveTuple(client=Endpoint(CLIENT_IP, 40_001), server=Endpoint(SERVER_IP, 443))
@@ -447,6 +447,52 @@ def test_labelled_records_from_columns_equal_the_packet_path(trace, server_ip):
             server_ip,
             application_data_only=application_data_only,
         ) == _outcome(_packet_path_records, captured, server_ip, application_data_only)
+
+
+def _largest_flow_route(trace, application_data_only=True):
+    """The unknown-server rule on the packets: the server of the flow with
+    the most downlink bytes, then its first :443 connection, read by the
+    scalar parser."""
+    server_ip = select_streaming_flow(trace).five_tuple.server.ip
+    return _packet_path_records(trace, server_ip, application_data_only)
+
+
+@STANDARD_SETTINGS
+@given(trace=_HAND_BUILT)
+def test_unknown_server_records_from_columns_equal_the_packet_path(trace):
+    """Ties, cross traffic with more downlink bytes, several connections to
+    one server and sequence numbers past 2**34 included."""
+    captured = CapturedTrace(packets=trace, client_ip=CLIENT_IP, server_ip=SERVER_IP)
+    for application_data_only in (True, False):
+        assert _outcome(
+            extract_client_records,
+            captured,
+            None,
+            application_data_only=application_data_only,
+        ) == _outcome(_largest_flow_route, captured, application_data_only)
+
+
+def test_unknown_server_spans_past_2_34_take_the_packet_path():
+    """The column tally keeps connections apart by shifting each by 2**34,
+    so a downlink span past it makes the columns refuse: here the cross
+    connection's span would hide the streaming connection's larger one."""
+    uplink, downlink = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
+    cross = FiveTuple(client=Endpoint(CLIENT_IP, 40_000), server=Endpoint(OTHER_IPS[0], 443))
+    record = bytes((23, 3, 3)) + (40).to_bytes(2, "big") + bytes(40)
+    trace = CapturedTrace(
+        packets=[
+            Packet(1.0, uplink, cross, record, 7),
+            Packet(1.5, downlink, cross, bytes(1_000), 2**35),
+            Packet(2.0, uplink, _FLOW, record + record, 100),
+            Packet(2.5, downlink, _FLOW, bytes(1_400), 1),
+        ],
+        client_ip=CLIENT_IP,
+        server_ip=SERVER_IP,
+    )
+    assert trace.segments.tcp_columns().largest_flow_server() is None
+    records = extract_client_records(trace)
+    assert [record.wire_length for record in records] == [45, 45]
+    assert records == _largest_flow_route(trace)
 
 
 _names = itertools.count()

@@ -22,7 +22,6 @@ from hypothesis import event, given, strategies as st
 from repro.core import features, kernel
 from repro.core.features import (
     _extract_records_scalar,
-    _extract_records_vectorized,
     columnar_client_records,
     extract_client_records,
     select_streaming_flow,
@@ -131,8 +130,8 @@ def test_capture_records_equal_the_oracle(workdir, capture):
     )
 )
 def test_dedup_then_vectorize_matches_the_scalar_parser(workdir, capture):
-    """On streams with retransmitted duplicates the scalar parser is the only
-    oracle path (the packet fast path refuses them); dropping duplicate
+    """On streams with retransmitted duplicates the scalar parser is the
+    oracle; dropping duplicate
     sequence numbers first lets one framing pass reproduce it.  A stream
     that still has a gap, an overlap or lost framing goes to the oracle."""
     path = _write(capture, workdir)
@@ -142,7 +141,6 @@ def test_dedup_then_vectorize_matches_the_scalar_parser(workdir, capture):
         (packet for packet in flow.client_packets() if packet.payload),
         key=lambda packet: (packet.sequence_number, packet.timestamp),
     )
-    assert _extract_records_vectorized(packets) is None
     expected = [
         record for record in _extract_records_scalar(packets) if record.is_application_data
     ]
@@ -200,6 +198,84 @@ def test_largest_flow_ties_go_to_the_earliest_created_connection(workdir):
     trace = load_attack_trace(path, client_ip=CLIENT_IP)
     assert trace.server_ip == SERVER_IP
     assert capture_client_records(path, CLIENT_IP) == _oracle_records(path, CLIENT_IP, None)
+
+
+def _connections_capture(
+    connections: list[tuple[str, int, int, tuple[int, ...], int]]
+) -> Capture:
+    """Connections in creation order: ``(server, client port, server port,
+    uplink record wire lengths, downlink bytes)``.  Each sends its records,
+    then receives its downlink bytes in 1,400-byte segments."""
+    rng = random.Random(0)
+    segments = []
+    clock = 0
+    for server, port, server_port, lengths, downlink in connections:
+        sequence = 1
+        for length in lengths:
+            clock += 10
+            record = b"\x17\x03\x03" + (length - 5).to_bytes(2, "big") + bytes(length - 5)
+            segments.append(
+                Segment(clock, CLIENT_IP, server, port, server_port, sequence, record)
+            )
+            sequence += length
+        for offset in range(0, downlink, 1_400):
+            clock += 10
+            payload = bytes(min(1_400, downlink - offset))
+            segments.append(
+                Segment(clock, server, CLIENT_IP, server_port, port, 1 + offset, payload)
+            )
+    frames = tuple((s.micros, *build_frame(s, None, rng)) for s in segments)
+    return Capture(frames=frames, byteorder="<", client_ip=CLIENT_IP, server_ip=None)
+
+
+def _inspect_records(path):
+    """What ``repro inspect`` reads: the pcap's packets, no server given."""
+    trace = CapturedTrace.from_pcap(path, client_ip=CLIENT_IP, server_ip="0.0.0.0")
+    return tuple(extract_client_records(trace))
+
+
+_STREAM_A = (SERVER_IP, 40_001, 443, (105, 205), 3_000)
+_FIRST_CONNECTION_RECORDS = ("ok", tuple((105, 205)))
+
+
+@pytest.mark.parametrize(
+    "connections, expected",
+    [
+        # A second connection to the same server carries more downlink
+        # bytes: the first :443 connection to that server is still read.
+        ([_STREAM_A, (SERVER_IP, 40_002, 443, (305, 405, 505), 90_000)],
+         _FIRST_CONNECTION_RECORDS),
+        ([_STREAM_A, (SERVER_IP, 40_002, 8443, (305, 405, 505), 90_000)],
+         _FIRST_CONNECTION_RECORDS),
+        # A tie goes to the earliest-created connection.
+        ([(OTHER_IPS[0], 40_001, 443, (105, 205), 5_000),
+          (SERVER_IP, 40_002, 443, (305,), 5_000)],
+         _FIRST_CONNECTION_RECORDS),
+        # Cross traffic with more downlink bytes wins; on :443 its own
+        # connection is read, on :80 there is no streaming connection.
+        ([_STREAM_A, (OTHER_IPS[0], 40_002, 443, (305,), 20_000)],
+         ("ok", (305,))),
+        ([_STREAM_A, (OTHER_IPS[0], 40_002, 80, (305,), 20_000)],
+         ("error", AttackError, f"no flow to {OTHER_IPS[0]}:443 in the trace")),
+    ],
+)
+def test_inspect_and_attack_read_the_same_flow_when_the_server_is_unknown(
+    workdir, connections, expected
+):
+    path = _write(_connections_capture(connections), workdir)
+    outcomes = [
+        _outcome(_inspect_records, path),
+        _outcome(capture_client_records, path, CLIENT_IP, None),
+        _outcome(_oracle_records, path, CLIENT_IP, None),
+    ]
+    lengths = [
+        (outcome[0], tuple(record.wire_length for record in outcome[1]))
+        if outcome[0] == "ok"
+        else outcome
+        for outcome in outcomes
+    ]
+    assert lengths == [expected] * 3
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_non_canonical_addresses_take_the_oracle_path(workdir):

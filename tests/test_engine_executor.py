@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import pytest
 
-from repro.core.classifier import MLRecordClassifier
 from repro.core.pipeline import WhiteMirrorAttack
 from repro.dataset.collection import collect_dataset
 from repro.dataset.population import generate_population
-from repro.engine import BatchExecutor, EngineError, RecordCache, SessionPlan
+from repro.engine import BatchExecutor, EngineError, SessionPlan
 from repro.exceptions import ReproError
-from repro.ml.interval import IntervalClassifier
 from repro.streaming.session import SessionConfig
 from repro.utils.rng import derive_seed
 
@@ -138,6 +135,22 @@ class TestSerialParallelDeterminism:
         ]
         assert serial == parallel
 
+    def test_evaluate_sessions_parallel_matches_serial(self, minimal_graph, serial_results):
+        attack = WhiteMirrorAttack(graph=minimal_graph)
+        attack.train(serial_results)
+        serial = attack.evaluate_sessions(serial_results)
+        parallel = attack.evaluate_sessions(serial_results, parallel=True, workers=2)
+        assert serial == parallel
+        # An explicit worker count enables the pool without the flag.
+        assert attack.evaluate_sessions(serial_results, workers=2) == serial
+
+    def test_attack_batch_parallel_matches_serial(self, minimal_graph, serial_results):
+        attack = WhiteMirrorAttack(graph=minimal_graph)
+        attack.train(serial_results)
+        serial = attack.attack_batch(serial_results)
+        parallel = attack.attack_batch(serial_results, workers=2)
+        assert serial == parallel
+
 
 class TestStreamingImap:
     def test_iexecute_matches_execute_serial_and_parallel(
@@ -257,57 +270,6 @@ class TestFailureSurfacing:
     def test_map_wraps_function_errors(self):
         with pytest.raises(EngineError, match="item 0"):
             BatchExecutor().map(_always_fails, [1, 2, 3])
-
-
-class TestRecordCache:
-    def test_one_extraction_serves_train_and_ml_train(self, minimal_graph, serial_results):
-        attack = WhiteMirrorAttack(graph=minimal_graph)
-        attack.train(serial_results)
-        attack.train_ml_classifier(
-            serial_results, MLRecordClassifier(IntervalClassifier(margin=8))
-        )
-        stats = attack.record_cache.stats
-        assert stats.misses == len(serial_results)
-        assert stats.hits >= len(serial_results)
-
-    def test_attack_reuses_training_extraction(self, minimal_graph, serial_results):
-        attack = WhiteMirrorAttack(graph=minimal_graph)
-        attack.train(serial_results)
-        attack.attack_session(serial_results[0])
-        assert attack.record_cache.stats.misses == len(serial_results)
-
-    def test_shared_cache_across_attacks(self, minimal_graph, serial_results):
-        cache = RecordCache()
-        first = WhiteMirrorAttack(graph=minimal_graph, record_cache=cache)
-        second = WhiteMirrorAttack(graph=minimal_graph, record_cache=cache)
-        first.train(serial_results)
-        second.train(serial_results)
-        assert cache.stats.misses == len(serial_results)
-        assert cache.stats.hits == len(serial_results)
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_cache_pickles_empty(self, serial_results):
-        cache = RecordCache()
-        cache.records_for(serial_results[0].trace, server_ip=serial_results[0].trace.server_ip)
-        restored = pickle.loads(pickle.dumps(cache))
-        assert len(restored) == 0
-        assert restored.stats.misses == 1
-
-    def test_evaluate_sessions_parallel_matches_serial(self, minimal_graph, serial_results):
-        attack = WhiteMirrorAttack(graph=minimal_graph)
-        attack.train(serial_results)
-        serial = attack.evaluate_sessions(serial_results)
-        parallel = attack.evaluate_sessions(serial_results, parallel=True, workers=2)
-        assert serial == parallel
-        # An explicit worker count enables the pool without the flag.
-        assert attack.evaluate_sessions(serial_results, workers=2) == serial
-
-    def test_attack_batch_parallel_matches_serial(self, minimal_graph, serial_results):
-        attack = WhiteMirrorAttack(graph=minimal_graph)
-        attack.train(serial_results)
-        serial = attack.attack_batch(serial_results)
-        parallel = attack.attack_batch(serial_results, workers=2)
-        assert serial == parallel
 
 
 def _always_fails(_item: int) -> None:
