@@ -12,13 +12,12 @@ cell ids in cell order, so the report is a pure function of the cell set.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.arena.cell import ARENA_SCHEMA_VERSION
 from repro.exceptions import ReproError
+from repro.utils.atomic import write_atomic
 
 
 class ArenaReport:
@@ -58,21 +57,12 @@ class ArenaReport:
         }
 
     def save(self, path: str | Path) -> Path:
-        """Write the report atomically (temp + rename, sorted keys)."""
+        """Write the report atomically, as sorted-keys JSON."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=path.parent,
-            prefix=path.name + ".",
-            suffix=".tmp",
-            delete=False,
-        ) as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(handle.name, path)
-        return path
+        return write_atomic(
+            path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "ArenaReport":

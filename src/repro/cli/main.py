@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
             "workers go\n"
             "  silent past --lease-ttl (kill -9 a worker and its unit is "
             "simply\n"
-            "  redone), folds the accumulator states in a hierarchical "
-            "merge tree\n"
+            "  redone), folds the accumulator states as merge-fingerprints "
+            "does\n"
             "  and atomically publishes the stitched manifest + merged "
             "library —\n"
             "  byte-identical to one machine running the whole plan "

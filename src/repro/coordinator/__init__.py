@@ -13,8 +13,10 @@ rsync, ``stitch-dataset``, ``merge-fingerprints``) into a service:
 * :mod:`repro.coordinator.ledger` — durable lease state, crash-safe via
   atomic rewrites, with TTL-based reassignment;
 * :mod:`repro.coordinator.service` — the HTTP coordinator itself;
-* :mod:`repro.coordinator.worker` — the pull worker (``repro work URL``);
-* :mod:`repro.coordinator.merge` — the hierarchical state merge tree.
+* :mod:`repro.coordinator.worker` — the pull worker (``repro work URL``).
+
+Publication reuses the job runner's closing steps (state fold, stitch,
+arena report), so a fleet has no merge or stitch code of its own.
 
 The invariant the whole package answers to: a fleet run's published
 dataset root and fingerprint library are byte-identical to one machine
@@ -22,7 +24,6 @@ running the same plan serially.
 """
 
 from repro.coordinator.ledger import LeaseLedger, WorkUnit
-from repro.coordinator.merge import fold_states_tree
 from repro.coordinator.plan import ArenaPlan, FleetPlan
 from repro.coordinator.service import Coordinator
 from repro.coordinator.wire import WIRE_VERSION
@@ -37,5 +38,4 @@ __all__ = [
     "RemoteEventSink",
     "WIRE_VERSION",
     "WorkUnit",
-    "fold_states_tree",
 ]

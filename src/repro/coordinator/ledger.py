@@ -1,12 +1,12 @@
 """The durable lease ledger: which unit is where, across crashes.
 
 Every transition — lease granted, lease reclaimed, unit completed — is
-written to one JSON file via the atomic write-temp-then-rename idiom the
-dataset layer already uses for ``metadata.json``, so a coordinator that is
-killed and restarted resumes exactly where it stopped: completed units keep
-their verified uploads, leased units whose TTL has passed return to the
-pool on the next reclaim sweep, and a ledger recorded for a *different*
-plan refuses to load, naming the mismatched field.
+written to one JSON file with :func:`repro.utils.atomic.write_atomic`, the
+same publication the dataset layer uses for ``metadata.json``, so a
+coordinator that is killed and restarted resumes exactly where it stopped:
+completed units keep their verified uploads, leased units whose TTL has
+passed return to the pool on the next reclaim sweep, and a ledger recorded
+for a *different* plan refuses to load, naming the mismatched field.
 
 Leases are the crash-safety seam: a worker that goes silent (SIGKILL,
 network partition) simply stops renewing the only thing that kept its unit
@@ -19,7 +19,6 @@ worker costs is its unit's wall-clock time.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ from typing import Any, Callable, Mapping
 
 from repro.coordinator.plan import FleetPlan
 from repro.exceptions import CoordinatorError, LeaseExpired
+from repro.utils.atomic import write_atomic
 
 #: Unit lifecycle states.
 PENDING = "pending"
@@ -142,12 +142,8 @@ class LeaseLedger:
             "lease_counter": self._lease_counter,
             "units": [unit.to_dict() for unit in self._units.values()],
         }
-        temporary = self.path.with_name(self.path.name + ".tmp")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(temporary, self.path)
+        write_atomic(self.path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     # -- queries -----------------------------------------------------------
 

@@ -94,7 +94,7 @@ class FleetPlan:
         Generation writes only this shard of the full plan (so the bytes
         match the corresponding shard of a whole-plan run exactly), and
         training folds the freshly written subset root into an accumulator
-        state — the blob the coordinator's merge tree consumes.
+        state — the blob the coordinator folds at publication.
         """
         self._require_shard(shard)
         return (

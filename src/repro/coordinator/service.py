@@ -16,12 +16,14 @@ and drives it to publication:
   on the coordinator's own bus, so fleet progress renders through the
   stock renderers exactly like a local run.
 
-When the last unit completes, the serve loop folds the collected
-accumulator states in a hierarchical merge tree, validates and publishes
-the stitched manifest (:func:`~repro.dataset.shards.stitch_sharded_dataset`
-— the same closing step as the manual rsync flow), and writes the merged
-library atomically.  The published root and library are byte-identical to
-a single-machine ``generate-dataset --shards`` + ``train --sharded`` run.
+When the last unit completes, the serve loop publishes with the job
+runner's own closing steps: it folds the collected accumulator states in
+unit order (:func:`~repro.jobs.runner.fold_state_files`, as ``repro
+merge-fingerprints`` does), validates and publishes the stitched manifest
+(:func:`~repro.jobs.runner.stitch_dataset_root`, as ``repro stitch``
+does), and writes the merged library atomically.  The published root and
+library are byte-identical to a single-machine ``generate-dataset
+--shards`` + ``train --sharded`` run.
 
 All coordinator-local bookkeeping (ledger, collected states, staged
 uploads) lives in a ``<root>.coordinator`` sibling directory, so the
@@ -45,19 +47,24 @@ from typing import Any, Callable, Mapping
 
 from repro.coordinator import wire
 from repro.coordinator.ledger import LeaseLedger, WorkUnit
-from repro.coordinator.merge import fold_states_tree
 from repro.coordinator.plan import (
     UPLOAD_DIRECTORY,
     UPLOAD_FILE,
     ArenaPlan,
     FleetPlan,
 )
-from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
-from repro.dataset.shards import stitch_sharded_dataset
+from repro.core.fingerprint import FingerprintLibrary
 from repro.exceptions import CoordinatorError, JobError
 from repro.jobs import events as ev
 from repro.jobs.artifacts import fingerprint_path
 from repro.jobs.events import EVENT_SCHEMA_VERSION, EventBus
+from repro.jobs.runner import (
+    fingerprint_rows,
+    fold_state_files,
+    publish_arena_report,
+    stitch_dataset_root,
+)
+from repro.utils.atomic import write_atomic
 from repro.utils.jsonhttp import JsonHttpServer
 
 
@@ -344,15 +351,7 @@ class Coordinator:
                     status=409,
                 )
             destination = self._states_dir / f"{unit.unit}.json"
-
-            def place_file() -> None:
-                with tempfile.NamedTemporaryFile(
-                    dir=self._states_dir, delete=False
-                ) as handle:
-                    handle.write(blob)
-                os.replace(handle.name, destination)
-
-            return place_file
+            return lambda: write_atomic(destination, blob)
         staging = Path(
             tempfile.mkdtemp(prefix=f"{unit.unit}-", dir=self._incoming_dir)
         )
@@ -437,56 +436,33 @@ class Coordinator:
             self._server = None
 
     def _publish(self) -> dict[str, object]:
-        """Merge states, stitch the root, write the library — atomically.
+        """Merge states, stitch the root, write the library.
 
-        Everything here is a pure function of the verified uploads, so a
-        crash between any two steps republishes identically on restart.
+        The steps are the job runner's own (``merge-fingerprints``'s fold,
+        ``stitch``'s stitch), narrated through this coordinator's
+        lock-guarded emit.  Everything is a pure function of the verified
+        uploads and every write is atomic, so a crash between any two steps
+        republishes identically on restart.
         """
         if isinstance(self._plan, ArenaPlan):
             return self._publish_arena()
-        states = []
-        for unit in self._ledger.units():
-            path = self._states_dir / f"{unit.unit}.json"
-            state = FingerprintAccumulator.load(path)
-            self._emit(
-                ev.STATE_FOLDED,
-                path=str(path),
-                environments=len(state.condition_keys),
-                records=state.record_count,
-            )
-            states.append(state)
-        merged = fold_states_tree(states)
+        merged = fold_state_files(
+            [
+                str(self._states_dir / f"{unit.unit}.json")
+                for unit in self._ledger.units()
+            ],
+            self._emit,
+        )
         library = FingerprintLibrary()
         merged.finalize_into(library, margin=self._plan.margin)
-        self._emit(ev.STITCH_STARTED, root=str(self._root))
-        dataset = stitch_sharded_dataset(
-            self._root,
-            status=lambda shard, state: self._emit(
-                ev.SHARD_COMPLETE,
-                shard=shard.dirname,
-                viewers=shard.viewer_count,
-                state=state,
-            ),
-        )
-        self._emit(ev.ARTIFACT_WRITTEN, path=str(dataset.manifest_path))
-        temporary = self._library_path.with_name(self._library_path.name + ".tmp")
-        library.save(temporary)
-        os.replace(temporary, self._library_path)
-        from repro.jobs.runner import fingerprint_rows
-
+        stitch_dataset_root(str(self._root), self._emit)
+        library.save(self._library_path)
         self._emit(
             ev.FINGERPRINTS,
             rows=fingerprint_rows(library),
             output=str(self._library_path),
         )
-        units = self._ledger.units()
-        workers = sorted({unit.worker for unit in units if unit.worker})
-        self._emit(ev.PLAN_COMPLETE, units=len(units), workers=len(workers))
-        return {
-            "units": len(units),
-            "workers": len(workers),
-            "environments": len(library.condition_keys),
-        }
+        return self._plan_complete(environments=len(library.condition_keys))
 
     def _publish_arena(self) -> dict[str, object]:
         """Place the verified cell bytes and write the arena report.
@@ -494,43 +470,28 @@ class Coordinator:
         The staged uploads *are* the canonical cell files (workers write
         them with :func:`repro.arena.cell.cell_to_json`), so publication
         copies bytes verbatim into ``<root>/cells/`` and rebuilds the
-        report from them — byte-identical to a local ``repro arena`` run
-        of the same grid, and idempotent on restart.
+        report from them with ``repro arena``'s own closing step
+        (:func:`~repro.jobs.runner.publish_arena_report`) — byte-identical
+        to a local run of the same grid, and idempotent on restart.
         """
-        from repro.arena.report import ArenaReport
-
         cells_dir = self._root / "cells"
         cells_dir.mkdir(parents=True, exist_ok=True)
         results = []
         for unit in self._ledger.units():
             payload = (self._states_dir / f"{unit.unit}.json").read_bytes()
-            destination = cells_dir / f"{unit.unit}.json"
-            with tempfile.NamedTemporaryFile(dir=cells_dir, delete=False) as handle:
-                handle.write(payload)
-            os.replace(handle.name, destination)
+            write_atomic(cells_dir / f"{unit.unit}.json", payload)
             results.append(json.loads(payload.decode("utf-8")))
-        report = ArenaReport(results)
-        self._emit(
-            ev.TABLE,
-            title="Arena — defense × classifier sweep",
-            rows=report.rows(),
-            blank_after=True,
+        report = publish_arena_report(results, str(self._library_path), self._emit)
+        return self._plan_complete(
+            cells=len(results), frontier=len(report.frontier)
         )
-        report.save(self._library_path)
-        self._emit(
-            ev.ARTIFACT_WRITTEN,
-            path=str(self._library_path),
-            label="arena-report",
-        )
+
+    def _plan_complete(self, **summary: object) -> dict[str, object]:
+        """Announce publication; returns the serve summary."""
         units = self._ledger.units()
-        workers = sorted({unit.worker for unit in units if unit.worker})
+        workers = {unit.worker for unit in units if unit.worker}
         self._emit(ev.PLAN_COMPLETE, units=len(units), workers=len(workers))
-        return {
-            "units": len(units),
-            "workers": len(workers),
-            "cells": len(results),
-            "frontier": len(report.frontier),
-        }
+        return {"units": len(units), "workers": len(workers), **summary}
 
 
 def _check_upload_shape(

@@ -33,6 +33,7 @@ from repro.core.features import (
     LABEL_TYPE2,
 )
 from repro.exceptions import FingerprintError
+from repro.utils.atomic import write_atomic
 
 #: Code → label table for the band codes of :func:`repro.core.kernel.classify_codes`
 #: over ``(type1_band, type2_band)``: 0 = neither band, 1 = type-1, 2 = type-2.
@@ -448,11 +449,10 @@ class FingerprintAccumulator:
         """Persist the running state as JSON (one machine's calibration).
 
         Keys are sorted so that state files — like finalised libraries — are
-        byte-identical however the environments were first encountered.
+        byte-identical however the environments were first encountered.  The
+        write is atomic: a failed save leaves the previous file intact.
         """
-        Path(path).write_text(
-            json.dumps(self.as_dict(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        write_atomic(path, json.dumps(self.as_dict(), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintAccumulator":
@@ -552,17 +552,26 @@ class FingerprintLibrary:
         Keys are sorted, so two libraries holding the same fingerprints save
         byte-identically however their environments were learned or merged —
         distributed calibration (``repro merge-fingerprints``) is verified
-        against single-machine training with a plain ``diff``.
+        against single-machine training with a plain ``diff``.  The write is
+        atomic, so a reader (a watch fleet reloading the library) never sees
+        a torn file, and a failed save leaves the previous library intact.
         """
-        Path(path).write_text(
-            json.dumps(self.as_dict(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        write_atomic(path, json.dumps(self.as_dict(), indent=2, sort_keys=True))
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "FingerprintLibrary":
+        """Parse the bytes :meth:`save` writes."""
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except ValueError as error:
+            raise FingerprintError(f"cannot load fingerprint library: {error}") from error
+        return cls.from_dict(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintLibrary":
         """Load a library previously written by :meth:`save`."""
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+            raw = Path(path).read_bytes()
+        except OSError as error:
             raise FingerprintError(f"cannot load fingerprint library: {error}") from error
-        return cls.from_dict(data)
+        return cls.from_bytes(raw)

@@ -12,7 +12,7 @@
 Each use of a trace extracts its records afresh, in one pass over the
 trace's columns (:func:`repro.core.features.extract_client_records`), and
 batch evaluation can fan out over the engine's process pool
-(:meth:`WhiteMirrorAttack.evaluate_sessions` with ``parallel=True``).
+(:meth:`WhiteMirrorAttack.evaluate_sessions` with ``workers``).
 """
 
 from __future__ import annotations
@@ -508,27 +508,24 @@ class WhiteMirrorAttack:
     def evaluate_sessions(
         self,
         sessions: Sequence[SessionResult],
-        parallel: bool = False,
         workers: int | None = None,
     ) -> list[AttackEvaluation]:
         """Attack and score a batch of sessions with ground truth.
 
-        ``parallel=True`` fans the per-session work out over the engine's
-        process pool using every core; an explicit ``workers`` count also
-        enables the pool (with :class:`BatchExecutor` semantics) without
-        needing the flag.  Results are identical to the serial path and
-        returned in input order.
+        A ``workers`` count fans the per-session work out over the engine's
+        process pool with :class:`BatchExecutor` semantics (``0`` means
+        every core).  Results are identical to the serial path and returned
+        in input order.
         """
         sessions = list(sessions)
         if not sessions:
             raise AttackError("no sessions to evaluate")
-        if parallel or workers is not None:
-            executor = BatchExecutor(0 if parallel and workers is None else workers)
-            if executor.parallel:
-                chunks = executor.map(
-                    partial(_evaluate_chunk, self), _chunked(sessions, executor.workers)
-                )
-                return [result for chunk in chunks for result in chunk]
+        executor = BatchExecutor(workers)
+        if executor.parallel:
+            chunks = executor.map(
+                partial(_evaluate_chunk, self), _chunked(sessions, executor.workers)
+            )
+            return [result for chunk in chunks for result in chunk]
         return [
             self.attack_session(session).evaluate_against(session)
             for session in sessions

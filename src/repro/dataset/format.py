@@ -53,7 +53,6 @@ quarantine — never a directory that merely *looks* complete.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -62,6 +61,7 @@ from repro.dataset.collection import DataPoint
 from repro.exceptions import DatasetError, StreamingError
 from repro.narrative.graph import StoryGraph
 from repro.streaming.session import SessionConfig
+from repro.utils.atomic import write_atomic
 
 METADATA_FILENAME = "metadata.json"
 TRACES_DIRNAME = "traces"
@@ -231,9 +231,7 @@ class DatasetWriter:
             metadata["shard"] = self._shard
         # Publish atomically: a reader (or a resumed run) can never observe a
         # truncated index, only its presence or absence.
-        staging_path = self.metadata_path.with_name(METADATA_FILENAME + ".tmp")
-        staging_path.write_text(json.dumps(metadata, indent=2), encoding="utf-8")
-        os.replace(staging_path, self.metadata_path)
+        write_atomic(self.metadata_path, json.dumps(metadata, indent=2))
         self.inprogress_path.unlink(missing_ok=True)
         self._closed = True
         return self.metadata_path

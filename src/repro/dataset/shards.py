@@ -45,7 +45,6 @@ without regenerating anything.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -72,6 +71,7 @@ from repro.dataset.population import (
 from repro.exceptions import DatasetError
 from repro.narrative.graph import StoryGraph
 from repro.streaming.session import SessionConfig, SessionResult
+from repro.utils.atomic import write_atomic
 
 SHARDS_MANIFEST_FILENAME = "shards.json"
 SHARDS_FORMAT_VERSION = 1
@@ -517,9 +517,8 @@ class ShardedDataset:
     def save_manifest(self) -> Path:
         """Write the shards manifest atomically; returns its path.
 
-        Same staging + rename pattern as the per-shard metadata index: a
-        reader can observe the manifest's presence or absence, never a
-        truncated write.
+        Published like the per-shard metadata index: a reader can observe
+        the manifest's presence or absence, never a truncated write.
         """
         manifest = {
             "name": self._name,
@@ -529,10 +528,7 @@ class ShardedDataset:
             "shard_count": self.shard_count,
             "shards": [summary.as_dict() for summary in self._shard_summaries],
         }
-        staging_path = self.manifest_path.with_name(SHARDS_MANIFEST_FILENAME + ".tmp")
-        staging_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-        os.replace(staging_path, self.manifest_path)
-        return self.manifest_path
+        return write_atomic(self.manifest_path, json.dumps(manifest, indent=2))
 
     @classmethod
     def load(cls, directory: str | Path) -> "ShardedDataset":
@@ -761,6 +757,18 @@ def _shard_reuse_check(
     :func:`_shard_reuse_mismatch` (or its metadata cannot be summarised) and
     the reason comes back, or it verifies and its summary rides back so
     callers never summarise the same metadata twice.
+
+    A shard is reusable only when it finalised cleanly *and* its metadata
+    provably belongs to this run: same dataset name, generation seed,
+    recorded session configuration, story-graph fingerprint and shard plan
+    (index, shard count, population total), exactly the viewer ids of this
+    shard's population slice, and every trace file both recorded and still
+    on disk iff this run writes pcaps.  Anything else — debris of a
+    different population, a stale seed, a shard saved under different flags,
+    session config or script, a deleted pcap, a half-written index — is
+    treated as partial and handed to the quarantine path.  ``metadata``
+    lets a caller that already parsed the shard's index (e.g. the stitch
+    validator) pass it in instead of paying the load twice.
     """
     if metadata is None and dataset_is_complete(shard_directory):
         try:
@@ -789,48 +797,6 @@ def _shard_reuse_check(
     except DatasetError as error:
         return f"its metadata cannot be summarised: {error}", None
     return None, summary
-
-
-def _reusable_shard_summary(
-    shard_directory: Path,
-    shard_slice: ShardSlice,
-    shard_count: int,
-    viewers: Sequence[Viewer],
-    seed: int,
-    write_pcaps: bool,
-    dataset_name: str,
-    config: SessionConfig,
-    graph_fingerprint: str,
-    metadata: Mapping[str, object] | None = None,
-) -> ShardSummary | None:
-    """The completed shard's summary, or ``None`` if it must be regenerated.
-
-    A shard is reusable only when it finalised cleanly *and* its metadata
-    provably belongs to this run: same dataset name, generation seed,
-    recorded session configuration, story-graph fingerprint and shard plan
-    (index, shard count, population total), exactly the viewer ids of this
-    shard's population slice, and every trace file both recorded and still
-    on disk iff this run writes pcaps.  Anything else — debris of a
-    different population, a stale seed, a shard saved under different flags,
-    session config or script, a deleted pcap, a half-written index — is
-    treated as partial and handed to the quarantine path
-    (:func:`_shard_reuse_mismatch` names the specific mismatch).
-    ``metadata`` lets a caller that already parsed the shard's index (e.g.
-    the stitch validator) pass it in instead of paying the load twice.
-    """
-    _mismatch, summary = _shard_reuse_check(
-        shard_directory,
-        shard_slice,
-        shard_count,
-        viewers,
-        seed,
-        write_pcaps,
-        dataset_name,
-        config,
-        graph_fingerprint,
-        metadata=metadata,
-    )
-    return summary
 
 
 @dataclass(frozen=True)
@@ -955,7 +921,7 @@ def _generate_shards(
     for shard_slice in slices:
         shard_directory = directory / shard_slice.dirname
         if resume:
-            summary = _reusable_shard_summary(
+            _mismatch, summary = _shard_reuse_check(
                 shard_directory,
                 shard_slice,
                 shard_count,

@@ -54,13 +54,13 @@ Generate a dataset-sized batch of sessions on four workers::
     ]
     sessions = BatchExecutor(workers=4).execute(plans)   # in plan order
 
-Attack them in parallel::
+Attack them in parallel, on every core::
 
     from repro.core.pipeline import WhiteMirrorAttack
 
     attack = WhiteMirrorAttack(graph=graph)
     attack.train(sessions[:10])
-    evaluations = attack.evaluate_sessions(sessions[10:], parallel=True)
+    evaluations = attack.evaluate_sessions(sessions[10:], workers=0)
 
 The higher layers are already routed through the engine:
 ``IITMBandersnatchDataset.generate(..., workers=N)``,

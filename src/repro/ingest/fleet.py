@@ -300,10 +300,12 @@ class LibraryReloadWatcher:
             ) from error
 
     def _load(self) -> tuple[FingerprintLibrary, str]:
+        # Parse the very bytes that were hashed: a second read could see a
+        # different (say, mid-rewrite) file than the fingerprint names.
         raw = self._read()
         fingerprint = hashlib.sha256(raw).hexdigest()
         try:
-            library = FingerprintLibrary.load(self._path)
+            library = FingerprintLibrary.from_bytes(raw)
         except ReproError as error:
             raise IngestError(
                 f"--reload-library {self._path} is not a loadable fingerprint "
@@ -332,7 +334,7 @@ class LibraryReloadWatcher:
         if fingerprint in (self._fingerprint, self._bad_fingerprint):
             return None
         try:
-            library = FingerprintLibrary.load(self._path)
+            library = FingerprintLibrary.from_bytes(raw)
         except ReproError as error:
             self._bad_fingerprint = fingerprint
             if on_error is not None:

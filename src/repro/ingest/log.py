@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import IngestError
 from repro.net.pcap import file_fingerprint
+from repro.utils.atomic import write_atomic
 
 #: Format version stamped into every log line.
 RESULTS_LOG_VERSION = 1
@@ -295,7 +296,7 @@ def merge_results_logs(
     terminated garbage anywhere raises.  The merged verdict set is
     canonicalised with :func:`canonical_log_bytes`; the segments themselves
     are never modified.  When ``output`` is given the canonical bytes are
-    also written there (atomically, via a temp file and rename).
+    also written there, atomically.
     """
     verdicts: list[CaptureVerdict] = []
     for segment in segments:
@@ -312,13 +313,10 @@ def merge_results_logs(
         verdicts.extend(parsed)
     merged = canonical_log_bytes(verdicts)
     if output is not None:
-        destination = Path(output)
-        staging = destination.with_name(destination.name + ".tmp")
         try:
-            staging.write_bytes(merged)
-            os.replace(staging, destination)
+            write_atomic(output, merged)
         except OSError as error:
             raise IngestError(
-                f"cannot write merged results log {destination}: {error}"
+                f"cannot write merged results log {Path(output)}: {error}"
             ) from error
     return merged

@@ -18,11 +18,9 @@ which sinks are attached.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.features import extract_client_records
 from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
@@ -85,7 +83,11 @@ from repro.jobs.specs import (
 from repro.net.capture import CapturedTrace
 from repro.net.packet import Direction
 from repro.streaming.session import SessionConfig
+from repro.utils.atomic import write_atomic
 from repro.utils.stats import summarize
+
+if TYPE_CHECKING:
+    from repro.arena.report import ArenaReport
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,51 @@ class JobRunner:
             packets=summary.total_packets,
         )
 
-    def _emit_fingerprints(self, library: FingerprintLibrary, output: str) -> None:
+    def _publish_library(
+        self,
+        spec: TrainJob | MergeFingerprintsJob,
+        library: FingerprintLibrary,
+        *,
+        state: FingerprintAccumulator | None = None,
+        state_label: str = "",
+        **summary: object,
+    ) -> JobResult:
+        """The closing step every training job shares.
+
+        Saves the accumulator ``state`` when the spec asks for it, then the
+        library, narrating each write; the library leads the artifacts.
+        """
+        artifacts: list[Artifact] = []
+        if state is not None and spec.save_state:
+            state.save(self._resolve(spec.save_state))
+            self._bus.emit(
+                ev.ARTIFACT_WRITTEN, path=spec.save_state, label=state_label
+            )
+            artifacts.append(
+                self._workspace.artifact("accumulator-state", spec.save_state)
+            )
+        library.save(self._resolve(spec.output))
         self._bus.emit(
-            ev.FINGERPRINTS, rows=fingerprint_rows(library), output=output
+            ev.FINGERPRINTS, rows=fingerprint_rows(library), output=spec.output
+        )
+        artifacts.insert(
+            0, self._workspace.artifact("fingerprint-library", spec.output)
+        )
+        return JobResult(
+            job=spec.KIND,
+            artifacts=tuple(artifacts),
+            summary={"environments": len(library.condition_keys), **summary},
+        )
+
+    def _emit_cell(self, result: dict, state: str) -> None:
+        self._bus.emit(
+            ev.CELL_COMPLETE,
+            cell=result["cell"],
+            defense=result["defense_name"],
+            classifier=result["classifier_name"],
+            choice_accuracy=result["metrics"]["choice_accuracy"],
+            overhead_bytes=result["metrics"]["overhead_bytes_per_session"],
+            state=state,
         )
 
     def _session_progress(self) -> ProgressCallback:
@@ -185,77 +229,40 @@ class JobRunner:
         """
         config = SessionConfig(cross_traffic_enabled=spec.cross_traffic)
         progress = self._session_progress()
-        dataset_artifact = lambda: self._workspace.artifact("dataset", spec.output)  # noqa: E731
-        if spec.shards is not None:
-            verb = "resuming" if spec.resume else "generating"
+        selection = (
+            None
+            if spec.only_shards is None
+            else parse_shard_selection(spec.only_shards, spec.shards)
+        )
+        self._bus.emit(
+            ev.GENERATION_STARTED,
+            verb="resuming" if spec.resume else "generating",
+            viewers=spec.viewers,
+            seed=spec.seed,
+            shards=spec.shards,
+            selection=None if selection is None else list(selection),
+        )
+        if spec.shards is None:
+            _metadata_path, summary = IITMBandersnatchDataset.generate_streaming(
+                self._resolve(spec.output),
+                viewer_count=spec.viewers,
+                seed=spec.seed,
+                config=config,
+                progress=progress,
+                workers=spec.workers,
+                write_pcaps=spec.write_pcaps,
+            )
+            self._bus.emit(ev.PROGRESS_FINISHED)
+            self._bus.emit(
+                ev.ARTIFACT_WRITTEN,
+                path=str(Path(spec.output) / METADATA_FILENAME),
+            )
+            counts: dict[str, object] = {}
+        else:
             # A shard reports e.g. "quarantined+generated" when a partial
             # copy was moved aside before regeneration.
             shard_states: dict[str, list[str]] = {}
-            record_state = lambda shard, state: shard_states.setdefault(  # noqa: E731
-                shard.dirname, []
-            ).append(state)
-            if spec.only_shards is not None:
-                selection = parse_shard_selection(spec.only_shards, spec.shards)
-                self._bus.emit(
-                    ev.GENERATION_STARTED,
-                    verb=verb,
-                    viewers=spec.viewers,
-                    seed=spec.seed,
-                    shards=spec.shards,
-                    selection=list(selection),
-                )
-                summaries = generate_shard_subset(
-                    self._resolve(spec.output),
-                    viewer_count=spec.viewers,
-                    shard_count=spec.shards,
-                    only_shards=selection,
-                    seed=spec.seed,
-                    config=config,
-                    workers=spec.workers,
-                    shard_workers=spec.shard_workers,
-                    write_pcaps=spec.write_pcaps,
-                    progress=progress,
-                    resume=spec.resume,
-                    status=record_state,
-                )
-                self._bus.emit(ev.PROGRESS_FINISHED)
-                for shard in summaries:
-                    state = "+".join(
-                        shard_states.get(shard.directory, [SHARD_GENERATED])
-                    )
-                    self._bus.emit(
-                        ev.SHARD_COMPLETE,
-                        shard=shard.directory,
-                        viewers=shard.viewer_count,
-                        state=state,
-                    )
-                self._bus.emit(
-                    ev.SUBSET_WRITTEN,
-                    written=len(summaries),
-                    planned=spec.shards,
-                    root=spec.output,
-                )
-                merged = merge_shard_summaries(summaries)
-                self._emit_summary(merged)
-                return JobResult(
-                    job=spec.KIND,
-                    artifacts=(dataset_artifact(),),
-                    summary={
-                        "viewers": merged.viewer_count,
-                        "shards_written": len(summaries),
-                        "shards_planned": spec.shards,
-                    },
-                )
-            self._bus.emit(
-                ev.GENERATION_STARTED,
-                verb=verb,
-                viewers=spec.viewers,
-                seed=spec.seed,
-                shards=spec.shards,
-                selection=None,
-            )
-            dataset = generate_sharded_dataset(
-                self._resolve(spec.output),
+            plan = dict(
                 viewer_count=spec.viewers,
                 shard_count=spec.shards,
                 seed=spec.seed,
@@ -265,10 +272,20 @@ class JobRunner:
                 write_pcaps=spec.write_pcaps,
                 progress=progress,
                 resume=spec.resume,
-                status=record_state,
+                status=lambda shard, state: shard_states.setdefault(
+                    shard.dirname, []
+                ).append(state),
             )
+            if selection is None:
+                summaries = generate_sharded_dataset(
+                    self._resolve(spec.output), **plan
+                ).shard_summaries
+            else:
+                summaries = generate_shard_subset(
+                    self._resolve(spec.output), only_shards=selection, **plan
+                )
             self._bus.emit(ev.PROGRESS_FINISHED)
-            for shard in dataset.shard_summaries:
+            for shard in summaries:
                 state = "+".join(shard_states.get(shard.directory, [SHARD_GENERATED]))
                 self._bus.emit(
                     ev.SHARD_COMPLETE,
@@ -276,47 +293,29 @@ class JobRunner:
                     viewers=shard.viewer_count,
                     state=state,
                 )
-            self._bus.emit(
-                ev.ARTIFACT_WRITTEN,
-                path=str(Path(spec.output) / SHARDS_MANIFEST_FILENAME),
-            )
-            summary = dataset.summary()
-            self._emit_summary(summary)
-            return JobResult(
-                job=spec.KIND,
-                artifacts=(dataset_artifact(),),
-                summary={
-                    "viewers": summary.viewer_count,
-                    "shards": spec.shards,
-                },
-            )
-        self._bus.emit(
-            ev.GENERATION_STARTED,
-            verb="generating",
-            viewers=spec.viewers,
-            seed=spec.seed,
-            shards=None,
-            selection=None,
-        )
-        metadata_path, summary = IITMBandersnatchDataset.generate_streaming(
-            self._resolve(spec.output),
-            viewer_count=spec.viewers,
-            seed=spec.seed,
-            config=config,
-            progress=progress,
-            workers=spec.workers,
-            write_pcaps=spec.write_pcaps,
-        )
-        self._bus.emit(ev.PROGRESS_FINISHED)
-        self._bus.emit(
-            ev.ARTIFACT_WRITTEN,
-            path=str(Path(spec.output) / METADATA_FILENAME),
-        )
+            if selection is None:
+                self._bus.emit(
+                    ev.ARTIFACT_WRITTEN,
+                    path=str(Path(spec.output) / SHARDS_MANIFEST_FILENAME),
+                )
+                counts = {"shards": spec.shards}
+            else:
+                self._bus.emit(
+                    ev.SUBSET_WRITTEN,
+                    written=len(summaries),
+                    planned=spec.shards,
+                    root=spec.output,
+                )
+                counts = {
+                    "shards_written": len(summaries),
+                    "shards_planned": spec.shards,
+                }
+            summary = merge_shard_summaries(summaries)
         self._emit_summary(summary)
         return JobResult(
             job=spec.KIND,
-            artifacts=(dataset_artifact(),),
-            summary={"viewers": summary.viewer_count},
+            artifacts=(self._workspace.artifact("dataset", spec.output),),
+            summary={"viewers": summary.viewer_count, **counts},
         )
 
     # -- train -------------------------------------------------------------
@@ -366,13 +365,7 @@ class JobRunner:
         )
         attack = WhiteMirrorAttack(graph=dataset.graph, band_margin=spec.margin)
         attack.train([point.session for point in train_points])
-        attack.library.save(self._resolve(spec.output))
-        self._emit_fingerprints(attack.library, spec.output)
-        return JobResult(
-            job=spec.KIND,
-            artifacts=(self._workspace.artifact("fingerprint-library", spec.output),),
-            summary={"environments": len(attack.library.condition_keys)},
-        )
+        return self._publish_library(spec, attack.library)
 
     def _train_sharded(self, spec: TrainJob, directory: Path) -> JobResult:
         """Fold a sharded dataset into the fingerprints shard by shard.
@@ -473,29 +466,12 @@ class JobRunner:
             # Every shard folded from its sidecar; finalise the accumulated
             # state directly (train_incremental would reject zero sessions).
             accumulator.finalize_into(attack.library, margin=spec.margin)
-        artifacts: list[Artifact] = []
-        if spec.save_state:
-            accumulator.save(self._resolve(spec.save_state))
-            self._bus.emit(
-                ev.ARTIFACT_WRITTEN,
-                path=spec.save_state,
-                label="accumulator-state",
-            )
-            artifacts.append(
-                self._workspace.artifact("accumulator-state", spec.save_state)
-            )
-        attack.library.save(self._resolve(spec.output))
-        self._emit_fingerprints(attack.library, spec.output)
-        artifacts.insert(
-            0, self._workspace.artifact("fingerprint-library", spec.output)
-        )
-        return JobResult(
-            job=spec.KIND,
-            artifacts=tuple(artifacts),
-            summary={
-                "environments": len(attack.library.condition_keys),
-                "viewers": viewer_count,
-            },
+        return self._publish_library(
+            spec,
+            attack.library,
+            state=accumulator,
+            state_label="accumulator-state",
+            viewers=viewer_count,
         )
 
     # -- stitch ------------------------------------------------------------
@@ -510,20 +486,7 @@ class JobRunner:
         fingerprint — without regenerating or re-reading a single pcap —
         then writes ``shards.json``.
         """
-        self._bus.emit(ev.STITCH_STARTED, root=spec.root)
-        dataset = stitch_sharded_dataset(
-            self._resolve(spec.root),
-            status=lambda shard, state: self._bus.emit(
-                ev.SHARD_COMPLETE,
-                shard=shard.dirname,
-                viewers=shard.viewer_count,
-                state=state,
-            ),
-        )
-        self._bus.emit(
-            ev.ARTIFACT_WRITTEN,
-            path=str(Path(spec.root) / SHARDS_MANIFEST_FILENAME),
-        )
+        dataset = stitch_dataset_root(spec.root, self._bus.emit, self._resolve)
         summary = dataset.summary()
         self._emit_summary(summary)
         return JobResult(
@@ -545,38 +508,11 @@ class JobRunner:
         a fingerprint library identical — byte for byte — to
         single-machine training over the union of the machines' shards.
         """
-        merged = FingerprintAccumulator()
-        for path in spec.states:
-            state = FingerprintAccumulator.load(self._resolve(path))
-            merged.merge(state)
-            self._bus.emit(
-                ev.STATE_FOLDED,
-                path=path,
-                environments=len(state.condition_keys),
-                records=state.record_count,
-            )
-        artifacts: list[Artifact] = []
-        if spec.save_state:
-            merged.save(self._resolve(spec.save_state))
-            self._bus.emit(
-                ev.ARTIFACT_WRITTEN,
-                path=spec.save_state,
-                label="merged-accumulator-state",
-            )
-            artifacts.append(
-                self._workspace.artifact("accumulator-state", spec.save_state)
-            )
+        merged = fold_state_files(spec.states, self._bus.emit, self._resolve)
         library = FingerprintLibrary()
         merged.finalize_into(library, margin=spec.margin)
-        library.save(self._resolve(spec.output))
-        self._emit_fingerprints(library, spec.output)
-        artifacts.insert(
-            0, self._workspace.artifact("fingerprint-library", spec.output)
-        )
-        return JobResult(
-            job=spec.KIND,
-            artifacts=tuple(artifacts),
-            summary={"environments": len(library.condition_keys)},
+        return self._publish_library(
+            spec, library, state=merged, state_label="merged-accumulator-state"
         )
 
     # -- attack ------------------------------------------------------------
@@ -922,7 +858,6 @@ class JobRunner:
 
         from repro.arena.cell import cell_to_json, run_cell
         from repro.arena.grid import ArenaGrid
-        from repro.arena.report import ArenaReport
 
         grid = ArenaGrid.from_axes(
             defenses=spec.defenses,
@@ -986,36 +921,21 @@ class JobRunner:
                         result = futures[cell.cell_id].result()
                     else:
                         result = run_cell(**cell_kwargs(cell))
-                    _write_text_atomic(
+                    write_atomic(
                         cells_dir / f"{cell.cell_id}.json", cell_to_json(result)
                     )
                     results[cell.cell_id] = result
                     state = "scored"
-                self._bus.emit(
-                    ev.CELL_COMPLETE,
-                    cell=cell.cell_id,
-                    defense=result["defense_name"],
-                    classifier=result["classifier_name"],
-                    choice_accuracy=result["metrics"]["choice_accuracy"],
-                    overhead_bytes=result["metrics"][
-                        "overhead_bytes_per_session"
-                    ],
-                    state=state,
-                )
+                self._emit_cell(result, state)
         finally:
             if executor is not None:
                 executor.shutdown()
-        report = ArenaReport([results[cell.cell_id] for cell in cells])
-        self._bus.emit(
-            ev.TABLE,
-            title="Arena — defense × classifier sweep",
-            rows=report.rows(),
-            blank_after=True,
-        )
         report_display = spec.report or str(Path(spec.output) / "report.json")
-        report.save(self._resolve(report_display))
-        self._bus.emit(
-            ev.ARTIFACT_WRITTEN, path=report_display, label="arena-report"
+        report = publish_arena_report(
+            [results[cell.cell_id] for cell in cells],
+            report_display,
+            self._bus.emit,
+            self._resolve,
         )
         return JobResult(
             job=spec.KIND,
@@ -1044,16 +964,8 @@ class JobRunner:
         )
         path = Path(self._resolve(spec.output))
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_text_atomic(path, cell_to_json(result))
-        self._bus.emit(
-            ev.CELL_COMPLETE,
-            cell=spec.cell,
-            defense=result["defense_name"],
-            classifier=result["classifier_name"],
-            choice_accuracy=result["metrics"]["choice_accuracy"],
-            overhead_bytes=result["metrics"]["overhead_bytes_per_session"],
-            state="scored",
-        )
+        write_atomic(path, cell_to_json(result))
+        self._emit_cell(result, "scored")
         return JobResult(
             job=spec.KIND,
             artifacts=(self._workspace.artifact("arena-cell", spec.output),),
@@ -1271,13 +1183,78 @@ class JobRunner:
         return JobResult(job=spec.KIND, summary=summary)
 
 
-def fingerprint_rows(library: FingerprintLibrary) -> list[dict[str, object]]:
-    """The fingerprint-table rows for a library, in environment order.
+# -- closing steps shared with the coordinator ---------------------------------
+#
+# ``repro serve`` publishes a fleet plan with these same functions, so its
+# artifacts and narration cannot drift from a local stitch, merge or sweep.
+# Each takes the event sink as a plain ``emit`` callable (the coordinator
+# passes its lock-guarded emit) and the paths as the caller names them in
+# events; ``resolve`` maps such a name to where the bytes live.
 
-    Shared between the runner's ``fingerprints`` emission and the
-    coordinator's publication step, so a fleet run's closing table is
-    byte-identical to a local ``train``'s.
-    """
+Emit = Callable[..., None]
+
+
+def fold_state_files(
+    paths: Sequence[str], emit: Emit, resolve: Callable[[str], str] = str
+) -> FingerprintAccumulator:
+    """Load accumulator states and merge them in order, one ``state-folded``
+    event per file; returns the merged state."""
+    merged = FingerprintAccumulator()
+    for path in paths:
+        state = FingerprintAccumulator.load(resolve(path))
+        merged.merge(state)
+        emit(
+            ev.STATE_FOLDED,
+            path=path,
+            environments=len(state.condition_keys),
+            records=state.record_count,
+        )
+    return merged
+
+
+def stitch_dataset_root(
+    root: str, emit: Emit, resolve: Callable[[str], str] = str
+) -> ShardedDataset:
+    """Verify a root's shards and publish its ``shards.json``, narrating
+    each shard's verdict and the written manifest."""
+    emit(ev.STITCH_STARTED, root=root)
+    dataset = stitch_sharded_dataset(
+        resolve(root),
+        status=lambda shard, state: emit(
+            ev.SHARD_COMPLETE,
+            shard=shard.dirname,
+            viewers=shard.viewer_count,
+            state=state,
+        ),
+    )
+    emit(ev.ARTIFACT_WRITTEN, path=str(Path(root) / SHARDS_MANIFEST_FILENAME))
+    return dataset
+
+
+def publish_arena_report(
+    cells: Sequence[dict],
+    output: str,
+    emit: Emit,
+    resolve: Callable[[str], str] = str,
+) -> ArenaReport:
+    """Build the arena report from cell results, show it as a table and
+    save it to ``output``; returns the report."""
+    from repro.arena.report import ArenaReport
+
+    report = ArenaReport(cells)
+    emit(
+        ev.TABLE,
+        title="Arena — defense × classifier sweep",
+        rows=report.rows(),
+        blank_after=True,
+    )
+    report.save(resolve(output))
+    emit(ev.ARTIFACT_WRITTEN, path=output, label="arena-report")
+    return report
+
+
+def fingerprint_rows(library: FingerprintLibrary) -> list[dict[str, object]]:
+    """The fingerprint-table rows for a library, in environment order."""
     return [
         {
             "environment": key,
@@ -1293,21 +1270,6 @@ def fingerprint_rows(library: FingerprintLibrary) -> list[dict[str, object]]:
         }
         for key in sorted(library.condition_keys)
     ]
-
-
-def _write_text_atomic(path: Path, payload: str) -> None:
-    """Write ``payload`` via temp-file + rename, so readers (a resumed
-    sweep, the coordinator's publisher) never see a torn cell file."""
-    with tempfile.NamedTemporaryFile(
-        "w",
-        encoding="utf-8",
-        dir=path.parent,
-        prefix=path.name + ".",
-        suffix=".tmp",
-        delete=False,
-    ) as handle:
-        handle.write(payload)
-    os.replace(handle.name, path)
 
 
 def _matching_cell_result(path: Path, cell, grid) -> dict | None:

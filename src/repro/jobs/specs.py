@@ -390,7 +390,7 @@ class ServeJob(JobSpec):
     one shard-sized work unit at a time to ``repro work`` pull loops over
     the versioned jobs wire API, collects their fingerprint-verified
     uploads, and — once every unit is complete — folds the accumulator
-    states in a hierarchical merge tree and atomically publishes the
+    states as ``merge-fingerprints`` does and atomically publishes the
     stitched manifest plus the merged library, byte-identical to a
     single-machine ``generate-dataset --shards`` + ``train --sharded`` run.
     """

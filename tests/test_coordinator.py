@@ -1,4 +1,4 @@
-"""Unit tests for the coordinator's plan, ledger, wire and merge layers.
+"""Unit tests for the coordinator's plan, ledger and wire layers.
 
 The service-level (HTTP) behaviour and the byte-identity end-to-end run
 live in ``tests/test_coordinator_service.py``; everything here drives the
@@ -18,7 +18,6 @@ from repro.coordinator.ledger import (
     PENDING,
     LeaseLedger,
 )
-from repro.coordinator.merge import fold_states_tree
 from repro.coordinator.plan import FleetPlan
 from repro.coordinator.wire import (
     WIRE_VERSION,
@@ -27,7 +26,6 @@ from repro.coordinator.wire import (
     parse_body,
     require_field,
 )
-from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
 from repro.exceptions import CoordinatorError, LeaseExpired, ReproError
 from repro.jobs.specs import GenerateJob, TrainJob, job_from_dict
 
@@ -268,49 +266,6 @@ def test_ledger_writes_are_atomic(tmp_path, plan):
     path = tmp_path / "ledger.json"
     ledger = LeaseLedger(path, plan, clock=FakeClock())
     ledger.lease("w1", ttl=60)
-    # The write-temp-then-rename idiom never leaves its scratch file.
-    assert not path.with_name(path.name + ".tmp").exists()
+    # The write-temp-then-rename idiom never leaves a scratch file.
+    assert sorted(tmp_path.iterdir()) == [path]
     assert json.loads(path.read_text())["lease_counter"] == 1
-
-
-# -- merge tree -------------------------------------------------------------
-
-
-def _state(seed: int) -> FingerprintAccumulator:
-    # Type-1 clusters near 2000, type-2 near 3000: the bands stay separable
-    # under any merge order, while each state still moves the extremes.
-    accumulator = FingerprintAccumulator()
-    jitter = seed * 7
-    accumulator.observe_lengths(
-        "linux/firefox",
-        [2000 + jitter, 3000 + jitter, 2011 + jitter],
-        [1, 2, 1],
-    )
-    accumulator.observe_lengths(
-        "windows/chrome",
-        [3100 + jitter, 2100 + jitter],
-        [2, 1],
-    )
-    return accumulator
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
-def test_tree_fold_matches_the_sequential_fold_byte_for_byte(tmp_path, count):
-    sequential = FingerprintAccumulator()
-    for index in range(count):
-        sequential.merge(_state(index))
-    tree = fold_states_tree([_state(index) for index in range(count)])
-
-    for name, merged in (("sequential", sequential), ("tree", tree)):
-        library = FingerprintLibrary()
-        merged.finalize_into(library, margin=8)
-        library.save(tmp_path / f"{name}.json")
-    assert (tmp_path / "tree.json").read_bytes() == (
-        tmp_path / "sequential.json"
-    ).read_bytes()
-
-
-def test_tree_fold_refuses_zero_states():
-    with pytest.raises(CoordinatorError) as caught:
-        fold_states_tree([])
-    assert caught.value.field == "states"

@@ -437,3 +437,175 @@ def test_worker_rejection_rebuilds_the_typed_error(api):
         )
     assert caught.value.status == 410
     assert caught.value.field == "lease"
+
+
+# -- publication narration pins ---------------------------------------------
+
+#: What the coordinator itself emits while it publishes; worker narration
+#: that trickles in after the last upload (``unit-uploaded``,
+#: ``work-finished``) is left out.
+PUBLICATION_KINDS = (
+    "state-folded",
+    "stitch-started",
+    "shard-complete",
+    "artifact-written",
+    "fingerprints",
+    "table",
+    "plan-complete",
+)
+
+
+def _publication(recorder: Recorder, base, first: str) -> list:
+    """The publish tail from ``first`` through ``plan-complete``, with the
+    run's temporary directory replaced by ``<base>`` in every string."""
+
+    def normalise(value):
+        if isinstance(value, str):
+            return value.replace(str(base), "<base>")
+        if isinstance(value, list):
+            return [normalise(item) for item in value]
+        if isinstance(value, dict):
+            return {key: normalise(item) for key, item in value.items()}
+        return value
+
+    kinds = recorder.kinds()
+    start = kinds.index(first)
+    stop = kinds.index("plan-complete", start)
+    return [
+        [kind, normalise(data)]
+        for kind, data in recorder.events[start : stop + 1]
+        if kind in PUBLICATION_KINDS
+    ]
+
+
+@pytest.fixture(scope="module")
+def arena_run(tmp_path_factory):
+    """One pull worker draining a two-cell arena plan, events recorded."""
+    from repro.coordinator import ArenaPlan
+
+    base = tmp_path_factory.mktemp("arena-run")
+    recorder = Recorder()
+    coordinator = Coordinator(
+        ArenaPlan(
+            defenses=("pad-to-multiple:block_bytes=64",),
+            classifiers=("interval:margin=8",),
+            conditions=("linux/desktop/firefox/wired/noon",),
+            train_count=1,
+            test_count=1,
+            seed=11,
+        ),
+        EventBus(recorder),
+        root=base / "arena",
+        library=base / "report.json",
+        linger=0.0,
+    )
+    host, port = coordinator.start()
+    worker = threading.Thread(
+        target=PullWorker(
+            f"http://{host}:{port}",
+            EventBus(),
+            worker_id="w1",
+            scratch=base / "scratch",
+            poll_interval=0.05,
+        ).run
+    )
+    worker.start()
+    coordinator.serve_until_complete()
+    worker.join(timeout=60)
+    return base, recorder
+
+
+def test_fleet_publication_narration_is_pinned(fleet_run):
+    """``serve`` publishes with the stock stitch/train narration, in order."""
+    root, _library, summary, recorder = fleet_run
+    assert _publication(recorder, root.parent, "state-folded") == [
+        [
+            "state-folded",
+            {
+                "path": "<base>/dataset.coordinator/states/shard-000.json",
+                "environments": 1,
+                "records": 114,
+            },
+        ],
+        [
+            "state-folded",
+            {
+                "path": "<base>/dataset.coordinator/states/shard-001.json",
+                "environments": 1,
+                "records": 131,
+            },
+        ],
+        ["stitch-started", {"root": "<base>/dataset"}],
+        [
+            "shard-complete",
+            {"shard": "shard-000", "viewers": 1, "state": "verified"},
+        ],
+        [
+            "shard-complete",
+            {"shard": "shard-001", "viewers": 1, "state": "verified"},
+        ],
+        ["artifact-written", {"path": "<base>/dataset/shards.json"}],
+        [
+            "fingerprints",
+            {
+                "rows": [
+                    {
+                        "environment": "linux/firefox",
+                        "type1_band": "2203-2221",
+                        "type2_band": "2993-3019",
+                        "training_records": 114,
+                    },
+                    {
+                        "environment": "windows/firefox",
+                        "type1_band": "2333-2351",
+                        "type2_band": "3111-3153",
+                        "training_records": 131,
+                    },
+                ],
+                "output": "<base>/library.json",
+            },
+        ],
+        # Either worker may drain both units, so the count is the summary's.
+        ["plan-complete", {"units": 2, "workers": summary["workers"]}],
+    ]
+
+
+def test_arena_publication_narration_is_pinned(arena_run):
+    """``serve --arena`` publishes with the stock arena narration."""
+    base, recorder = arena_run
+    assert _publication(recorder, base, "table") == [
+        [
+            "table",
+            {
+                "title": "Arena — defense × classifier sweep",
+                "rows": [
+                    {
+                        "cell": "cell-0000",
+                        "condition": "linux/desktop/firefox/wired/noon",
+                        "defense": "no defense",
+                        "classifier": "interval(margin=8)",
+                        "choice_accuracy": 1.0,
+                        "overhead_bytes": 0.0,
+                        "timing_recall": 0.8,
+                        "pareto": "*",
+                    },
+                    {
+                        "cell": "cell-0001",
+                        "condition": "linux/desktop/firefox/wired/noon",
+                        "defense": "pad-to-multiple(block_bytes=64)",
+                        "classifier": "interval(margin=8)",
+                        "choice_accuracy": 1.0,
+                        "overhead_bytes": 4369.0,
+                        "timing_recall": 0.8,
+                        "pareto": "",
+                    },
+                ],
+                "blank_after": True,
+            },
+        ],
+        [
+            "artifact-written",
+            {"path": "<base>/report.json", "label": "arena-report"},
+        ],
+        ["plan-complete", {"units": 2, "workers": 1}],
+    ]

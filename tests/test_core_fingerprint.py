@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.features import ClientRecord, LABEL_OTHER, LABEL_TYPE1, LABEL_TYPE2
-from repro.core.fingerprint import FingerprintLibrary, LengthBand, RecordLengthFingerprint
+from repro.core import fingerprint as fingerprint_module
+from repro.core.fingerprint import (
+    FingerprintAccumulator,
+    FingerprintLibrary,
+    LengthBand,
+    RecordLengthFingerprint,
+)
 from repro.exceptions import FingerprintError
 
 
@@ -117,6 +123,49 @@ class TestFingerprintLibrary:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FingerprintError):
             FingerprintLibrary.load(tmp_path / "missing.json")
+
+    def test_load_refuses_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "library.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FingerprintError, match="cannot load fingerprint library"):
+            FingerprintLibrary.load(path)
+
+
+def _unwritable_json(*_args, **_kwargs) -> str:
+    # A lone surrogate cannot be encoded as UTF-8: the write fails after
+    # the serialised text exists, as a full disk would mid-save.
+    return '{"torn": "\ud800"}'
+
+
+class TestSavesAreAtomic:
+    """A failed save must leave the previous file, never a truncated one."""
+
+    def _library(self) -> FingerprintLibrary:
+        library = FingerprintLibrary()
+        library.learn("linux/firefox", _training_records())
+        return library
+
+    def test_failed_library_save_keeps_the_old_library(self, tmp_path, monkeypatch):
+        path = tmp_path / "library.json"
+        self._library().save(path)
+        before = path.read_bytes()
+        monkeypatch.setattr(fingerprint_module.json, "dumps", _unwritable_json)
+        with pytest.raises(UnicodeEncodeError):
+            self._library().save(path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_failed_state_save_keeps_the_old_state(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        accumulator = FingerprintAccumulator()
+        accumulator.observe("linux/firefox", _training_records())
+        accumulator.save(path)
+        before = path.read_bytes()
+        monkeypatch.setattr(fingerprint_module.json, "dumps", _unwritable_json)
+        with pytest.raises(UnicodeEncodeError):
+            accumulator.save(path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestLibrarySerialisationGoldenFile:

@@ -139,9 +139,7 @@ class TestSerialParallelDeterminism:
         attack = WhiteMirrorAttack(graph=minimal_graph)
         attack.train(serial_results)
         serial = attack.evaluate_sessions(serial_results)
-        parallel = attack.evaluate_sessions(serial_results, parallel=True, workers=2)
-        assert serial == parallel
-        # An explicit worker count enables the pool without the flag.
+        # An explicit worker count enables the pool.
         assert attack.evaluate_sessions(serial_results, workers=2) == serial
 
     def test_attack_batch_parallel_matches_serial(self, minimal_graph, serial_results):

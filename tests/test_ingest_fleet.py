@@ -20,6 +20,7 @@ The tentpole guarantees under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -435,6 +436,34 @@ class TestHotReload:
         stage.write_bytes(_restaged_bytes(library_path))
         assert watcher.poll(on_error=errors.append) is not None
         assert len(errors) == 1
+
+    def test_a_rewrite_between_hash_and_parse_cannot_poison_the_stage(
+        self, library_path, tmp_path, monkeypatch
+    ):
+        stage = tmp_path / "stage.json"
+        shutil.copy(library_path, stage)
+        watcher = LibraryReloadWatcher(stage)
+        staged = _restaged_bytes(library_path)
+        stage.write_bytes(staged)
+        # A writer re-copying the same bytes truncates the file just after
+        # the watcher's read: a second read would see an empty stage.
+        read_bytes = Path.read_bytes
+
+        def read_then_truncate(path):
+            raw = read_bytes(path)
+            if path == stage:
+                stage.write_bytes(b"")
+            return raw
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_truncate)
+        errors = []
+        watcher.poll(on_error=errors.append)
+        monkeypatch.undo()
+        stage.write_bytes(staged)  # the writer finishes
+        watcher.poll(on_error=errors.append)
+        # The staged bytes were valid throughout, so they are served.
+        assert watcher.fingerprint == hashlib.sha256(staged).hexdigest()
+        assert not errors
 
     def test_fleet_swaps_the_library_between_batches_never_mid_attack(
         self, library_path, tmp_path

@@ -93,7 +93,7 @@ class TestWriterMarker:
         assert not (tmp_path / INPROGRESS_FILENAME).exists()
         assert dataset_is_complete(tmp_path)
         # Atomic publish: no staging file left behind.
-        assert not (tmp_path / "metadata.json.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_error_exit_leaves_the_marker(self, tmp_path):
         with pytest.raises(RuntimeError):
