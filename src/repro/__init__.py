@@ -53,37 +53,38 @@ content-fingerprinted artifacts.  Spec dicts carry ``"schema"``
 carries ``"wire"`` (:data:`repro.coordinator.WIRE_VERSION`); consumers
 must refuse versions they do not speak, as every repro component does.
 
-Importing :mod:`repro` (or :mod:`repro.jobs`, :mod:`repro.ingest.fleet`,
-:mod:`repro.cli.main`) loads only numpy and the standard library.  What
-only some runs need loads when they need it: the HTTP server with
-``serve`` or ``--metrics-port``, the process pool with ``--workers``, the
-experiments package with ``reproduce``.  ``tests/test_dependencies.py``
-holds this line.
+``import repro`` loads only the package, and so does importing any of its
+subpackages: each lists its names in a table (a PEP 562 ``__getattr__``),
+and a name loads its defining module on first access.  A process thus
+compiles the modules it uses: :class:`JobRunner` imports a job kind's
+modules when it runs that kind, and the attack path (``repro attack``,
+``repro watch``) loads no simulator, sweep or coordinator module.  Beyond
+numpy and the standard library, what only some runs need loads when they
+need it: the HTTP server with ``serve`` or ``--metrics-port``, the process
+pool with ``--workers``, the experiments package with ``reproduce``.
+``tests/test_dependencies.py`` holds these lines.
 """
 
 from __future__ import annotations
 
 __version__ = "1.0.0"
 
-from repro.core.pipeline import WhiteMirrorAttack
-from repro.dataset.iitm import IITMBandersnatchDataset
-from repro.jobs import JobResult, JobRunner, Workspace, job_from_dict
-from repro.narrative.bandersnatch import build_bandersnatch_script
-from repro.streaming.session import SessionConfig, simulate_session
+from repro import _lazy
 
-__all__ = [
-    "IITMBandersnatchDataset",
-    "JobResult",
-    "JobRunner",
-    "SessionConfig",
-    "WhiteMirrorAttack",
-    "Workspace",
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".core.pipeline": "WhiteMirrorAttack",
+        ".dataset.iitm": "IITMBandersnatchDataset",
+        ".jobs.artifacts": "Workspace",
+        ".jobs.runner": "JobResult JobRunner",
+        ".jobs.specs": "job_from_dict",
+        ".narrative.bandersnatch": "build_bandersnatch_script",
+        ".streaming.session": "SessionConfig simulate_session",
+    },
     "__version__",
-    "build_bandersnatch_script",
-    "job_from_dict",
     "quick_attack_demo",
-    "simulate_session",
-]
+)
 
 
 def quick_attack_demo(seed: int = 7, sessions: int = 3) -> dict[str, object]:
@@ -97,6 +98,9 @@ def quick_attack_demo(seed: int = 7, sessions: int = 3) -> dict[str, object]:
     from repro.client.profiles import figure2_conditions
     from repro.client.viewer import ViewerBehavior
     from repro.core.evaluation import aggregate_choice_accuracy
+    from repro.core.pipeline import WhiteMirrorAttack
+    from repro.narrative.bandersnatch import build_bandersnatch_script
+    from repro.streaming.session import simulate_session
     from repro.utils.rng import derive_seed
 
     graph = build_bandersnatch_script(

@@ -21,17 +21,13 @@ Defenses and classifiers enter the arena exclusively as component specs
 class reference.
 """
 
-from repro.arena.cell import ARENA_SCHEMA_VERSION, cell_to_json, run_cell
-from repro.arena.grid import ArenaCell, ArenaGrid, parse_component_entry, parse_condition_entry
-from repro.arena.report import ArenaReport
+from repro import _lazy
 
-__all__ = [
-    "ARENA_SCHEMA_VERSION",
-    "ArenaCell",
-    "ArenaGrid",
-    "ArenaReport",
-    "cell_to_json",
-    "parse_component_entry",
-    "parse_condition_entry",
-    "run_cell",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".cell": "ARENA_SCHEMA_VERSION cell_to_json run_cell",
+        ".grid": "ArenaCell ArenaGrid parse_component_entry parse_condition_entry",
+        ".report": "ArenaReport",
+    },
+)

@@ -17,23 +17,14 @@ against the White Mirror side-channel on the intra-video task of deciding, at
 every choice point, which branch was streamed.
 """
 
-from repro.baselines.bitrate import BitrateProfile, BitrateFingerprinter
-from repro.baselines.burst import BurstSequence, BurstFingerprinter, extract_bursts
-from repro.baselines.comparison import (
-    BranchClassificationTask,
-    ComparisonResult,
-    build_branch_tasks,
-    run_comparison,
-)
+from repro import _lazy
 
-__all__ = [
-    "BitrateProfile",
-    "BitrateFingerprinter",
-    "BurstSequence",
-    "BurstFingerprinter",
-    "extract_bursts",
-    "BranchClassificationTask",
-    "ComparisonResult",
-    "build_branch_tasks",
-    "run_comparison",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".bitrate": "BitrateProfile BitrateFingerprinter",
+        ".burst": "BurstSequence BurstFingerprinter extract_bursts",
+        ".comparison": "BranchClassificationTask ComparisonResult build_branch_tasks"
+            " run_comparison",
+    },
+)

@@ -14,43 +14,16 @@ client side that shapes those lengths:
   synthetic viewer population.
 """
 
-from repro.client.profiles import (
-    BROWSERS,
-    CONNECTION_TYPES,
-    OPERATING_SYSTEMS,
-    PLATFORMS,
-    TRAFFIC_CONDITIONS,
-    ClientProfile,
-    OperationalCondition,
-    enumerate_conditions,
-    figure2_conditions,
-    profile_for,
-)
-from repro.client.json_state import (
-    JSON_TYPE_1,
-    JSON_TYPE_2,
-    StateMessage,
-    build_type1_message,
-    build_type2_message,
-)
-from repro.client.viewer import ViewerBehavior, ViewerChoiceModel
+from repro import _lazy
 
-__all__ = [
-    "BROWSERS",
-    "CONNECTION_TYPES",
-    "OPERATING_SYSTEMS",
-    "PLATFORMS",
-    "TRAFFIC_CONDITIONS",
-    "ClientProfile",
-    "OperationalCondition",
-    "enumerate_conditions",
-    "figure2_conditions",
-    "profile_for",
-    "JSON_TYPE_1",
-    "JSON_TYPE_2",
-    "StateMessage",
-    "build_type1_message",
-    "build_type2_message",
-    "ViewerBehavior",
-    "ViewerChoiceModel",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".profiles": "BROWSERS CONNECTION_TYPES OPERATING_SYSTEMS PLATFORMS"
+            " TRAFFIC_CONDITIONS ClientProfile OperationalCondition"
+            " enumerate_conditions figure2_conditions profile_for",
+        ".json_state": "JSON_TYPE_1 JSON_TYPE_2 StateMessage build_type1_message"
+            " build_type2_message",
+        ".viewer": "ViewerBehavior ViewerChoiceModel",
+    },
+)

@@ -23,19 +23,15 @@ dataset root and fingerprint library are byte-identical to one machine
 running the same plan serially.
 """
 
-from repro.coordinator.ledger import LeaseLedger, WorkUnit
-from repro.coordinator.plan import ArenaPlan, FleetPlan
-from repro.coordinator.service import Coordinator
-from repro.coordinator.wire import WIRE_VERSION
-from repro.coordinator.worker import PullWorker, RemoteEventSink
+from repro import _lazy
 
-__all__ = [
-    "ArenaPlan",
-    "Coordinator",
-    "FleetPlan",
-    "LeaseLedger",
-    "PullWorker",
-    "RemoteEventSink",
-    "WIRE_VERSION",
-    "WorkUnit",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".ledger": "LeaseLedger WorkUnit",
+        ".plan": "ArenaPlan FleetPlan",
+        ".service": "Coordinator",
+        ".wire": "WIRE_VERSION",
+        ".worker": "PullWorker RemoteEventSink",
+    },
+)

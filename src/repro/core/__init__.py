@@ -19,53 +19,20 @@ viewing session, the attack
 :mod:`repro.core.evaluation` scores recovered choices against ground truth.
 """
 
-from repro.core.features import (
-    ClientRecord,
-    LABEL_OTHER,
-    LABEL_TYPE1,
-    LABEL_TYPE2,
-    extract_client_records,
-    record_length_series,
-)
-from repro.core.fingerprint import (
-    FingerprintAccumulator,
-    FingerprintLibrary,
-    LengthBand,
-    RecordLengthFingerprint,
-)
-from repro.core.classifier import RecordTypeClassifier, MLRecordClassifier
-from repro.core.inference import ChoiceEvent, InferredChoices, infer_choices, reconstruct_path
-from repro.core.profiling import TraitEstimate, BehavioralProfile, profile_from_choices
-from repro.core.pipeline import AttackResult, WhiteMirrorAttack
-from repro.core.evaluation import (
-    AttackEvaluation,
-    evaluate_attack_result,
-    evaluate_record_classification,
-)
+from repro import _lazy
 
-__all__ = [
-    "ClientRecord",
-    "LABEL_OTHER",
-    "LABEL_TYPE1",
-    "LABEL_TYPE2",
-    "extract_client_records",
-    "record_length_series",
-    "LengthBand",
-    "RecordLengthFingerprint",
-    "FingerprintLibrary",
-    "FingerprintAccumulator",
-    "RecordTypeClassifier",
-    "MLRecordClassifier",
-    "ChoiceEvent",
-    "InferredChoices",
-    "infer_choices",
-    "reconstruct_path",
-    "TraitEstimate",
-    "BehavioralProfile",
-    "profile_from_choices",
-    "AttackResult",
-    "WhiteMirrorAttack",
-    "AttackEvaluation",
-    "evaluate_attack_result",
-    "evaluate_record_classification",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".features": "ClientRecord LABEL_OTHER LABEL_TYPE1 LABEL_TYPE2"
+            " extract_client_records record_length_series",
+        ".fingerprint": "FingerprintAccumulator FingerprintLibrary LengthBand"
+            " RecordLengthFingerprint",
+        ".classifier": "RecordTypeClassifier MLRecordClassifier",
+        ".inference": "ChoiceEvent InferredChoices infer_choices reconstruct_path",
+        ".profiling": "TraitEstimate BehavioralProfile profile_from_choices",
+        ".pipeline": "AttackResult WhiteMirrorAttack",
+        ".evaluation": "AttackEvaluation evaluate_attack_result"
+            " evaluate_record_classification",
+    },
+)

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.core.classifier import MLRecordClassifier, RecordTypeClassifier
-from repro.core.evaluation import AttackEvaluation, evaluate_attack_result
 from repro.core.features import (
     ClientRecord,
     columnar_client_records,
@@ -40,7 +39,10 @@ from repro.narrative.path import ViewingPath
 from repro.net.capture import CapturedTrace
 from repro.net.columnar import decode_tcp_columns
 from repro.net.pcap import BufferFingerprint, PcapReader, file_fingerprint, map_capture
-from repro.streaming.session import SessionResult
+
+if TYPE_CHECKING:
+    from repro.core.evaluation import AttackEvaluation
+    from repro.streaming.session import SessionResult
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ class AttackResult:
 
     def evaluate_against(self, result: SessionResult) -> AttackEvaluation:
         """Score this attack result against the session's ground truth."""
+        from repro.core.evaluation import evaluate_attack_result
+
         return evaluate_attack_result(
             records=self.records,
             predicted_labels=self.predicted_labels,

@@ -15,96 +15,26 @@ them, :class:`DatasetWriter` persists them one at a time, and
 shard directories whose summaries merge back into one population summary.
 """
 
-from repro.dataset.attributes import (
-    BEHAVIORAL_ATTRIBUTES,
-    OPERATIONAL_ATTRIBUTES,
-    table1_rows,
-)
-from repro.dataset.population import (
-    Viewer,
-    generate_population,
-    viewers_from_metadata_entries,
-)
-from repro.dataset.collection import (
-    DataPoint,
-    collect_datapoint,
-    collect_dataset,
-    iter_collect_dataset,
-)
-from repro.dataset.format import (
-    DatasetWriter,
-    dataset_is_complete,
-    dataset_is_partial,
-    load_dataset_metadata,
-    save_dataset_metadata,
-    session_config_from_metadata,
-    snapshot_dataset_files,
-)
-from repro.dataset.loader import (
-    LoadedDataPoint,
-    LoadedDataset,
-    iter_released_points,
-    load_released_dataset,
-)
-from repro.dataset.iitm import (
-    DatasetSummary,
-    IITMBandersnatchDataset,
-    SummaryAccumulator,
-)
-from repro.dataset.shards import (
-    ShardedDataset,
-    ShardSlice,
-    ShardSummary,
-    discover_shard_directories,
-    generate_shard_subset,
-    generate_sharded_dataset,
-    iter_shard_training_sessions,
-    load_consistent_shard_metadata,
-    merge_shard_summaries,
-    parse_shard_selection,
-    plan_shards,
-    quarantine_partial_shard,
-    shard_summary_from_metadata,
-    stitch_sharded_dataset,
-)
+from repro import _lazy
 
-__all__ = [
-    "BEHAVIORAL_ATTRIBUTES",
-    "OPERATIONAL_ATTRIBUTES",
-    "table1_rows",
-    "Viewer",
-    "generate_population",
-    "viewers_from_metadata_entries",
-    "DataPoint",
-    "collect_datapoint",
-    "collect_dataset",
-    "iter_collect_dataset",
-    "DatasetWriter",
-    "dataset_is_complete",
-    "dataset_is_partial",
-    "load_dataset_metadata",
-    "save_dataset_metadata",
-    "session_config_from_metadata",
-    "snapshot_dataset_files",
-    "LoadedDataPoint",
-    "LoadedDataset",
-    "iter_released_points",
-    "load_released_dataset",
-    "DatasetSummary",
-    "IITMBandersnatchDataset",
-    "SummaryAccumulator",
-    "ShardedDataset",
-    "ShardSlice",
-    "ShardSummary",
-    "discover_shard_directories",
-    "generate_shard_subset",
-    "generate_sharded_dataset",
-    "iter_shard_training_sessions",
-    "load_consistent_shard_metadata",
-    "merge_shard_summaries",
-    "parse_shard_selection",
-    "plan_shards",
-    "quarantine_partial_shard",
-    "shard_summary_from_metadata",
-    "stitch_sharded_dataset",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".attributes": "BEHAVIORAL_ATTRIBUTES OPERATIONAL_ATTRIBUTES table1_rows",
+        ".population": "Viewer generate_population viewers_from_metadata_entries",
+        ".collection": "DataPoint collect_datapoint collect_dataset"
+            " iter_collect_dataset",
+        ".format": "DatasetWriter dataset_is_complete dataset_is_partial"
+            " load_dataset_metadata save_dataset_metadata session_config_from_metadata"
+            " snapshot_dataset_files",
+        ".loader": "LoadedDataPoint LoadedDataset iter_released_points"
+            " load_released_dataset",
+        ".iitm": "DatasetSummary IITMBandersnatchDataset SummaryAccumulator",
+        ".shards": "ShardedDataset ShardSlice ShardSummary discover_shard_directories"
+            " generate_shard_subset generate_sharded_dataset"
+            " iter_shard_training_sessions load_consistent_shard_metadata"
+            " merge_shard_summaries parse_shard_selection plan_shards"
+            " quarantine_partial_shard shard_summary_from_metadata"
+            " stitch_sharded_dataset",
+    },
+)

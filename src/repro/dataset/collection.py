@@ -10,16 +10,18 @@ process-pool execution; both produce byte-identical data points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.dataset.population import Viewer
-from repro.engine.executor import BatchExecutor, ProgressCallback
-from repro.engine.plan import SessionPlan
+from repro.engine.executor import BatchExecutor
 from repro.exceptions import DatasetError
 from repro.narrative.bandersnatch import build_bandersnatch_script
-from repro.narrative.graph import StoryGraph
-from repro.streaming.session import SessionConfig, SessionResult
-from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:
+    from repro.dataset.population import Viewer
+    from repro.engine.executor import ProgressCallback
+    from repro.engine.plan import SessionPlan
+    from repro.narrative.graph import StoryGraph
+    from repro.streaming.session import SessionConfig, SessionResult
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,9 @@ def collection_plan(
     plan — and therefore the session — is independent of collection order
     and of how the batch is scheduled across workers.
     """
+    from repro.engine.plan import SessionPlan
+    from repro.utils.rng import derive_seed
+
     return SessionPlan(
         graph=graph,
         condition=viewer.condition,
@@ -103,6 +108,8 @@ def build_collection_plans(
     config: SessionConfig | None = None,
 ) -> list[SessionPlan]:
     """Describe the whole population's collection runs as session plans."""
+    from repro.streaming.session import SessionConfig
+
     if not viewers:
         raise DatasetError("cannot collect a dataset for an empty population")
     graph = graph or default_study_script()

@@ -55,13 +55,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.dataset.collection import DataPoint
 from repro.exceptions import DatasetError, StreamingError
-from repro.narrative.graph import StoryGraph
-from repro.streaming.session import SessionConfig
 from repro.utils.atomic import write_atomic
+
+if TYPE_CHECKING:
+    from repro.dataset.collection import DataPoint
+    from repro.narrative.graph import StoryGraph
+    from repro.streaming.session import SessionConfig
+
 
 METADATA_FILENAME = "metadata.json"
 TRACES_DIRNAME = "traces"
@@ -306,6 +309,8 @@ def session_config_from_metadata(metadata: dict[str, object]) -> SessionConfig |
     Datasets written before configs were recorded return ``None``; callers
     fall back to their own default.
     """
+    from repro.streaming.session import SessionConfig
+
     data = metadata.get("session_config")
     if data is None:
         return None

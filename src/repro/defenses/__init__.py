@@ -9,34 +9,18 @@ by the defence ablation and the arena — measuring how much each defence
 degrades an adaptive attacker, and a residual-timing analysis.
 """
 
-from repro.defenses.padding import PadToConstant, PadToMultiple
-from repro.defenses.splitting import SplitRecords
-from repro.defenses.compression import CompressStateReports
-from repro.defenses.base import RecordDefense, apply_defense
-from repro.defenses.timing import TimingOnlyAttack, timing_question_recall
-from repro.defenses.evaluation import score_defense, timing_scores
-from repro.defenses.registry import (
-    DEFENSE_REGISTRY,
-    build_defense,
-    defense_from_spec,
-    defense_names,
-    defense_spec,
-)
+from repro import _lazy
 
-__all__ = [
-    "CompressStateReports",
-    "DEFENSE_REGISTRY",
-    "PadToConstant",
-    "PadToMultiple",
-    "RecordDefense",
-    "SplitRecords",
-    "TimingOnlyAttack",
-    "apply_defense",
-    "build_defense",
-    "defense_from_spec",
-    "defense_names",
-    "defense_spec",
-    "score_defense",
-    "timing_question_recall",
-    "timing_scores",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".padding": "PadToConstant PadToMultiple",
+        ".splitting": "SplitRecords",
+        ".compression": "CompressStateReports",
+        ".base": "RecordDefense apply_defense",
+        ".timing": "TimingOnlyAttack timing_question_recall",
+        ".evaluation": "score_defense timing_scores",
+        ".registry": "DEFENSE_REGISTRY build_defense defense_from_spec defense_names"
+            " defense_spec",
+    },
+)

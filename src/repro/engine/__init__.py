@@ -69,14 +69,13 @@ build plans and submit them as one batch, and the CLI exposes the same knob
 as ``--workers``.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
-from repro.engine.executor import BatchExecutor
-from repro.engine.plan import SessionPlan
-from repro.exceptions import EngineError
-
-__all__ = [
-    "BatchExecutor",
-    "EngineError",
-    "SessionPlan",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".executor": "BatchExecutor",
+        ".plan": "SessionPlan",
+        "repro.exceptions": "EngineError",
+    },
+)

@@ -27,12 +27,13 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Sized, TypeVar
 
-from repro.engine.plan import SessionPlan
 from repro.exceptions import EngineError
-from repro.streaming.session import SessionResult
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
+
+    from repro.engine.plan import SessionPlan
+    from repro.streaming.session import SessionResult
 
 T = TypeVar("T")
 R = TypeVar("R")

@@ -6,57 +6,24 @@ the benchmarks under ``benchmarks/`` and the report generator can share the
 exact same code path.
 """
 
-from repro.experiments.conditions import headline_conditions
-from repro.experiments.table1 import Table1Result, reproduce_table1
-from repro.experiments.figure1 import Figure1Result, reproduce_figure1
-from repro.experiments.figure2 import Figure2Result, paper_bins_for, reproduce_figure2
-from repro.experiments.headline import (
-    DatasetHeadlineResult,
-    EnvironmentAccuracy,
-    HeadlineResult,
-    reproduce_headline,
-    reproduce_headline_from_dataset,
-)
-from repro.experiments.baseline_comparison import BaselineComparisonResult, reproduce_baseline_comparison
-from repro.experiments.defense_ablation import DefenseAblationResult, reproduce_defense_ablation
-from repro.experiments.ablation_classifiers import (
-    ClassifierAblationResult,
-    reproduce_classifier_ablation,
-)
-from repro.experiments.ablation_transfer import (
-    TransferAblationResult,
-    reproduce_transfer_ablation,
-)
-from repro.experiments.ablation_ciphers import (
-    CipherAblationResult,
-    reproduce_cipher_ablation,
-)
-from repro.experiments.report import format_table, render_experiment_report
+from repro import _lazy
 
-__all__ = [
-    "headline_conditions",
-    "Table1Result",
-    "reproduce_table1",
-    "Figure1Result",
-    "reproduce_figure1",
-    "Figure2Result",
-    "paper_bins_for",
-    "reproduce_figure2",
-    "HeadlineResult",
-    "reproduce_headline",
-    "DatasetHeadlineResult",
-    "EnvironmentAccuracy",
-    "reproduce_headline_from_dataset",
-    "BaselineComparisonResult",
-    "reproduce_baseline_comparison",
-    "DefenseAblationResult",
-    "reproduce_defense_ablation",
-    "ClassifierAblationResult",
-    "reproduce_classifier_ablation",
-    "TransferAblationResult",
-    "reproduce_transfer_ablation",
-    "CipherAblationResult",
-    "reproduce_cipher_ablation",
-    "format_table",
-    "render_experiment_report",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".conditions": "headline_conditions",
+        ".table1": "Table1Result reproduce_table1",
+        ".figure1": "Figure1Result reproduce_figure1",
+        ".figure2": "Figure2Result paper_bins_for reproduce_figure2",
+        ".headline": "DatasetHeadlineResult EnvironmentAccuracy HeadlineResult"
+            " reproduce_headline reproduce_headline_from_dataset",
+        ".baseline_comparison": "BaselineComparisonResult"
+            " reproduce_baseline_comparison",
+        ".defense_ablation": "DefenseAblationResult reproduce_defense_ablation",
+        ".ablation_classifiers": "ClassifierAblationResult"
+            " reproduce_classifier_ablation",
+        ".ablation_transfer": "TransferAblationResult reproduce_transfer_ablation",
+        ".ablation_ciphers": "CipherAblationResult reproduce_cipher_ablation",
+        ".report": "format_table render_experiment_report",
+    },
+)

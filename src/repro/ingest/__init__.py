@@ -17,68 +17,20 @@ watch`` (one positional directory, or ``--source`` repeated); its
 sink on the watch run's bus.
 """
 
-from repro.ingest.fleet import (
-    DEFAULT_QUEUE_HIGH,
-    DEFAULT_QUEUE_LOW,
-    BoundedIngestQueue,
-    FleetSource,
-    FleetWatchService,
-    LibraryReloadWatcher,
-    validate_sources,
-    validate_watermarks,
-)
-from repro.ingest.log import (
-    RESULTS_LOG_VERSION,
-    CaptureVerdict,
-    ResultsLog,
-    canonical_log_bytes,
-    capture_fingerprint,
-    merge_results_logs,
-)
-from repro.ingest.service import (
-    SKIP_ALREADY_ATTACKED,
-    SKIP_UNREADABLE,
-    StreamingAttackService,
-)
-from repro.ingest.tasks import (
-    DEFAULT_CLIENT_IP,
-    build_pcap_task,
-    entry_environment,
-    entry_truth,
-    metadata_entries_near,
-)
-from repro.ingest.watcher import (
-    CAPTURE_PATTERN,
-    DEFAULT_QUIET_SECONDS,
-    INPROGRESS_SUFFIX,
-    CaptureWatcher,
-)
+from repro import _lazy
 
-__all__ = [
-    "BoundedIngestQueue",
-    "CAPTURE_PATTERN",
-    "CaptureVerdict",
-    "CaptureWatcher",
-    "DEFAULT_CLIENT_IP",
-    "DEFAULT_QUEUE_HIGH",
-    "DEFAULT_QUEUE_LOW",
-    "DEFAULT_QUIET_SECONDS",
-    "FleetSource",
-    "FleetWatchService",
-    "INPROGRESS_SUFFIX",
-    "LibraryReloadWatcher",
-    "RESULTS_LOG_VERSION",
-    "ResultsLog",
-    "SKIP_ALREADY_ATTACKED",
-    "SKIP_UNREADABLE",
-    "StreamingAttackService",
-    "build_pcap_task",
-    "canonical_log_bytes",
-    "capture_fingerprint",
-    "entry_environment",
-    "entry_truth",
-    "merge_results_logs",
-    "metadata_entries_near",
-    "validate_sources",
-    "validate_watermarks",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".fleet": "DEFAULT_QUEUE_HIGH DEFAULT_QUEUE_LOW BoundedIngestQueue FleetSource"
+            " FleetWatchService LibraryReloadWatcher validate_sources"
+            " validate_watermarks",
+        ".log": "RESULTS_LOG_VERSION CaptureVerdict ResultsLog canonical_log_bytes"
+            " capture_fingerprint merge_results_logs",
+        ".service": "SKIP_ALREADY_ATTACKED SKIP_UNREADABLE StreamingAttackService",
+        ".tasks": "DEFAULT_CLIENT_IP build_pcap_task entry_environment entry_truth"
+            " metadata_entries_near",
+        ".watcher": "CAPTURE_PATTERN DEFAULT_QUIET_SECONDS INPROGRESS_SUFFIX"
+            " CaptureWatcher",
+    },
+)

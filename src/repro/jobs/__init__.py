@@ -19,65 +19,25 @@ This package is the seam between *what a run is* and *how it is invoked*:
 
 The CLI in :mod:`repro.cli` is a thin adapter over this layer: parse
 arguments, build a spec, run it, let the chosen renderer narrate.
+
+Names load their modules on first access, and the runner dispatches on
+``spec.KIND`` to a handler that imports its own kind's modules, so
+``from repro.jobs import EventBus, JobRunner`` loads the runner's shared
+core and nothing of the simulator, the arena or the coordinator.
 """
 
-from repro.jobs.artifacts import Artifact, Workspace, fingerprint_path
-from repro.jobs.events import (
-    EVENT_SCHEMA_VERSION,
-    EventBus,
-    EventSink,
-    JobEvent,
-)
-from repro.jobs.metrics import IngestMetrics
-from repro.jobs.renderers import ConsoleRenderer, JsonlRenderer, renderer_for
-from repro.jobs.runner import JobResult, JobRunner
-from repro.jobs.specs import (
-    SCHEMA_VERSION,
-    SPEC_CLASSES,
-    ArenaCellJob,
-    ArenaJob,
-    AttackJob,
-    GenerateJob,
-    InspectJob,
-    JobSpec,
-    MergeFingerprintsJob,
-    ReproduceJob,
-    ServeJob,
-    StitchJob,
-    TrainJob,
-    WatchJob,
-    WorkJob,
-    job_from_dict,
-)
+from repro import _lazy
 
-__all__ = [
-    "ArenaCellJob",
-    "ArenaJob",
-    "Artifact",
-    "AttackJob",
-    "ConsoleRenderer",
-    "EVENT_SCHEMA_VERSION",
-    "EventBus",
-    "EventSink",
-    "GenerateJob",
-    "IngestMetrics",
-    "InspectJob",
-    "JobEvent",
-    "JobResult",
-    "JobRunner",
-    "JobSpec",
-    "JsonlRenderer",
-    "MergeFingerprintsJob",
-    "ReproduceJob",
-    "SCHEMA_VERSION",
-    "SPEC_CLASSES",
-    "ServeJob",
-    "StitchJob",
-    "TrainJob",
-    "WatchJob",
-    "WorkJob",
-    "Workspace",
-    "fingerprint_path",
-    "job_from_dict",
-    "renderer_for",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".artifacts": "Artifact Workspace fingerprint_path",
+        ".events": "EVENT_SCHEMA_VERSION EventBus EventSink JobEvent",
+        ".metrics": "IngestMetrics",
+        ".renderers": "ConsoleRenderer JsonlRenderer renderer_for",
+        ".runner": "JobResult JobRunner",
+        ".specs": "SCHEMA_VERSION SPEC_CLASSES ArenaCellJob ArenaJob AttackJob"
+            " GenerateJob InspectJob JobSpec MergeFingerprintsJob ReproduceJob ServeJob"
+            " StitchJob TrainJob WatchJob WorkJob job_from_dict",
+    },
+)

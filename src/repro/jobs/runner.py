@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.features import extract_client_records
 from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
 from repro.core.pipeline import AttackResult, WhiteMirrorAttack
 from repro.dataset.collection import collect_dataset, default_study_script
@@ -31,63 +30,34 @@ from repro.dataset.format import (
     load_dataset_metadata,
     session_config_from_metadata,
 )
-from repro.dataset.iitm import DatasetSummary, IITMBandersnatchDataset
-from repro.dataset.population import viewers_from_metadata_entries
-from repro.dataset.shards import (
-    SHARD_GENERATED,
-    SHARDS_MANIFEST_FILENAME,
-    ShardedDataset,
-    discover_shard_directories,
-    generate_shard_subset,
-    generate_sharded_dataset,
-    iter_shard_training_sessions,
-    load_consistent_shard_metadata,
-    merge_shard_summaries,
-    parse_shard_selection,
-    stitch_sharded_dataset,
-)
 from repro.dataset.sidecar import fold_shard_sidecar
-from repro.engine.executor import ProgressCallback
 from repro.exceptions import DatasetError, JobError, ReproError
-from repro.ingest.fleet import (
-    FleetSource,
-    FleetWatchService,
-    LibraryReloadWatcher,
-    validate_sources,
-)
-from repro.ingest.service import (
-    SKIP_ALREADY_ATTACKED,
-    SKIP_UNREADABLE,
-    StreamingAttackService,
-)
-from repro.ingest.tasks import build_pcap_task, metadata_entries_near
 from repro.jobs import events as ev
 from repro.jobs.artifacts import Artifact, Workspace
 from repro.jobs.events import EventBus
-from repro.jobs.metrics import METRICS_PATH, IngestMetrics
-from repro.jobs.specs import (
-    ArenaCellJob,
-    ArenaJob,
-    AttackJob,
-    GenerateJob,
-    InspectJob,
-    JobSpec,
-    MergeFingerprintsJob,
-    ReproduceJob,
-    ServeJob,
-    StitchJob,
-    TrainJob,
-    WatchJob,
-    WorkJob,
-)
-from repro.net.capture import CapturedTrace
-from repro.net.packet import Direction
-from repro.streaming.session import SessionConfig
 from repro.utils.atomic import write_atomic
-from repro.utils.stats import summarize
 
 if TYPE_CHECKING:
     from repro.arena.report import ArenaReport
+    from repro.dataset.iitm import DatasetSummary
+    from repro.dataset.shards import ShardedDataset
+    from repro.engine.executor import ProgressCallback
+    from repro.ingest.service import StreamingAttackService
+    from repro.jobs.specs import (
+        ArenaCellJob,
+        ArenaJob,
+        AttackJob,
+        GenerateJob,
+        InspectJob,
+        JobSpec,
+        MergeFingerprintsJob,
+        ReproduceJob,
+        ServeJob,
+        StitchJob,
+        TrainJob,
+        WatchJob,
+        WorkJob,
+    )
 
 
 @dataclass(frozen=True)
@@ -112,19 +82,21 @@ class JobRunner:
     def __init__(self, bus: EventBus, workspace: Workspace | None = None) -> None:
         self._bus = bus
         self._workspace = workspace if workspace is not None else Workspace()
-        self._runners: dict[type[JobSpec], Callable[[JobSpec], JobResult]] = {
-            GenerateJob: self._run_generate,
-            TrainJob: self._run_train,
-            StitchJob: self._run_stitch,
-            MergeFingerprintsJob: self._run_merge_fingerprints,
-            AttackJob: self._run_attack,
-            WatchJob: self._run_watch,
-            ReproduceJob: self._run_reproduce,
-            InspectJob: self._run_inspect,
-            ArenaJob: self._run_arena,
-            ArenaCellJob: self._run_arena_cell,
-            ServeJob: self._run_serve,
-            WorkJob: self._run_work,
+        # Keyed by ``spec.KIND``; each handler imports its own kind's
+        # modules, so a process loads only the kinds it runs.
+        self._runners: dict[str, Callable[[JobSpec], JobResult]] = {
+            "generate": self._run_generate,
+            "train": self._run_train,
+            "stitch": self._run_stitch,
+            "merge-fingerprints": self._run_merge_fingerprints,
+            "attack": self._run_attack,
+            "watch": self._run_watch,
+            "reproduce": self._run_reproduce,
+            "inspect": self._run_inspect,
+            "arena": self._run_arena,
+            "arena-cell": self._run_arena_cell,
+            "serve": self._run_serve,
+            "work": self._run_work,
         }
 
     @property
@@ -133,11 +105,11 @@ class JobRunner:
 
     def run(self, spec: JobSpec) -> JobResult:
         """Validate and execute ``spec``; emits a final ``result`` event."""
-        runner = self._runners.get(type(spec))
+        runner = self._runners.get(spec.KIND)
         if runner is None:
             raise JobError(
                 f"no runner for job spec {type(spec).__name__}; known kinds: "
-                f"{sorted(cls.KIND for cls in self._runners)}"
+                f"{sorted(self._runners)}"
             )
         spec.validate()
         result = runner(spec)
@@ -227,6 +199,17 @@ class JobRunner:
         window (and, with shards, per-shard state) rather than the
         population.
         """
+        from repro.dataset.iitm import IITMBandersnatchDataset
+        from repro.dataset.shards import (
+            SHARD_GENERATED,
+            SHARDS_MANIFEST_FILENAME,
+            generate_shard_subset,
+            generate_sharded_dataset,
+            merge_shard_summaries,
+            parse_shard_selection,
+        )
+        from repro.streaming.session import SessionConfig
+
         config = SessionConfig(cross_traffic_enabled=spec.cross_traffic)
         progress = self._session_progress()
         selection = (
@@ -328,6 +311,11 @@ class JobRunner:
         viewers' sessions from the dataset metadata; ``sharded`` walks a
         whole sharded dataset root shard by shard with bounded memory.
         """
+        from repro.dataset.iitm import IITMBandersnatchDataset
+        from repro.dataset.population import viewers_from_metadata_entries
+        from repro.dataset.shards import SHARDS_MANIFEST_FILENAME
+        from repro.streaming.session import SessionConfig
+
         directory = self._workspace.resolve(spec.dataset)
         if spec.sharded:
             return self._train_sharded(spec, directory)
@@ -391,6 +379,14 @@ class JobRunner:
         straight into the accumulator, per-record identical to
         re-simulating.
         """
+        from repro.dataset.shards import (
+            SHARDS_MANIFEST_FILENAME,
+            ShardedDataset,
+            discover_shard_directories,
+            iter_shard_training_sessions,
+            load_consistent_shard_metadata,
+        )
+
         if (directory / SHARDS_MANIFEST_FILENAME).exists() or (
             directory / METADATA_FILENAME
         ).exists():
@@ -532,6 +528,8 @@ class JobRunner:
         return self._attack_single(spec, target)
 
     def _attack_single(self, spec: AttackJob, target: Path) -> JobResult:
+        from repro.ingest.tasks import build_pcap_task, metadata_entries_near
+
         entry = metadata_entries_near(target.parent).get(target.name)
         task = build_pcap_task(
             target,
@@ -571,6 +569,8 @@ class JobRunner:
         self, spec: AttackJob | WatchJob, log_path: str | None
     ) -> StreamingAttackService:
         """The one capture→verdict code path both attack modes run through."""
+        from repro.ingest.service import StreamingAttackService
+
         library = FingerprintLibrary.load(self._resolve(spec.library))
         return StreamingAttackService(
             library=library,
@@ -582,6 +582,8 @@ class JobRunner:
         )
 
     def _attack_directory(self, spec: AttackJob, target: Path) -> JobResult:
+        from repro.ingest.service import SKIP_ALREADY_ATTACKED, SKIP_UNREADABLE
+
         target, pcaps = _directory_pcaps(target)
         service = self._build_attack_service(spec, spec.results_log)
         skip_reasons: list[str] = []
@@ -669,6 +671,13 @@ class JobRunner:
         log byte-identical to serial single-source runs concatenated in
         canonical source order.
         """
+        from repro.ingest.fleet import (
+            FleetSource,
+            FleetWatchService,
+            LibraryReloadWatcher,
+            validate_sources,
+        )
+
         if spec.sources:
             sources = validate_sources(
                 spec.sources, resolve=self._workspace.resolve
@@ -767,6 +776,7 @@ class JobRunner:
         )
         server = None
         if spec.metrics_port is not None:
+            from repro.jobs.metrics import METRICS_PATH, IngestMetrics
             from repro.utils.jsonhttp import JsonHttpServer
 
             metrics = IngestMetrics(fleet.queue)
@@ -811,6 +821,11 @@ class JobRunner:
 
     def _run_inspect(self, spec: InspectJob) -> JobResult:
         """Summarise a capture file."""
+        from repro.core.features import extract_client_records
+        from repro.net.capture import CapturedTrace
+        from repro.net.packet import Direction
+        from repro.utils.stats import summarize
+
         trace = CapturedTrace.from_pcap(
             self._resolve(spec.pcap), client_ip=spec.client_ip, server_ip="0.0.0.0"
         )
@@ -1217,6 +1232,8 @@ def stitch_dataset_root(
 ) -> ShardedDataset:
     """Verify a root's shards and publish its ``shards.json``, narrating
     each shard's verdict and the written manifest."""
+    from repro.dataset.shards import SHARDS_MANIFEST_FILENAME, stitch_sharded_dataset
+
     emit(ev.STITCH_STARTED, root=root)
     dataset = stitch_sharded_dataset(
         resolve(root),

@@ -13,17 +13,13 @@ the simulator still needs a realistic media plane so that
 * prefetch/discard behaviour around choice points has actual bytes attached.
 """
 
-from repro.media.encoding import BitrateLadder, EncodingProfile, default_ladder
-from repro.media.chunks import Chunk, ChunkMap, build_chunk_map
-from repro.media.manifest import MediaManifest, build_manifest
+from repro import _lazy
 
-__all__ = [
-    "BitrateLadder",
-    "EncodingProfile",
-    "default_ladder",
-    "Chunk",
-    "ChunkMap",
-    "build_chunk_map",
-    "MediaManifest",
-    "build_manifest",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".encoding": "BitrateLadder EncodingProfile default_ladder",
+        ".chunks": "Chunk ChunkMap build_chunk_map",
+        ".manifest": "MediaManifest build_manifest",
+    },
+)

@@ -12,48 +12,21 @@ then ``predict(features)``, with features as 2-D ``numpy`` arrays and labels
 as 1-D arrays of strings or integers.
 """
 
-from repro.ml.split import StratifiedSplit, kfold_indices, train_test_split
-from repro.ml.metrics import (
-    ConfusionMatrix,
-    accuracy_score,
-    classification_report,
-    f1_score,
-    precision_score,
-    recall_score,
-)
-from repro.ml.base import Classifier
-from repro.ml.interval import IntervalClassifier
-from repro.ml.knn import KNearestNeighbors
-from repro.ml.naive_bayes import GaussianNaiveBayes
-from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.logistic import LogisticRegressionClassifier
-from repro.ml.registry import (
-    CLASSIFIER_REGISTRY,
-    build_classifier,
-    classifier_from_spec,
-    classifier_names,
-    classifier_spec,
-)
+from repro import _lazy
 
-__all__ = [
-    "CLASSIFIER_REGISTRY",
-    "Classifier",
-    "ConfusionMatrix",
-    "DecisionTreeClassifier",
-    "GaussianNaiveBayes",
-    "IntervalClassifier",
-    "KNearestNeighbors",
-    "LogisticRegressionClassifier",
-    "StratifiedSplit",
-    "accuracy_score",
-    "build_classifier",
-    "classification_report",
-    "classifier_from_spec",
-    "classifier_names",
-    "classifier_spec",
-    "f1_score",
-    "kfold_indices",
-    "precision_score",
-    "recall_score",
-    "train_test_split",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".split": "StratifiedSplit kfold_indices train_test_split",
+        ".metrics": "ConfusionMatrix accuracy_score classification_report f1_score"
+            " precision_score recall_score",
+        ".base": "Classifier",
+        ".interval": "IntervalClassifier",
+        ".knn": "KNearestNeighbors",
+        ".naive_bayes": "GaussianNaiveBayes",
+        ".tree": "DecisionTreeClassifier",
+        ".logistic": "LogisticRegressionClassifier",
+        ".registry": "CLASSIFIER_REGISTRY build_classifier classifier_from_spec"
+            " classifier_names classifier_spec",
+    },
+)

@@ -11,28 +11,16 @@ describes the script structure that the streaming simulator
 ultimately tries to reconstruct.
 """
 
-from repro.narrative.segment import Segment
-from repro.narrative.choices import Choice, ChoicePoint, ChoiceRecord
-from repro.narrative.graph import StoryGraph
-from repro.narrative.path import ViewingPath, enumerate_paths, path_from_choices
-from repro.narrative.bandersnatch import (
-    BANDERSNATCH_CHOICE_LABELS,
-    build_bandersnatch_script,
-    build_linear_script,
-    build_minimal_interactive_script,
-)
+from repro import _lazy
 
-__all__ = [
-    "Segment",
-    "Choice",
-    "ChoicePoint",
-    "ChoiceRecord",
-    "StoryGraph",
-    "ViewingPath",
-    "enumerate_paths",
-    "path_from_choices",
-    "BANDERSNATCH_CHOICE_LABELS",
-    "build_bandersnatch_script",
-    "build_linear_script",
-    "build_minimal_interactive_script",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".segment": "Segment",
+        ".choices": "Choice ChoicePoint ChoiceRecord",
+        ".graph": "StoryGraph",
+        ".path": "ViewingPath enumerate_paths path_from_choices",
+        ".bandersnatch": "BANDERSNATCH_CHOICE_LABELS build_bandersnatch_script"
+            " build_linear_script build_minimal_interactive_script",
+    },
+)

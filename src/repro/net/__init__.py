@@ -8,43 +8,19 @@ the resulting trace can be persisted as a standards-compliant pcap file
 that external tools can read.
 """
 
-from repro.net.headers import (
-    EthernetHeader,
-    IPv4Header,
-    TCPHeader,
-    checksum16,
-    format_ipv4,
-    parse_ipv4,
-)
-from repro.net.packet import Direction, Packet
-from repro.net.endpoints import Endpoint, FiveTuple
-from repro.net.tcp import TCPSender, segment_payload
-from repro.net.flow import Flow, FlowTable
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
-from repro.net.conditions import NetworkConditions, conditions_for
-from repro.net.capture import CaptureSink, CapturedTrace
+from repro import _lazy
 
-__all__ = [
-    "EthernetHeader",
-    "IPv4Header",
-    "TCPHeader",
-    "checksum16",
-    "format_ipv4",
-    "parse_ipv4",
-    "Direction",
-    "Packet",
-    "Endpoint",
-    "FiveTuple",
-    "TCPSender",
-    "segment_payload",
-    "Flow",
-    "FlowTable",
-    "PcapReader",
-    "PcapWriter",
-    "read_pcap",
-    "write_pcap",
-    "NetworkConditions",
-    "conditions_for",
-    "CaptureSink",
-    "CapturedTrace",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".headers": "EthernetHeader IPv4Header TCPHeader checksum16 format_ipv4"
+            " parse_ipv4",
+        ".packet": "Direction Packet",
+        ".endpoints": "Endpoint FiveTuple",
+        ".tcp": "TCPSender segment_payload",
+        ".flow": "Flow FlowTable",
+        ".pcap": "PcapReader PcapWriter read_pcap write_pcap",
+        ".conditions": "NetworkConditions conditions_for",
+        ".capture": "CaptureSink CapturedTrace",
+    },
+)

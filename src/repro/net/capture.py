@@ -35,19 +35,21 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.exceptions import PacketError
 from repro.net.columnar import TcpSegments, _int_column, encode_tcp_frames
-from repro.net.conditions import NetworkConditions
 from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.flow import FlowTable
 from repro.net.packet import Direction, Packet, check_timestamp, push_flags
 from repro.net.pcap import PcapReader, PcapWriter
-from repro.net.tcp import TCPSender, segment_layout
-from repro.utils.rng import RandomSource
+
+if TYPE_CHECKING:
+    from repro.net.conditions import NetworkConditions
+    from repro.net.tcp import TCPSender
+    from repro.utils.rng import RandomSource
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -321,6 +323,8 @@ class CaptureSink:
         five-tuple, so correct flow selection filters them out.  Returns the
         number of cross-traffic packets added.
         """
+        from repro.net.tcp import TCPSender
+
         rng = rng or self._rng.child("cross-traffic")
         if session_duration_seconds < 0:
             raise PacketError("session duration must be non-negative")
@@ -358,6 +362,8 @@ class CaptureSink:
         Each retransmission follows its original, and the stable sort by
         timestamp keeps that order among equal timestamps.
         """
+        from repro.net.tcp import segment_layout
+
         if not self._writes:
             raise PacketError("a captured trace must contain at least one packet")
         (

@@ -8,28 +8,17 @@ branch around every choice point, and hands every byte to the TLS and TCP
 layers so the capture sink ends up with a realistic packet trace.
 """
 
-from repro.streaming.events import EventKind, SessionEvent
-from repro.streaming.buffer import PlaybackBuffer
-from repro.streaming.abr import AdaptiveBitrateController
-from repro.streaming.prefetch import PrefetchPlan, Prefetcher
-from repro.streaming.server import StreamingServer
-from repro.streaming.session import (
-    InteractiveStreamingSession,
-    SessionConfig,
-    SessionResult,
-    simulate_session,
-)
+from repro import _lazy
 
-__all__ = [
-    "EventKind",
-    "SessionEvent",
-    "PlaybackBuffer",
-    "AdaptiveBitrateController",
-    "PrefetchPlan",
-    "Prefetcher",
-    "StreamingServer",
-    "InteractiveStreamingSession",
-    "SessionConfig",
-    "SessionResult",
-    "simulate_session",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".events": "EventKind SessionEvent",
+        ".buffer": "PlaybackBuffer",
+        ".abr": "AdaptiveBitrateController",
+        ".prefetch": "PrefetchPlan Prefetcher",
+        ".server": "StreamingServer",
+        ".session": "InteractiveStreamingSession SessionConfig SessionResult"
+            " simulate_session",
+    },
+)

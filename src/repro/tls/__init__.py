@@ -19,26 +19,15 @@ in captures; the security-relevant property being studied (length leakage) is
 preserved exactly.
 """
 
-from repro.tls.records import (
-    MAX_PLAINTEXT_FRAGMENT,
-    RECORD_HEADER_LENGTH,
-    ContentType,
-    TLSRecord,
-    parse_records,
-)
-from repro.tls.ciphers import CipherSpec, CIPHER_SUITES, cipher_by_name
-from repro.tls.handshake import simulate_handshake
-from repro.tls.session import TLSSession
+from repro import _lazy
 
-__all__ = [
-    "MAX_PLAINTEXT_FRAGMENT",
-    "RECORD_HEADER_LENGTH",
-    "ContentType",
-    "TLSRecord",
-    "parse_records",
-    "CipherSpec",
-    "CIPHER_SUITES",
-    "cipher_by_name",
-    "simulate_handshake",
-    "TLSSession",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".records": "MAX_PLAINTEXT_FRAGMENT RECORD_HEADER_LENGTH ContentType TLSRecord"
+            " parse_records",
+        ".ciphers": "CipherSpec CIPHER_SUITES cipher_by_name",
+        ".handshake": "simulate_handshake",
+        ".session": "TLSSession",
+    },
+)

@@ -6,56 +6,17 @@ conversions, descriptive statistics and input validation that the rest of the
 library builds upon.
 """
 
-from repro.utils.rng import RandomSource, derive_seed, spawn_rng
-from repro.utils.units import (
-    Bandwidth,
-    bits_to_bytes,
-    bytes_to_bits,
-    kbps,
-    mbps,
-    milliseconds,
-    seconds,
-)
-from repro.utils.stats import (
-    SummaryStats,
-    mean,
-    median,
-    percentile,
-    stddev,
-    summarize,
-)
-from repro.utils.histogram import Histogram, LengthBin, bin_label
-from repro.utils.validation import (
-    ensure_in,
-    ensure_non_negative,
-    ensure_positive,
-    ensure_probability,
-    ensure_range,
-)
+from repro import _lazy
 
-__all__ = [
-    "RandomSource",
-    "derive_seed",
-    "spawn_rng",
-    "Bandwidth",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "kbps",
-    "mbps",
-    "milliseconds",
-    "seconds",
-    "SummaryStats",
-    "mean",
-    "median",
-    "percentile",
-    "stddev",
-    "summarize",
-    "Histogram",
-    "LengthBin",
-    "bin_label",
-    "ensure_in",
-    "ensure_non_negative",
-    "ensure_positive",
-    "ensure_probability",
-    "ensure_range",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        ".rng": "RandomSource derive_seed spawn_rng",
+        ".units": "Bandwidth bits_to_bytes bytes_to_bits kbps mbps milliseconds"
+            " seconds",
+        ".stats": "SummaryStats mean median percentile stddev summarize",
+        ".histogram": "Histogram LengthBin bin_label",
+        ".validation": "ensure_in ensure_non_negative ensure_positive"
+            " ensure_probability ensure_range",
+    },
+)

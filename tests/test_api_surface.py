@@ -4,36 +4,66 @@
 attack API and the jobs layer the CLI and fleet coordinator drive.  These
 tests pin that promise: everything in an ``__all__`` actually exists,
 everything public-looking is listed, and the names the docstring calls out
-import from the top-level package directly.
+import from the top-level package directly.  Packages export lazily, so
+each name is also checked to be the very object its defining module holds,
+to be listed by ``dir()`` and to come with ``from package import *``.
 """
 
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import pytest
 
 import repro
-import repro.arena
 import repro.coordinator
 import repro.defenses
-import repro.ingest
 import repro.jobs
 import repro.ml
 
-
-AUDITED_PACKAGES = [
-    repro,
-    repro.arena,
-    repro.coordinator,
-    repro.defenses,
-    repro.ingest,
-    repro.jobs,
-    repro.ml,
+PACKAGE_NAMES = [
+    "repro",
+    "repro.arena",
+    "repro.baselines",
+    "repro.cli",
+    "repro.client",
+    "repro.coordinator",
+    "repro.core",
+    "repro.dataset",
+    "repro.defenses",
+    "repro.engine",
+    "repro.experiments",
+    "repro.ingest",
+    "repro.jobs",
+    "repro.media",
+    "repro.ml",
+    "repro.narrative",
+    "repro.net",
+    "repro.streaming",
+    "repro.tls",
+    "repro.utils",
 ]
+SRC = Path(repro.__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "package", AUDITED_PACKAGES, ids=lambda module: module.__name__
-)
+def test_every_package_is_audited():
+    packages = {
+        ".".join(path.parent.relative_to(SRC).parts)
+        for path in (SRC / "repro").rglob("__init__.py")
+    }
+    assert packages == set(PACKAGE_NAMES)
+
+
+@pytest.fixture(params=PACKAGE_NAMES)
+def package(request):
+    return importlib.import_module(request.param)
+
+
 def test_all_names_resolve_and_stay_sorted(package):
     for name in package.__all__:
         assert hasattr(package, name), f"{package.__name__}.__all__ lists {name}"
@@ -41,15 +71,34 @@ def test_all_names_resolve_and_stay_sorted(package):
     assert len(set(package.__all__)) == len(package.__all__)
 
 
-@pytest.mark.parametrize(
-    "package", AUDITED_PACKAGES, ids=lambda module: module.__name__
-)
+def test_each_name_is_its_defining_modules_object(package):
+    # The eager CLI package re-exports from its one module.
+    origins = getattr(package, "_origins", None) or {
+        name: "repro.cli.main" for name in package.__all__
+    }
+    for name in package.__all__:
+        if name in origins:
+            defining = importlib.import_module(origins[name])
+            assert getattr(package, name) is getattr(defining, name), name
+        assert name in dir(package), f"dir({package.__name__}) misses {name}"
+
+
+def test_star_import_binds_every_name(package):
+    namespace: dict[str, object] = {}
+    exec(f"from {package.__name__} import *", namespace)
+    for name in package.__all__:
+        assert namespace[name] is getattr(package, name)
+
+
+def test_an_unknown_name_is_an_attribute_error(package):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name  # noqa: B018
+
+
 def test_no_public_binding_is_missing_from_all(package):
     # Anything bound at package level without a leading underscore is either
     # exported or a submodule; a "public" helper that is neither is an
     # accidental API we would have to support forever.
-    import types
-
     for name, value in vars(package).items():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
@@ -60,8 +109,38 @@ def test_no_public_binding_is_missing_from_all(package):
         )
 
 
+def test_cli_main_is_the_function_after_its_module_is_imported():
+    # ``repro.cli.main`` is both a submodule and the exported entry point;
+    # importing the submodule must not shadow the function.
+    import repro.cli.main  # noqa: F401
+    from repro.cli import main
+
+    assert callable(main) and not isinstance(main, types.ModuleType)
+    assert main is sys.modules["repro.cli.main"].main
+
+
+def test_quick_attack_demo_meets_its_docstring():
+    # The quickstart in the package docstring, in a fresh interpreter so
+    # nothing this session imported can hide a missing global.
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro; print(repro.quick_attack_demo(seed=7)['choice_accuracy'])",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert float(completed.stdout.strip().splitlines()[-1]) >= 0.9
+
+
 def test_jobs_layer_is_importable_from_the_top_level_package():
     # The exact surface the package docstring's "Import contract" promises.
+
     from repro import JobResult, JobRunner, Workspace, job_from_dict
 
     assert JobRunner is repro.jobs.JobRunner
@@ -95,6 +174,7 @@ def test_component_registries_are_importable_from_their_packages():
 
 def test_version_stamps_are_integers_and_documented():
     # The three version handshakes the import contract names.
+
     assert isinstance(repro.jobs.SCHEMA_VERSION, int)
     assert isinstance(repro.jobs.EVENT_SCHEMA_VERSION, int)
     assert isinstance(repro.coordinator.WIRE_VERSION, int)

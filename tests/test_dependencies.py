@@ -5,7 +5,9 @@ every import in ``src/`` and ``tests/`` must resolve to one of them, to the
 standard library, to repro itself or to a helper module under ``tests/``.
 A fresh ``import repro`` (and the entry points the CLI and the watch fleet
 use) loads only numpy and the standard library: no HTTP server, no
-experiments package.
+experiments package.  Packages export their names lazily, so the attack
+path (``repro attack``, ``repro watch``, a drain of captures) loads no
+simulator, sweep or fleet-coordination module, before or after it attacks.
 """
 
 from __future__ import annotations
@@ -145,3 +147,89 @@ class TestImportFootprint:
         # saving comes from not importing, not from importing later.
         assert report["verdicts"] == 1
         assert report["after_process"] == []
+
+
+#: Modules the attack path never needs: the simulator, the sweeps and the
+#: fleet coordinator (whole packages), and single modules of packages the
+#: attack does use.
+NOT_ON_THE_ATTACK_PATH = (
+    "repro.streaming",
+    "repro.media",
+    "repro.arena",
+    "repro.coordinator",
+    "repro.experiments",
+    "repro.engine.plan",
+    "repro.tls.session",
+    "repro.dataset.shards",
+    "repro.ml.knn",
+)
+
+_ATTACK_PATH_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+FORBIDDEN = sys.argv[4:]
+
+def loaded():
+    return sorted(
+        name for name in sys.modules
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in FORBIDDEN)
+    )
+
+import repro.cli.main, repro.ingest.service, repro.ingest.fleet
+from repro.cli import main
+from repro.jobs import EventBus, JobRunner
+after_import = loaded()
+
+drop, library, environment = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+codes = [
+    main([
+        "attack", str(drop), library, "--environment", environment,
+        "--results-log", str(drop.parent / "attack.jsonl"),
+    ]),
+    main([
+        "watch", str(drop), "--library", library, "--environment", environment,
+        "--once", "--results-log", str(drop.parent / "watch.jsonl"),
+    ]),
+]
+print(json.dumps({"after_import": after_import, "codes": codes, "after_attack": loaded()}))
+"""
+
+
+class TestAttackPathFootprint:
+    def test_attack_and_watch_load_no_simulator_module(
+        self, tmp_path, study_graph, ubuntu_session
+    ):
+        from repro.core.pipeline import WhiteMirrorAttack
+
+        attack = WhiteMirrorAttack(graph=study_graph)
+        attack.train([ubuntu_session])
+        library = tmp_path / "library.json"
+        attack.library.save(library)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        ubuntu_session.trace.to_pcap(drop / "victim.pcap")
+        environment = ubuntu_session.condition.fingerprint_key
+
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        completed = subprocess.run(
+            [
+                sys.executable, "-c", _ATTACK_PATH_SCRIPT,
+                str(drop), str(library), environment, *NOT_ON_THE_ATTACK_PATH,
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert report["codes"] == [0, 0], completed.stderr
+        assert report["after_import"] == []
+        assert report["after_attack"] == []
+        # Both entry points attacked the capture and logged the same verdict.
+        assert (tmp_path / "attack.jsonl").read_bytes() == (
+            tmp_path / "watch.jsonl"
+        ).read_bytes()
+        assert (tmp_path / "attack.jsonl").read_bytes().count(b"\n") == 1

@@ -121,3 +121,18 @@ def test_validate_runs_on_the_runner_path():
     # Validation errors keep their historical CLI wording.
     with pytest.raises(ReproError, match=r"--resume requires --shards"):
         GenerateJob(output="x", resume=True).validate()
+
+
+def test_the_runner_dispatches_every_spec_kind():
+    # JobRunner keys its handlers by ``spec.KIND``; an unknown kind is refused
+    # with the list of kinds it does run, which must be exactly the specs'.
+    from repro.jobs import EventBus, JobRunner
+
+    @dataclasses.dataclass(frozen=True)
+    class UnknownJob(JobSpec):
+        KIND = "unknown"
+
+    with pytest.raises(JobError) as error:
+        JobRunner(EventBus()).run(UnknownJob())
+    kinds = sorted(spec_class.KIND for spec_class in SPEC_CLASSES)
+    assert str(error.value) == f"no runner for job spec UnknownJob; known kinds: {kinds}"
