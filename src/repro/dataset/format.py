@@ -329,6 +329,13 @@ def load_dataset_metadata(directory: str | Path) -> dict[str, object]:
         metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as error:
         raise DatasetError(f"cannot load dataset metadata: {error}") from error
+    if not isinstance(metadata, dict) or not isinstance(
+        metadata.get("entries", []), list
+    ):
+        raise DatasetError(
+            f"dataset metadata at {metadata_path} is malformed: expected a "
+            "JSON object whose 'entries' field is a list"
+        )
     for key in ("name", "format_version", "viewer_count", "entries"):
         if key not in metadata:
             raise DatasetError(f"dataset metadata is missing the {key!r} field")

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -395,6 +395,83 @@ def iter_shard_training_sessions(
         yield point.session
 
 
+#: :class:`RunIdentity`'s fields in comparison order, each with the template
+#: its recorded value is rendered through in a mismatch message.
+_IDENTITY_FIELDS = (
+    ("name", "dataset name {!r}"),
+    ("seed", "seed={!r}"),
+    ("session_config", "session_config={!r}"),
+    ("graph_fingerprint", "story-graph fingerprint {!r}"),
+    ("plan_totals", "shard plan {!r}"),
+)
+
+
+@dataclass(frozen=True)
+class RunIdentity:
+    """What a shard records about the generation run it belongs to.
+
+    Dataset name, seed, session configuration, story-graph fingerprint and
+    plan totals (shard count, population size), read from an already-loaded
+    metadata index; a field the shard predates reads ``None``.  Resume,
+    stitch, subset training and :meth:`ShardedDataset.load` all decide run
+    membership through :meth:`mismatch`; what one shard's slice must hold
+    (plan index, viewer ids, trace files) stays with the slice's callers.
+    """
+
+    name: object
+    seed: object
+    session_config: object
+    graph_fingerprint: object
+    plan_totals: object
+
+    @classmethod
+    def from_metadata(cls, metadata: Mapping[str, object]) -> "RunIdentity":
+        """The identity a loaded metadata index records."""
+        plan = metadata.get("shard")
+        return cls(
+            name=metadata.get("name"),
+            seed=metadata.get("seed"),
+            session_config=metadata.get("session_config"),
+            graph_fingerprint=metadata.get("graph_fingerprint"),
+            plan_totals=(
+                {key: plan.get(key) for key in ("count", "population_viewer_count")}
+                if isinstance(plan, Mapping)
+                else None
+            ),
+        )
+
+    def mismatch(self, expected: "RunIdentity", reference: str) -> str | None:
+        """The first field differing from ``expected``; ``None`` if none does.
+
+        The text follows a subject ("it", "shard shard-001") and names
+        ``reference``, where ``expected`` came from: ``records seed=4 but
+        this plan has seed=3``.  Two session configurations are told apart
+        by their differing keys alone, this identity's value first.
+        """
+        for field, template in _IDENTITY_FIELDS:
+            value, wanted = getattr(self, field), getattr(expected, field)
+            if value == wanted:
+                continue
+            if field == "session_config" and isinstance(value, dict) and isinstance(
+                wanted, dict
+            ):
+                differing = ", ".join(
+                    f"{key}: {value.get(key, 'unset')!r} vs "
+                    f"{wanted.get(key, 'unset')!r}"
+                    for key in sorted(value.keys() | wanted.keys())
+                    if value.get(key, ...) != wanted.get(key, ...)
+                )
+                return (
+                    f"records a session_config differing from {reference} "
+                    f"in {differing}"
+                )
+            return (
+                f"records {template.format(value)} but {reference} has "
+                f"{template.format(wanted)}"
+            )
+        return None
+
+
 class ShardedDataset:
     """A sharded on-disk dataset: a manifest plus per-shard directories."""
 
@@ -535,11 +612,14 @@ class ShardedDataset:
         """Load a sharded dataset from its manifest.
 
         Only the manifest and each shard's metadata index are validated up
-        front; pcaps are parsed lazily by :meth:`iter_points`.  Every failure
-        mode — a directory that is not a sharded dataset, a manifest with
-        missing fields, a shard left incomplete by an interrupted generation
-        run — raises a :class:`DatasetError` that says what was found and
-        what to do about it, never a bare ``KeyError``/``FileNotFoundError``.
+        front, one shard at a time; pcaps are parsed lazily by
+        :meth:`iter_points`.  Every shard must record the manifest's
+        :class:`RunIdentity` (see :func:`load_consistent_shard_metadata`).
+        Every failure mode — a directory that is not a sharded dataset, a
+        malformed manifest, a shard left incomplete by an interrupted
+        generation run or taken from another run — raises a
+        :class:`DatasetError` that says what was found and what to do about
+        it, never a bare ``KeyError``/``ValueError``/``FileNotFoundError``.
         """
         directory = Path(directory)
         manifest_path = directory / SHARDS_MANIFEST_FILENAME
@@ -571,15 +651,21 @@ class ShardedDataset:
                 f"unsupported shards manifest version {manifest['format_version']}"
             )
         try:
+            seed = int(manifest["seed"])
+            viewer_count = int(manifest["viewer_count"])
+        except (TypeError, ValueError) as error:
+            raise DatasetError(
+                f"shards manifest at {manifest_path} records a malformed seed "
+                f"or viewer count: {error}"
+            ) from error
+        try:
             summaries = [ShardSummary.from_dict(entry) for entry in manifest["shards"]]
         except (KeyError, TypeError, ValueError) as error:
             raise DatasetError(
                 f"shards manifest at {manifest_path} has a malformed shard "
                 f"entry: {error!r}"
             ) from error
-        if sum(summary.viewer_count for summary in summaries) != int(
-            manifest["viewer_count"]
-        ):
+        if sum(summary.viewer_count for summary in summaries) != viewer_count:
             raise DatasetError(
                 "shards manifest viewer count does not match its shards"
             )
@@ -592,43 +678,49 @@ class ShardedDataset:
                     "(interrupted generation?); re-run "
                     "`repro generate-dataset --shards N --resume` to repair it"
                 )
-            metadata = load_dataset_metadata(shard_directory)
+        # A shard from a different generation run must not be silently mixed
+        # in (e.g. a re-run with new parameters that crashed before rewriting
+        # every shard): every shard records the first one's RunIdentity, and
+        # that identity's name, seed and plan totals are the manifest's.
+        shard_directories = [
+            (summary.index, directory / summary.directory) for summary in summaries
+        ]
+        run: RunIdentity | None = None
+        for summary, metadata in zip(
+            summaries, _iter_consistent_shard_metadata(shard_directories)
+        ):
             if metadata["viewer_count"] != summary.viewer_count:
                 raise DatasetError(
                     f"shard {summary.directory} holds {metadata['viewer_count']} "
                     f"viewers but the manifest records {summary.viewer_count}"
                 )
-            # A shard from a different generation run must not be silently
-            # mixed in (e.g. a re-run with new parameters that crashed before
-            # rewriting every shard).
-            for field in ("seed", "name"):
-                if metadata.get(field) != manifest[field]:
+            if run is None:
+                run = RunIdentity.from_metadata(metadata)
+                totals = {
+                    "count": len(summaries),
+                    "population_viewer_count": viewer_count,
+                }
+                mismatch = run.mismatch(
+                    replace(
+                        run,
+                        name=manifest["name"],
+                        seed=seed,
+                        # Shards written before the plan stamp record no totals.
+                        plan_totals=None if run.plan_totals is None else totals,
+                    ),
+                    "the manifest",
+                )
+                if mismatch is not None:
                     raise DatasetError(
-                        f"shard {summary.directory} records "
-                        f"{field}={metadata.get(field)!r} but the manifest "
-                        f"records {manifest[field]!r} (mixed generation "
+                        f"shard {summary.directory} {mismatch} (mixed generation "
                         "runs?); re-run `repro generate-dataset --shards N "
                         "--resume` to regenerate the foreign shards"
                     )
-            plan = metadata.get("shard")
-            if isinstance(plan, dict) and (
-                plan.get("index") != summary.index
-                or plan.get("count") != len(summaries)
-                or plan.get("population_viewer_count") != int(manifest["viewer_count"])
-            ):
-                raise DatasetError(
-                    f"shard {summary.directory} records shard plan {plan!r} "
-                    f"but the manifest describes shard {summary.index} of "
-                    f"{len(summaries)} over {manifest['viewer_count']} "
-                    "viewers (mixed generation runs?); re-run `repro "
-                    "generate-dataset --shards N --resume` to regenerate "
-                    "the foreign shards"
-                )
         return cls(
             directory=directory,
             name=str(manifest["name"]),
-            seed=int(manifest["seed"]),
-            viewer_count=int(manifest["viewer_count"]),
+            seed=seed,
+            viewer_count=viewer_count,
             shard_summaries=summaries,
         )
 
@@ -658,12 +750,12 @@ def _shard_reuse_mismatch(
 ) -> str | None:
     """Why the on-disk shard cannot be reused for this plan; ``None`` if it can.
 
-    The single verifier behind resume's skip decision and stitch's
-    validation (via :func:`_shard_reuse_check`).  Each check returns a
-    reason naming the exact recorded field that mismatched — resume only
-    needs the yes/no, but a stitch failure is an operator's cue to find the
-    foreign shard's origin, so "its recorded configuration does not match"
-    is not good enough.
+    Resume's skip decision: the shard must have finalised cleanly, record
+    this plan's :class:`RunIdentity` and hold exactly this slice
+    (:func:`_shard_slice_mismatch`); anything else is handed to the
+    quarantine path.  The reason names the exact recorded field that
+    mismatched.  ``metadata`` spares a caller that already parsed the index
+    a second load.
     """
     if not dataset_is_complete(shard_directory):
         return (
@@ -675,43 +767,44 @@ def _shard_reuse_mismatch(
             metadata = load_dataset_metadata(shard_directory)
         except DatasetError as error:
             return f"its metadata index does not load: {error}"
-    if metadata.get("seed") != seed:
-        return (
-            f"it records seed={metadata.get('seed')!r} but this plan uses "
-            f"seed={seed!r}"
-        )
-    if metadata.get("name") != dataset_name:
-        return (
-            f"it records dataset name {metadata.get('name')!r} but this plan "
-            f"uses {dataset_name!r}"
-        )
-    if metadata.get("session_config") != asdict(config):
-        return (
-            f"it records session_config={metadata.get('session_config')!r} "
-            f"but this plan uses {asdict(config)!r}"
-        )
-    if metadata.get("graph_fingerprint") != graph_fingerprint:
-        return (
-            f"it records story-graph fingerprint "
-            f"{metadata.get('graph_fingerprint')!r} but this plan's graph "
-            f"fingerprints {graph_fingerprint!r}"
-        )
-    expected_plan = _shard_plan(shard_slice, shard_count, len(viewers))
-    if metadata.get("shard") != expected_plan:
+    totals = {"count": shard_count, "population_viewer_count": len(viewers)}
+    expected = RunIdentity(
+        dataset_name, seed, asdict(config), graph_fingerprint, totals
+    )
+    mismatch = RunIdentity.from_metadata(metadata).mismatch(expected, "this plan")
+    if mismatch is not None:
+        return f"it {mismatch}"
+    return _shard_slice_mismatch(
+        shard_directory, shard_slice, shard_count, viewers, write_pcaps, metadata
+    )
+
+
+def _shard_slice_mismatch(
+    shard_directory: Path,
+    shard_slice: ShardSlice,
+    shard_count: int,
+    viewers: Sequence[Viewer],
+    write_pcaps: bool,
+    metadata: Mapping[str, object],
+) -> str | None:
+    """Why a member of the run does not hold exactly its slice; ``None`` if so.
+
+    The per-slice half of verification, shared by resume and stitch: the
+    recorded plan stamp, the viewer ids of the slice, and every trace file
+    both recorded and still on disk iff the run writes pcaps.
+    """
+    plan = _shard_plan(shard_slice, shard_count, len(viewers))
+    if metadata.get("shard") != plan:
         return (
             f"it records shard plan {metadata.get('shard')!r} but this slice "
-            f"is {expected_plan!r}"
+            f"is {plan!r}"
         )
     expected_ids = [
         viewer.viewer_id for viewer in viewers[shard_slice.start : shard_slice.stop]
     ]
     try:
-        found_ids = [
-            str(entry["viewer"]["viewer_id"]) for entry in metadata["entries"]
-        ]
-        trace_files = [
-            entry.get("trace_file") for entry in metadata["entries"]
-        ]
+        found_ids = [str(entry["viewer"]["viewer_id"]) for entry in metadata["entries"]]
+        trace_files = [entry.get("trace_file") for entry in metadata["entries"]]
     except (KeyError, TypeError, AttributeError) as error:
         return f"its metadata entries are malformed: {error!r}"
     if found_ids != expected_ids:
@@ -732,71 +825,8 @@ def _shard_reuse_mismatch(
                 "(incomplete rsync?)"
             )
     elif any(trace_file is not None for trace_file in trace_files):
-        return (
-            "it records trace files but this plan was generated with "
-            "--no-pcaps"
-        )
+        return "it records trace files but this plan was generated with --no-pcaps"
     return None
-
-
-def _shard_reuse_check(
-    shard_directory: Path,
-    shard_slice: ShardSlice,
-    shard_count: int,
-    viewers: Sequence[Viewer],
-    seed: int,
-    write_pcaps: bool,
-    dataset_name: str,
-    config: SessionConfig,
-    graph_fingerprint: str,
-    metadata: Mapping[str, object] | None = None,
-) -> tuple[str | None, ShardSummary | None]:
-    """Verify an on-disk shard against a plan: ``(mismatch reason, summary)``.
-
-    Exactly one element of the pair is ``None``: either the shard fails
-    :func:`_shard_reuse_mismatch` (or its metadata cannot be summarised) and
-    the reason comes back, or it verifies and its summary rides back so
-    callers never summarise the same metadata twice.
-
-    A shard is reusable only when it finalised cleanly *and* its metadata
-    provably belongs to this run: same dataset name, generation seed,
-    recorded session configuration, story-graph fingerprint and shard plan
-    (index, shard count, population total), exactly the viewer ids of this
-    shard's population slice, and every trace file both recorded and still
-    on disk iff this run writes pcaps.  Anything else — debris of a
-    different population, a stale seed, a shard saved under different flags,
-    session config or script, a deleted pcap, a half-written index — is
-    treated as partial and handed to the quarantine path.  ``metadata``
-    lets a caller that already parsed the shard's index (e.g. the stitch
-    validator) pass it in instead of paying the load twice.
-    """
-    if metadata is None and dataset_is_complete(shard_directory):
-        try:
-            metadata = load_dataset_metadata(shard_directory)
-        except DatasetError as error:
-            return f"its metadata index does not load: {error}", None
-    mismatch = _shard_reuse_mismatch(
-        shard_directory,
-        shard_slice,
-        shard_count,
-        viewers,
-        seed,
-        write_pcaps,
-        dataset_name,
-        config,
-        graph_fingerprint,
-        metadata=metadata,
-    )
-    if mismatch is not None:
-        return mismatch, None
-    assert metadata is not None  # complete + no mismatch implies it loaded
-    try:
-        summary = shard_summary_from_metadata(
-            shard_directory, shard_slice.index, metadata=metadata
-        )
-    except DatasetError as error:
-        return f"its metadata cannot be summarised: {error}", None
-    return None, summary
 
 
 @dataclass(frozen=True)
@@ -881,15 +911,13 @@ def _describe_shard_task(task: _ShardGenerationTask) -> str:
 
 
 def _generate_shards(
-    directory: Path,
-    slices: Sequence[ShardSlice],
-    *,
+    directory: str | Path,
+    viewer_count: int,
     shard_count: int,
-    viewers: Sequence[Viewer],
-    total_viewers: int,
+    only_shards: Sequence[int] | None,
     seed: int,
-    graph: StoryGraph,
-    config: SessionConfig,
+    graph: StoryGraph | None,
+    config: SessionConfig | None,
     workers: int | None,
     shard_workers: int | None,
     write_pcaps: bool,
@@ -898,40 +926,76 @@ def _generate_shards(
     resume: bool,
     status: Callable[[ShardSlice, str], None] | None,
 ) -> list[ShardSummary]:
-    """Resume-check, quarantine and (re)generate the selected shards.
+    """Prepare the root, then resume-check, quarantine and (re)generate shards.
 
-    The shared core of :func:`generate_sharded_dataset` and
-    :func:`generate_shard_subset`: a planning pass settles each selected
-    shard's fate serially (skipping reusable ones, quarantining debris —
-    cheap metadata work), then the shards that need generating run either in
-    this process or fanned out over a shard-level
-    :class:`~repro.engine.executor.BatchExecutor` pool
+    The shared core of :func:`generate_sharded_dataset` (``only_shards`` is
+    ``None``: the whole plan) and :func:`generate_shard_subset`: a planning
+    pass settles each selected shard's fate serially (skipping reusable
+    ones, quarantining debris — cheap metadata work), then the shards that
+    need generating run either in this process or fanned out over a
+    shard-level :class:`~repro.engine.executor.BatchExecutor` pool
     (``shard_workers``).  Both paths write byte-identical directories; the
     pool path reports ``progress`` at shard granularity because per-session
     callbacks cannot cross the process boundary.
     """
+    directory = Path(directory)
+    graph = graph or default_study_script()
+    config = config or SessionConfig()
+    slices = plan_shards(viewer_count, shard_count)
+    if only_shards is not None:
+        indices = sorted(set(int(index) for index in only_shards))
+        if not indices:
+            raise DatasetError("no shards selected; name at least one shard index")
+        out_of_range = [index for index in indices if not 0 <= index < shard_count]
+        if out_of_range:
+            raise DatasetError(
+                f"shard indices {out_of_range} are out of range for "
+                f"{shard_count} shards (valid indices: 0-{shard_count - 1})"
+            )
+        slices = [slices[index] for index in indices]
+    viewers = generate_population(viewer_count, seed=seed)
+    directory.mkdir(parents=True, exist_ok=True)
+    # A manifest can only describe a complete run: drop any previous one up
+    # front, so a crash can never leave it pointing at a mixture of old and
+    # new shards (a full run rewrites it once every shard is in place).
+    (directory / SHARDS_MANIFEST_FILENAME).unlink(missing_ok=True)
+    if only_shards is None:
+        # Shard directories beyond this run's plan (debris of an earlier run
+        # with a larger shard count) would otherwise look like valid data.  A
+        # subset leaves them: they may be another machine's output.
+        try:
+            existing = discover_shard_directories(directory)
+        except DatasetError:  # no shard directory yet
+            existing = []
+        for index, shard_directory in existing:
+            if index >= shard_count:
+                quarantine_partial_shard(shard_directory)
+
     def report(shard_slice: ShardSlice, state: str) -> None:
         if status is not None:
             status(shard_slice, state)
 
     graph_fingerprint = graph.fingerprint()
+    total_viewers = sum(shard_slice.viewer_count for shard_slice in slices)
     summaries: dict[int, ShardSummary] = {}
     pending: list[_ShardGenerationTask] = []
     done = 0
     for shard_slice in slices:
         shard_directory = directory / shard_slice.dirname
         if resume:
-            _mismatch, summary = _shard_reuse_check(
-                shard_directory,
-                shard_slice,
-                shard_count,
-                viewers,
-                seed,
-                write_pcaps,
-                dataset_name,
-                config,
-                graph_fingerprint,
-            )
+            summary = None
+            try:
+                metadata = load_dataset_metadata(shard_directory)
+                reason = _shard_reuse_mismatch(
+                    shard_directory, shard_slice, shard_count, viewers, seed,
+                    write_pcaps, dataset_name, config, graph_fingerprint, metadata,
+                )
+                if reason is None:
+                    summary = shard_summary_from_metadata(
+                        shard_directory, shard_slice.index, metadata=metadata
+                    )
+            except DatasetError:
+                pass  # an index that does not load or summarise is debris
             if summary is not None:
                 summaries[shard_slice.index] = summary
                 done += summary.viewer_count
@@ -1026,61 +1090,30 @@ def generate_sharded_dataset(
     path ``progress`` advances at shard granularity.
 
     With ``resume=True`` an interrupted run is picked up where it stopped:
-    shards that finalised cleanly (and verifiably belong to this population
-    and seed) are skipped without re-reading a pcap, partially-written shards
-    are moved aside via :func:`quarantine_partial_shard`, and only the
-    missing work is regenerated.  Session seeds derive from the dataset seed
-    and the viewer id alone, so the resumed directory is byte-identical to
-    one produced by a single uninterrupted run; shards whose recorded name,
-    seed, session configuration or pcap layout does not match this call's
-    arguments are detected and regenerated rather than absorbed.
-    ``status``, when given, is
+    shards that finalised cleanly, record this call's :class:`RunIdentity`
+    and hold exactly their slice's viewers and trace files are skipped
+    without re-reading a pcap, partially-written shards are moved aside via
+    :func:`quarantine_partial_shard`, and only the missing work is
+    regenerated.  Session seeds derive from the dataset seed and the viewer
+    id alone, so the resumed directory is byte-identical to one produced by
+    a single uninterrupted run; a shard from another run is detected and
+    regenerated rather than absorbed.  ``status``, when given, is
     invoked once per shard with the slice and one of ``SHARD_GENERATED``,
     ``SHARD_SKIPPED`` or ``SHARD_QUARANTINED`` (a quarantined shard also
     reports ``SHARD_GENERATED`` once regenerated).
 
     Returns the :class:`ShardedDataset`, with its manifest already written.
     """
-    directory = Path(directory)
-    graph = graph or default_study_script()
-    config = config or SessionConfig()
-    slices = plan_shards(viewer_count, shard_count)
-    viewers = generate_population(viewer_count, seed=seed)
-    directory.mkdir(parents=True, exist_ok=True)
-    # Invalidate any previous run's manifest up front: it is rewritten only
-    # after every shard is in place, so a run that crashes mid-way can never
-    # leave a stale manifest pointing at a mixture of old and new shards.
-    (directory / SHARDS_MANIFEST_FILENAME).unlink(missing_ok=True)
-    # Shard directories beyond this run's plan (debris of an earlier run
-    # with a larger shard count) would otherwise survive untouched and look
-    # like valid data; move them aside with the other quarantined debris.
-    for existing in sorted(directory.iterdir()):
-        match = re.fullmatch(r"shard-(\d{3,})", existing.name)
-        if match and existing.is_dir() and int(match.group(1)) >= len(slices):
-            quarantine_partial_shard(existing)
-    shard_summaries = _generate_shards(
-        directory,
-        slices,
-        shard_count=shard_count,
-        viewers=viewers,
-        total_viewers=viewer_count,
-        seed=seed,
-        graph=graph,
-        config=config,
-        workers=workers,
-        shard_workers=shard_workers,
-        write_pcaps=write_pcaps,
-        dataset_name=dataset_name,
-        progress=progress,
-        resume=resume,
-        status=status,
-    )
     dataset = ShardedDataset(
-        directory=directory,
+        directory=Path(directory),
         name=dataset_name,
         seed=seed,
         viewer_count=viewer_count,
-        shard_summaries=shard_summaries,
+        shard_summaries=_generate_shards(
+            directory, viewer_count, shard_count, None, seed, graph, config,
+            workers, shard_workers, write_pcaps, dataset_name, progress, resume,
+            status,
+        ),
     )
     dataset.save_manifest()
     return dataset
@@ -1122,44 +1155,10 @@ def generate_shard_subset(
 
     Returns the selected shards' summaries, in index order.
     """
-    directory = Path(directory)
-    graph = graph or default_study_script()
-    config = config or SessionConfig()
-    slices = plan_shards(viewer_count, shard_count)
-    indices = sorted(set(int(index) for index in only_shards))
-    if not indices:
-        raise DatasetError("no shards selected; name at least one shard index")
-    out_of_range = [index for index in indices if not 0 <= index < shard_count]
-    if out_of_range:
-        raise DatasetError(
-            f"shard indices {out_of_range} are out of range for "
-            f"{shard_count} shards (valid indices: 0-{shard_count - 1})"
-        )
-    selected = [slices[index] for index in indices]
-    viewers = generate_population(viewer_count, seed=seed)
-    directory.mkdir(parents=True, exist_ok=True)
-    # A manifest can only describe a complete run; regenerating any member
-    # shard invalidates it.  Stitching re-publishes it once every machine's
-    # shards are in place.
-    (directory / SHARDS_MANIFEST_FILENAME).unlink(missing_ok=True)
     return _generate_shards(
-        directory,
-        selected,
-        shard_count=shard_count,
-        viewers=viewers,
-        total_viewers=sum(
-            shard_slice.viewer_count for shard_slice in selected
-        ),
-        seed=seed,
-        graph=graph,
-        config=config,
-        workers=workers,
-        shard_workers=shard_workers,
-        write_pcaps=write_pcaps,
-        dataset_name=dataset_name,
-        progress=progress,
-        resume=resume,
-        status=status,
+        directory, viewer_count, shard_count, only_shards, seed, graph, config,
+        workers, shard_workers, write_pcaps, dataset_name, progress, resume,
+        status,
     )
 
 
@@ -1188,34 +1187,31 @@ def discover_shard_directories(directory: str | Path) -> list[tuple[int, Path]]:
     return sorted(found)
 
 
-def _plan_totals(metadata: Mapping[str, object]) -> Mapping[str, object] | None:
-    """The shard-count/population part of a shard's recorded plan, if any."""
-    plan = metadata.get("shard")
-    if not isinstance(plan, Mapping):
-        return None
-    return {
-        "count": plan.get("count"),
-        "population_viewer_count": plan.get("population_viewer_count"),
-    }
-
-
 def load_consistent_shard_metadata(
     shard_directories: Sequence[tuple[int, Path]],
 ) -> list[Mapping[str, object]]:
     """Load each shard's metadata index, requiring one generation run.
 
-    Every shard must have finalised cleanly and record the same dataset
-    name, seed, session configuration, story-graph fingerprint and shard
-    plan totals (shard count, population size) as the first — shards
-    rsync'd together from *different* runs must fail loudly here, not train
-    or stitch into a silently mixed corpus.  Returns the metadata mappings
-    in the given order.
+    Every shard must have finalised cleanly, hold the plan's shard of its
+    ``shard-NNN`` index, and record the same :class:`RunIdentity` as the
+    first — shards rsync'd together from *different* runs must fail loudly
+    here, not train or stitch into a silently mixed corpus.  Returns the
+    metadata mappings in the given order.
     """
     if not shard_directories:
         raise DatasetError("no shard directories to load")
-    loaded: list[Mapping[str, object]] = []
-    reference: Mapping[str, object] | None = None
-    reference_name = ""
+    return list(_iter_consistent_shard_metadata(shard_directories))
+
+
+def _iter_consistent_shard_metadata(
+    shard_directories: Sequence[tuple[int, Path]],
+) -> Iterator[Mapping[str, object]]:
+    """:func:`load_consistent_shard_metadata` one shard at a time.
+
+    Each index is yielded as soon as it verifies, so a caller that keeps
+    only what it needs holds one shard's metadata, not the population's.
+    """
+    reference: RunIdentity | None = None
     for index, shard_directory in shard_directories:
         if not dataset_is_complete(shard_directory):
             raise DatasetError(
@@ -1236,33 +1232,17 @@ def load_consistent_shard_metadata(
                 "directory?); every shard-NNN directory must hold the "
                 "plan's shard NNN"
             )
+        identity = RunIdentity.from_metadata(metadata)
         if reference is None:
-            reference = metadata
-            reference_name = shard_directory.name
-        else:
-            for field, value, reference_value in (
-                *(
-                    (field, metadata.get(field), reference.get(field))
-                    for field in (
-                        "name",
-                        "seed",
-                        "session_config",
-                        "graph_fingerprint",
-                    )
-                ),
-                ("shard plan", _plan_totals(metadata), _plan_totals(reference)),
-            ):
-                if value != reference_value:
-                    raise DatasetError(
-                        f"shard {shard_directory.name} records "
-                        f"{field}={value!r} but "
-                        f"{reference_name} records {reference_value!r} "
-                        "(mixed generation runs?); every shard must come "
-                        "from the same plan (viewer count, shard count, "
-                        "seed, config and script)"
-                    )
-        loaded.append(metadata)
-    return loaded
+            reference = identity
+        mismatch = identity.mismatch(reference, shard_directories[0][1].name)
+        if mismatch is not None:
+            raise DatasetError(
+                f"shard {shard_directory.name} {mismatch} (mixed generation "
+                "runs?); every shard must come from the same plan (viewer "
+                "count, shard count, seed, config and script)"
+            )
+        yield metadata
 
 
 def stitch_sharded_dataset(
@@ -1278,12 +1258,13 @@ def stitch_sharded_dataset(
     regenerating or re-reading a single pcap — that the union is exactly the
     plan's population: every one of the plan's shards present (the plan
     totals are recorded in each shard's metadata, so even missing *trailing*
-    shards are detected), every shard finalised cleanly, all shards from the
-    same run (name, seed, session config, story-graph fingerprint, plan
-    totals), and each shard holding precisely its slice's viewer ids with
-    every recorded trace file on disk.  The plan itself (viewer count, shard
-    count, seed, configuration) is read from the shard metadata, so
-    stitching needs no flags to repeat.
+    shards are detected), every shard finalised cleanly, all shards
+    recording one :class:`RunIdentity` (each compared once, by
+    :func:`load_consistent_shard_metadata`), that identity matching ``graph``
+    and the current session configuration, and each shard holding precisely
+    its slice's viewer ids with every recorded trace file on disk.  The plan
+    itself (viewer count, shard count, seed, configuration) is read from the
+    shard metadata, so stitching needs no flags to repeat.
 
     On success the ``shards.json`` manifest is written atomically and the
     loaded :class:`ShardedDataset` returned; any failure raises a
@@ -1298,17 +1279,17 @@ def stitch_sharded_dataset(
     metadata_by_shard = load_consistent_shard_metadata(found)
     reference = metadata_by_shard[0]
     for field in ("seed", "session_config", "shard"):
-        if field not in reference:
+        if reference.get(field) is None:
             raise DatasetError(
                 f"shard {found[0][1].name} does not record its {field!r}, so "
                 "the stitched dataset cannot be verified against its "
                 "generation plan (re-generate with the current tooling)"
             )
-    plan = _plan_totals(reference)
-    assert plan is not None  # "shard" key checked above
+    run = RunIdentity.from_metadata(reference)
+    totals = run.plan_totals
     try:
-        shard_count = int(plan["count"])  # type: ignore[arg-type]
-        viewer_count = int(plan["population_viewer_count"])  # type: ignore[arg-type]
+        shard_count = int(totals["count"])  # type: ignore[index]
+        viewer_count = int(totals["population_viewer_count"])  # type: ignore[index]
     except (KeyError, TypeError, ValueError) as error:
         raise DatasetError(
             f"shard {found[0][1].name} records a malformed shard plan: "
@@ -1334,7 +1315,7 @@ def stitch_sharded_dataset(
             f"{','.join(str(index) for index in missing)}` or rsync the "
             "missing machine's output into place"
         )
-    require_generating_graph(reference.get("graph_fingerprint"), graph, directory)
+    require_generating_graph(run.graph_fingerprint, graph, directory)
     seed = int(reference["seed"])
     dataset_name = str(reference["name"])
     config = session_config_from_metadata(dict(reference))
@@ -1343,20 +1324,27 @@ def stitch_sharded_dataset(
     )
     slices = plan_shards(viewer_count, shard_count)
     viewers = generate_population(viewer_count, seed=seed)
-    graph_fingerprint = graph.fingerprint()
+    # Every shard's identity equals the first one's; the run's must also be
+    # what this graph and the current session configuration derive.
+    run_mismatch = run.mismatch(
+        replace(
+            run,
+            name=dataset_name,
+            seed=seed,
+            session_config=asdict(config),  # type: ignore[arg-type]
+            graph_fingerprint=graph.fingerprint(),
+        ),
+        "this plan",
+    )
     summaries: list[ShardSummary] = []
     for (index, shard_directory), metadata in zip(found, metadata_by_shard):
-        mismatch, summary = _shard_reuse_check(
-            shard_directory,
-            slices[index],
-            shard_count,
-            viewers,
-            seed,
-            write_pcaps,
-            dataset_name,
-            config,  # type: ignore[arg-type]
-            graph_fingerprint,
-            metadata=metadata,
+        mismatch = (
+            f"it {run_mismatch}"
+            if run_mismatch is not None
+            else _shard_slice_mismatch(
+                shard_directory, slices[index], shard_count, viewers, write_pcaps,
+                metadata,
+            )
         )
         if mismatch is not None:
             raise DatasetError(
@@ -1366,8 +1354,9 @@ def stitch_sharded_dataset(
                 f"with `repro generate-dataset --shards {shard_count} "
                 f"--only-shards {index}`"
             )
-        assert summary is not None  # no mismatch implies a summary
-        summaries.append(summary)
+        summaries.append(
+            shard_summary_from_metadata(shard_directory, index, metadata=metadata)
+        )
         if status is not None:
             status(slices[index], SHARD_VERIFIED)
     dataset = ShardedDataset(

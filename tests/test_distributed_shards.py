@@ -10,11 +10,13 @@ accumulator states merge into exactly the library one machine would train.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.cli.main import main
 from repro.core.features import ClientRecord, LABEL_OTHER, LABEL_TYPE1, LABEL_TYPE2
 from repro.core.fingerprint import (
     FingerprintAccumulator,
@@ -66,6 +68,37 @@ def _generate_subset(directory: Path, only_shards, **kwargs):
 
 
 _dataset_files = snapshot_dataset_files
+
+
+def _tamper(shard_directory: Path, mutator) -> None:
+    metadata_path = shard_directory / "metadata.json"
+    metadata = json.loads(metadata_path.read_text())
+    mutator(metadata)
+    metadata_path.write_text(json.dumps(metadata, indent=2))
+
+
+#: One tampering per run-identity field, with the text a refusal names it by.
+IDENTITY_TAMPERS = {
+    "name": (
+        lambda metadata: metadata.update(name="someone-elses-run"),
+        "dataset name",
+    ),
+    "seed": (lambda metadata: metadata.update(seed=SEED + 1), "seed="),
+    "session_config": (
+        lambda metadata: metadata["session_config"].update(
+            cross_traffic_enabled=True
+        ),
+        "session_config",
+    ),
+    "graph_fingerprint": (
+        lambda metadata: metadata.update(graph_fingerprint="deadbeef"),
+        "story-graph fingerprint",
+    ),
+    "plan_totals": (
+        lambda metadata: metadata["shard"].update(count=SHARDS + 3),
+        "shard plan",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -609,6 +642,11 @@ class TestShardMismatchMessagesAreSpecific:
         reason = self._mismatch_for(shard_copy)
         assert "not finalised cleanly" in reason
 
+    @pytest.mark.parametrize("field", sorted(IDENTITY_TAMPERS))
+    def test_every_identity_field_is_named(self, shard_copy, field):
+        mutator, label = IDENTITY_TAMPERS[field]
+        assert label in self._mismatch_for(shard_copy, mutator)
+
     def test_stitch_error_carries_the_specific_reason(self, stitched_root):
         # End to end: the stitch failure for a missing pcap must surface the
         # per-field reason, not the old generic "does not match" catch-all.
@@ -627,4 +665,155 @@ class TestShardMismatchMessagesAreSpecific:
         metadata["entries"][0]["viewer"]["viewer_id"] = "viewer-404"
         metadata_path.write_text(json.dumps(metadata, indent=2))
         with pytest.raises(DatasetError, match="holds viewer ids"):
+            stitch_sharded_dataset(stitched_root)
+
+
+class TestOneRunIdentity:
+    """Every entry point decides run membership by the same recorded fields.
+
+    One shard of a two-shard root gets one identity field tampered with:
+    resume regenerates it, while stitch, subset training and
+    ``ShardedDataset.load`` refuse the root and name the field.
+    """
+
+    @pytest.fixture(params=sorted(IDENTITY_TAMPERS))
+    def tamper(self, request):
+        return IDENTITY_TAMPERS[request.param]
+
+    def test_resume_regenerates_the_tampered_shard(self, reference, tmp_path, tamper):
+        mutator, _label = tamper
+        copy = tmp_path / "dataset"
+        shutil.copytree(reference.directory, copy)
+        _tamper(copy / "shard-001", mutator)
+        events: list[tuple[str, str]] = []
+        _generate_full(
+            copy,
+            resume=True,
+            status=lambda s, state: events.append((s.dirname, state)),
+        )
+        assert events == [
+            ("shard-000", "skipped"),
+            ("shard-001", "quarantined"),
+            ("shard-001", "generated"),
+        ]
+        assert _dataset_files(copy) == _dataset_files(reference.directory)
+
+    def test_stitch_refuses_and_names_the_field(self, stitched_root, tamper):
+        mutator, label = tamper
+        _tamper(stitched_root / "shard-001", mutator)
+        with pytest.raises(DatasetError, match="mixed generation runs") as excinfo:
+            stitch_sharded_dataset(stitched_root)
+        assert label in str(excinfo.value)
+        assert not (stitched_root / "shards.json").exists()
+
+    def test_subset_training_refuses_and_names_the_field(
+        self, stitched_root, tmp_path, tamper, capsys
+    ):
+        mutator, label = tamper
+        _tamper(stitched_root / "shard-001", mutator)
+        library = tmp_path / "lib.json"
+        assert main(["train", str(stitched_root), str(library), "--sharded"]) != 0
+        assert label in capsys.readouterr().err
+        assert not library.exists()
+
+    def test_sharded_dataset_load_refuses_and_names_the_field(
+        self, reference, tmp_path, tamper
+    ):
+        mutator, label = tamper
+        copy = tmp_path / "dataset"
+        shutil.copytree(reference.directory, copy)
+        _tamper(copy / "shard-001", mutator)
+        with pytest.raises(DatasetError, match="mixed generation runs") as excinfo:
+            ShardedDataset.load(copy)
+        assert label in str(excinfo.value)
+
+    def test_load_names_a_first_shard_that_disagrees_with_the_manifest(
+        self, reference, tmp_path
+    ):
+        copy = tmp_path / "dataset"
+        shutil.copytree(reference.directory, copy)
+        _tamper(copy / "shard-000", lambda metadata: metadata.update(seed=SEED + 1))
+        with pytest.raises(DatasetError, match="shard shard-000 records seed="):
+            ShardedDataset.load(copy)
+
+    @pytest.fixture()
+    def mixed_config_root(self, reference, tmp_path) -> Path:
+        """The reference root with shard-001 swapped for the same plan's
+        shard-001 generated with cross traffic on."""
+        root = tmp_path / "mixed"
+        shutil.copytree(reference.directory, root)
+        other = tmp_path / "other"
+        generate_shard_subset(
+            other,
+            viewer_count=VIEWERS,
+            shard_count=SHARDS,
+            only_shards=[1],
+            seed=SEED,
+            config=SessionConfig(),
+        )
+        shutil.rmtree(root / "shard-001")
+        shutil.copytree(other / "shard-001", root / "shard-001")
+        return root
+
+    def test_mixed_config_root_is_refused_by_sharded_training(
+        self, mixed_config_root, tmp_path, capsys
+    ):
+        with pytest.raises(DatasetError, match="session_config"):
+            ShardedDataset.load(mixed_config_root)
+        library = tmp_path / "lib.json"
+        exit_code = main(
+            ["train", str(mixed_config_root), str(library), "--sharded"]
+        )
+        assert exit_code != 0
+        assert "session_config" in capsys.readouterr().err
+        assert not library.exists()
+
+    def test_session_config_mismatch_names_only_the_differing_keys(
+        self, mixed_config_root
+    ):
+        (mixed_config_root / "shards.json").unlink()
+        with pytest.raises(DatasetError) as excinfo:
+            stitch_sharded_dataset(mixed_config_root)
+        message = str(excinfo.value)
+        assert "session_config" in message
+        assert "cross_traffic_enabled: True vs False" in message
+        assert "media_scale" not in message
+
+
+class TestMalformedShardMetadata:
+    """A malformed shard index is a DatasetError naming the file, whichever
+    entry point reads it."""
+
+    def _refused_everywhere(self, reference, tmp_path, write) -> None:
+        root = tmp_path / "dataset"
+        shutil.copytree(reference.directory, root)
+        metadata_path = root / "shard-001" / "metadata.json"
+        write(metadata_path)
+        names_the_file = re.escape(str(metadata_path))
+        with pytest.raises(DatasetError, match=names_the_file):
+            ShardedDataset.load(root)
+        (root / "shards.json").unlink()
+        with pytest.raises(DatasetError, match=names_the_file):
+            stitch_sharded_dataset(root)
+
+    def test_metadata_that_is_a_json_number(self, reference, tmp_path):
+        self._refused_everywhere(
+            reference, tmp_path, lambda path: path.write_text("7")
+        )
+
+    def test_entries_that_are_not_a_list(self, reference, tmp_path):
+        def entries_as_a_number(path: Path) -> None:
+            metadata = json.loads(path.read_text())
+            metadata["entries"] = 2
+            path.write_text(json.dumps(metadata))
+
+        self._refused_everywhere(reference, tmp_path, entries_as_a_number)
+
+    def test_null_session_config_is_named_by_stitch(self, stitched_root):
+        for shard in ("shard-000", "shard-001"):
+            _tamper(
+                stitched_root / shard,
+                lambda metadata: metadata.update(session_config=None),
+            )
+        with pytest.raises(DatasetError, match="does not record its 'session_config'"):
             stitch_sharded_dataset(stitched_root)

@@ -448,6 +448,18 @@ class TestLoadHardening:
         with pytest.raises(DatasetError, match="not a sharded dataset"):
             ShardedDataset.load(copy)
 
+    @pytest.mark.parametrize("field", ["seed", "viewer_count"])
+    def test_non_integer_manifest_field_raises_dataset_error(
+        self, tmp_path, fresh, field
+    ):
+        copy = tmp_path / "dataset"
+        _copy_dataset(fresh.directory, copy)
+        manifest = json.loads((copy / "shards.json").read_text())
+        manifest[field] = "abc"
+        (copy / "shards.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="malformed seed or viewer count"):
+            ShardedDataset.load(copy)
+
     def test_malformed_manifest_entry_raises_dataset_error(self, tmp_path, fresh):
         copy = tmp_path / "dataset"
         _copy_dataset(fresh.directory, copy)
