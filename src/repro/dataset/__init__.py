@@ -21,7 +21,8 @@ __getattr__, __dir__, __all__ = _lazy.exports(
     __name__,
     {
         ".attributes": "BEHAVIORAL_ATTRIBUTES OPERATIONAL_ATTRIBUTES table1_rows",
-        ".population": "Viewer generate_population viewers_from_metadata_entries",
+        ".population": "Viewer generate_population split_viewers"
+            " viewers_from_metadata_entries",
         ".collection": "DataPoint collect_datapoint collect_dataset"
             " iter_collect_dataset",
         ".format": "DatasetWriter dataset_is_complete dataset_is_partial"
@@ -32,7 +33,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         ".iitm": "DatasetSummary IITMBandersnatchDataset SummaryAccumulator",
         ".shards": "ShardedDataset ShardSlice ShardSummary discover_shard_directories"
             " generate_shard_subset generate_sharded_dataset"
-            " iter_shard_training_sessions load_consistent_shard_metadata"
+            " iter_consistent_shard_metadata iter_shard_training_sessions"
             " merge_shard_summaries parse_shard_selection plan_shards"
             " quarantine_partial_shard shard_summary_from_metadata"
             " stitch_sharded_dataset",

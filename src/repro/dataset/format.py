@@ -122,7 +122,6 @@ class DatasetWriter:
         config: SessionConfig | None = None,
         graph: StoryGraph | None = None,
         shard: Mapping[str, int] | None = None,
-        sidecar: bool = True,
     ) -> None:
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
@@ -136,7 +135,7 @@ class DatasetWriter:
         self._entries: list[dict[str, object]] = []
         self._closed = False
         self._sidecar = None
-        if write_pcaps and sidecar:
+        if write_pcaps:
             # Imported lazily: the sidecar module reads this one's layout
             # constants, so a module-level import would be circular.
             from repro.dataset.sidecar import SidecarWriter

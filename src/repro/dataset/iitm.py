@@ -21,12 +21,16 @@ from repro.dataset.collection import (
     iter_collect_dataset,
 )
 from repro.dataset.format import DatasetWriter, save_dataset_metadata
-from repro.dataset.population import Viewer, attribute_marginals, generate_population
+from repro.dataset.population import (
+    Viewer,
+    attribute_marginals,
+    generate_population,
+    split_viewers,
+)
 from repro.engine.executor import ProgressCallback
 from repro.exceptions import DatasetError
 from repro.narrative.graph import StoryGraph
 from repro.streaming.session import SessionConfig
-from repro.utils.rng import spawn_rng
 
 
 @dataclass(frozen=True)
@@ -243,30 +247,16 @@ class IITMBandersnatchDataset:
     ) -> tuple[list[DataPoint], list[DataPoint]]:
         """Split data points into attacker-training and victim sets.
 
-        The split is stratified by environment (fingerprint key) so every
-        environment present in the test set also has training sessions,
-        mirroring the paper's setup where the attacker calibrates per
-        environment.
+        The split is :func:`repro.dataset.population.split_viewers`, seeded
+        by the dataset's seed unless ``seed`` is given; ``repro train``
+        makes the same split from a saved dataset's metadata.
         """
-        if not 0.0 < test_fraction < 1.0:
-            raise DatasetError("test fraction must be in (0, 1)")
-        rng = spawn_rng(self._seed if seed is None else seed, "dataset-split")
-        groups: dict[str, list[DataPoint]] = {}
-        for point in self._points:
-            groups.setdefault(point.viewer.condition.fingerprint_key, []).append(point)
-        train: list[DataPoint] = []
-        test: list[DataPoint] = []
-        for key in sorted(groups):
-            members = list(groups[key])
-            rng.shuffle(members)  # type: ignore[arg-type]
-            if len(members) == 1:
-                train.extend(members)
-                continue
-            test_count = int(round(len(members) * test_fraction))
-            test_count = min(max(test_count, 1), len(members) - 1)
-            test.extend(members[:test_count])
-            train.extend(members[test_count:])
-        return train, test
+        train, test = split_viewers(
+            [point.viewer for point in self._points],
+            test_fraction,
+            self._seed if seed is None else seed,
+        )
+        return [self._points[i] for i in train], [self._points[i] for i in test]
 
     # -- reporting -----------------------------------------------------------
 

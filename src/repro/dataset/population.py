@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.client.profiles import (
     BROWSERS,
@@ -20,7 +21,7 @@ from repro.client.viewer import (
     ViewerBehavior,
 )
 from repro.exceptions import DatasetError
-from repro.utils.rng import RandomSource
+from repro.utils.rng import RandomSource, spawn_rng
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,37 @@ def viewers_from_metadata_entries(
             f"dataset metadata at {source} has a malformed viewer entry: "
             f"{error!r}"
         ) from error
+
+
+def split_viewers(
+    viewers: Sequence[Viewer], test_fraction: float, seed: int
+) -> tuple[list[int], list[int]]:
+    """Positions in ``viewers`` of the attacker-training and victim sets.
+
+    Stratified by environment (fingerprint key) so every environment in the
+    test set also trains, as the paper's attacker calibrates per
+    environment; a lone viewer trains.  Only environments, order and
+    ``seed`` matter, so metadata alone decides a saved dataset's split.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        raise DatasetError("test fraction must be in (0, 1)")
+    rng = spawn_rng(seed, "dataset-split")
+    groups: dict[str, list[int]] = {}
+    for position, viewer in enumerate(viewers):
+        groups.setdefault(viewer.condition.fingerprint_key, []).append(position)
+    train: list[int] = []
+    test: list[int] = []
+    for key in sorted(groups):
+        members = groups[key]
+        rng.shuffle(members)  # type: ignore[arg-type]
+        if len(members) == 1:
+            train.extend(members)
+            continue
+        test_count = int(round(len(members) * test_fraction))
+        test_count = min(max(test_count, 1), len(members) - 1)
+        test.extend(members[:test_count])
+        train.extend(members[test_count:])
+    return train, test
 
 
 #: Marginal distributions used when sampling viewers.  They are deliberately

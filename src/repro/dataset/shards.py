@@ -44,6 +44,7 @@ without regenerating anything.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import asdict, dataclass, replace
@@ -541,17 +542,6 @@ class ShardedDataset:
         for shard_directory in self.shard_directories():
             yield from iter_released_points(shard_directory)
 
-    def iter_shard_points(self) -> Iterator[Iterator[LoadedDataPoint]]:
-        """Iterate the population one shard at a time.
-
-        Yields, per shard, a lazy iterator over that shard's loaded data
-        points — the shape :meth:`repro.core.pipeline.WhiteMirrorAttack`'s
-        incremental consumers fold over: each shard's points can be processed
-        and discarded before the next shard's metadata is even opened.
-        """
-        for shard_directory in self.shard_directories():
-            yield iter_released_points(shard_directory)
-
     def iter_shard_training_sessions(
         self,
         graph: StoryGraph | None = None,
@@ -614,10 +604,11 @@ class ShardedDataset:
         Only the manifest and each shard's metadata index are validated up
         front, one shard at a time; pcaps are parsed lazily by
         :meth:`iter_points`.  Every shard must record the manifest's
-        :class:`RunIdentity` (see :func:`load_consistent_shard_metadata`).
+        :class:`RunIdentity` (see :func:`iter_consistent_shard_metadata`).
         Every failure mode — a directory that is not a sharded dataset, a
         malformed manifest, a shard left incomplete by an interrupted
-        generation run or taken from another run — raises a
+        generation run or taken from another run, a shard index two
+        directories claim — raises a
         :class:`DatasetError` that says what was found and what to do about
         it, never a bare ``KeyError``/``ValueError``/``FileNotFoundError``.
         """
@@ -678,6 +669,7 @@ class ShardedDataset:
                     "(interrupted generation?); re-run "
                     "`repro generate-dataset --shards N --resume` to repair it"
                 )
+        discover_shard_directories(directory)  # refuses a doubly-held index
         # A shard from a different generation run must not be silently mixed
         # in (e.g. a re-run with new parameters that crashed before rewriting
         # every shard): every shard records the first one's RunIdentity, and
@@ -687,7 +679,7 @@ class ShardedDataset:
         ]
         run: RunIdentity | None = None
         for summary, metadata in zip(
-            summaries, _iter_consistent_shard_metadata(shard_directories)
+            summaries, iter_consistent_shard_metadata(shard_directories)
         ):
             if metadata["viewer_count"] != summary.viewer_count:
                 raise DatasetError(
@@ -963,11 +955,7 @@ def _generate_shards(
         # Shard directories beyond this run's plan (debris of an earlier run
         # with a larger shard count) would otherwise look like valid data.  A
         # subset leaves them: they may be another machine's output.
-        try:
-            existing = discover_shard_directories(directory)
-        except DatasetError:  # no shard directory yet
-            existing = []
-        for index, shard_directory in existing:
+        for index, shard_directory in discover_shard_directories(directory):
             if index >= shard_count:
                 quarantine_partial_shard(shard_directory)
 
@@ -1166,50 +1154,42 @@ def discover_shard_directories(directory: str | Path) -> list[tuple[int, Path]]:
     """The ``shard-NNN`` directories under ``directory``, sorted by index.
 
     Quarantined debris (``shard-NNN.quarantined-*``) is excluded by
-    construction.  Raises a :class:`DatasetError` when no shard directory is
-    found — the caller is pointing at something that is not (yet) a sharded
-    dataset root.
+    construction; a missing root, or one holding none, yields an empty list.
+    Two directories naming one index (``shard-001`` and ``shard-0001``, say
+    a copied shard) raise a :class:`DatasetError` naming both: either would
+    fold the same viewers in twice.
     """
     directory = Path(directory)
     if not directory.is_dir():
-        raise DatasetError(f"{directory} is not a directory")
+        return []
     found: list[tuple[int, Path]] = []
     for entry in sorted(directory.iterdir()):
         match = re.fullmatch(r"shard-(\d{3,})", entry.name)
         if match and entry.is_dir():
             found.append((int(match.group(1)), entry))
-    if not found:
-        raise DatasetError(
-            f"no shard-NNN directories found under {directory} (generate "
-            "them with `repro generate-dataset --shards N [--only-shards "
-            "...]`)"
-        )
-    return sorted(found)
+    found.sort()
+    for (index, first), (next_index, second) in zip(found, found[1:]):
+        if index == next_index:
+            raise DatasetError(
+                f"{first.name} and {second.name} under {directory} both hold "
+                f"shard {index} (a copied or renamed shard directory?); "
+                "remove one of them"
+            )
+    return found
 
 
-def load_consistent_shard_metadata(
+def iter_consistent_shard_metadata(
     shard_directories: Sequence[tuple[int, Path]],
-) -> list[Mapping[str, object]]:
+) -> Iterator[Mapping[str, object]]:
     """Load each shard's metadata index, requiring one generation run.
 
     Every shard must have finalised cleanly, hold the plan's shard of its
     ``shard-NNN`` index, and record the same :class:`RunIdentity` as the
     first — shards rsync'd together from *different* runs must fail loudly
-    here, not train or stitch into a silently mixed corpus.  Returns the
-    metadata mappings in the given order.
-    """
-    if not shard_directories:
-        raise DatasetError("no shard directories to load")
-    return list(_iter_consistent_shard_metadata(shard_directories))
-
-
-def _iter_consistent_shard_metadata(
-    shard_directories: Sequence[tuple[int, Path]],
-) -> Iterator[Mapping[str, object]]:
-    """:func:`load_consistent_shard_metadata` one shard at a time.
-
-    Each index is yielded as soon as it verifies, so a caller that keeps
-    only what it needs holds one shard's metadata, not the population's.
+    here, not train or stitch into a silently mixed corpus.  Each index is
+    yielded, in the given order, as soon as it verifies, so a caller that
+    keeps only what it needs holds one shard's metadata, not the
+    population's.
     """
     reference: RunIdentity | None = None
     for index, shard_directory in shard_directories:
@@ -1260,7 +1240,7 @@ def stitch_sharded_dataset(
     totals are recorded in each shard's metadata, so even missing *trailing*
     shards are detected), every shard finalised cleanly, all shards
     recording one :class:`RunIdentity` (each compared once, by
-    :func:`load_consistent_shard_metadata`), that identity matching ``graph``
+    :func:`iter_consistent_shard_metadata`), that identity matching ``graph``
     and the current session configuration, and each shard holding precisely
     its slice's viewer ids with every recorded trace file on disk.  The plan
     itself (viewer count, shard count, seed, configuration) is read from the
@@ -1275,9 +1255,17 @@ def stitch_sharded_dataset(
     """
     directory = Path(directory)
     graph = graph or default_study_script()
+    if not directory.is_dir():
+        raise DatasetError(f"{directory} is not a directory")
     found = discover_shard_directories(directory)
-    metadata_by_shard = load_consistent_shard_metadata(found)
-    reference = metadata_by_shard[0]
+    if not found:
+        raise DatasetError(
+            f"no shard-NNN directories found under {directory} (generate "
+            "them with `repro generate-dataset --shards N [--only-shards "
+            "...]`)"
+        )
+    stream = iter_consistent_shard_metadata(found)
+    reference = next(stream)
     for field in ("seed", "session_config", "shard"):
         if reference.get(field) is None:
             raise DatasetError(
@@ -1297,19 +1285,11 @@ def stitch_sharded_dataset(
         ) from error
     # The plan totals come from the shards themselves, so a root that lost
     # its *trailing* shards cannot masquerade as a smaller complete dataset.
-    indices = [index for index, _path in found]
-    unexpected = sorted(set(indices) - set(range(shard_count)))
-    if unexpected:
-        raise DatasetError(
-            f"cannot stitch {directory}: shard indices {unexpected} lie "
-            f"beyond the recorded plan of {shard_count} shards (mixed "
-            "generation runs?)"
-        )
-    missing = sorted(set(range(shard_count)) - set(indices))
+    missing = sorted(set(range(shard_count)) - {index for index, _path in found})
     if missing:
         raise DatasetError(
             f"cannot stitch {directory}: shard indices {missing} are missing "
-            f"(found {len(indices)} of the plan's {shard_count} shards); "
+            f"(found {len(found)} of the plan's {shard_count} shards); "
             f"generate them with `repro generate-dataset --shards "
             f"{shard_count} --only-shards "
             f"{','.join(str(index) for index in missing)}` or rsync the "
@@ -1337,7 +1317,15 @@ def stitch_sharded_dataset(
         "this plan",
     )
     summaries: list[ShardSummary] = []
-    for (index, shard_directory), metadata in zip(found, metadata_by_shard):
+    for (index, shard_directory), metadata in zip(
+        found, itertools.chain([reference], stream)
+    ):
+        if index >= shard_count:
+            raise DatasetError(
+                f"cannot stitch {directory}: shard index {index} lies beyond "
+                f"the recorded plan of {shard_count} shards (mixed generation "
+                "runs?)"
+            )
         mismatch = (
             f"it {run_mismatch}"
             if run_mismatch is not None

@@ -18,18 +18,16 @@ which sinks are attached.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.fingerprint import FingerprintAccumulator, FingerprintLibrary
 from repro.core.pipeline import AttackResult, WhiteMirrorAttack
-from repro.dataset.collection import collect_dataset, default_study_script
-from repro.dataset.format import (
-    METADATA_FILENAME,
-    load_dataset_metadata,
-    session_config_from_metadata,
-)
+from repro.dataset.collection import default_study_script
+from repro.dataset.format import METADATA_FILENAME, load_dataset_metadata
 from repro.dataset.sidecar import fold_shard_sidecar
 from repro.exceptions import DatasetError, JobError, ReproError
 from repro.jobs import events as ev
@@ -308,13 +306,18 @@ class JobRunner:
 
         The ground-truth labels needed for training do not live in the
         pcaps (by design), so training re-simulates the calibration
-        viewers' sessions from the dataset metadata; ``sharded`` walks a
-        whole sharded dataset root shard by shard with bounded memory.
+        viewers' sessions from the dataset metadata.  A single directory's
+        train/test split comes from its metadata alone
+        (:func:`~repro.dataset.population.split_viewers`, the split of
+        :meth:`IITMBandersnatchDataset.train_test_split`), and only the
+        training viewers are re-simulated, streamed into the accumulator
+        like a shard; ``sharded`` walks a whole sharded root shard by shard.
         """
-        from repro.dataset.iitm import IITMBandersnatchDataset
-        from repro.dataset.population import viewers_from_metadata_entries
-        from repro.dataset.shards import SHARDS_MANIFEST_FILENAME
-        from repro.streaming.session import SessionConfig
+        from repro.dataset.population import split_viewers, viewers_from_metadata_entries
+        from repro.dataset.shards import (
+            SHARDS_MANIFEST_FILENAME,
+            iter_shard_training_sessions,
+        )
 
         directory = self._workspace.resolve(spec.dataset)
         if spec.sharded:
@@ -333,26 +336,16 @@ class JobRunner:
                 ) from error
             raise
         seed = _dataset_seed_from_metadata(metadata)
-        graph = default_study_script()
         viewers = viewers_from_metadata_entries(metadata["entries"], directory)
-        # Replay under the configuration that produced the dataset's pcaps;
-        # datasets from before configs were recorded fall back to defaults.
-        config = session_config_from_metadata(metadata) or SessionConfig()
-        points = collect_dataset(
-            viewers,
-            dataset_seed=seed,
-            graph=graph,
-            config=config,
+        train, _ = split_viewers(viewers, 1.0 - train_fraction, seed)
+        train_ids = {viewers[position].viewer_id for position in train}
+        sessions = iter_shard_training_sessions(
+            directory,
             workers=spec.workers,
+            viewer_filter=lambda viewer: viewer.viewer_id in train_ids,
         )
-        dataset = IITMBandersnatchDataset(
-            points=points, graph=graph, seed=seed, config=config
-        )
-        train_points, _ = dataset.train_test_split(
-            test_fraction=1.0 - train_fraction
-        )
-        attack = WhiteMirrorAttack(graph=dataset.graph, band_margin=spec.margin)
-        attack.train([point.session for point in train_points])
+        attack = WhiteMirrorAttack(graph=default_study_script(), band_margin=spec.margin)
+        attack.train_incremental([sessions])
         return self._publish_library(spec, attack.library)
 
     def _train_sharded(self, spec: TrainJob, directory: Path) -> JobResult:
@@ -383,8 +376,8 @@ class JobRunner:
             SHARDS_MANIFEST_FILENAME,
             ShardedDataset,
             discover_shard_directories,
+            iter_consistent_shard_metadata,
             iter_shard_training_sessions,
-            load_consistent_shard_metadata,
         )
 
         if (directory / SHARDS_MANIFEST_FILENAME).exists() or (
@@ -402,18 +395,17 @@ class JobRunner:
                 subset=False,
             )
         else:
-            try:
-                found = discover_shard_directories(directory)
-            except DatasetError as error:
+            found = discover_shard_directories(directory)
+            if not found:
                 raise DatasetError(
                     f"{directory} is not a sharded dataset root: no "
                     f"{SHARDS_MANIFEST_FILENAME} manifest and no shard-NNN "
                     "directories (generate one with `repro generate-dataset "
                     "--shards N`)"
-                ) from error
-            metadata_by_shard = load_consistent_shard_metadata(found)
+                )
             viewer_count = sum(
-                int(metadata["viewer_count"]) for metadata in metadata_by_shard
+                int(metadata["viewer_count"])
+                for metadata in iter_consistent_shard_metadata(found)
             )
             shard_directories = [path for _index, path in found]
             self._bus.emit(
@@ -869,10 +861,9 @@ class JobRunner:
         results in grid order — so serial, sharded, resumed and
         coordinator-leased runs publish identical reports.
         """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.arena.cell import cell_to_json, run_cell
+        from repro.arena.cell import cell_to_json
         from repro.arena.grid import ArenaGrid
+        from repro.engine.executor import BatchExecutor
 
         grid = ArenaGrid.from_axes(
             defenses=spec.defenses,
@@ -905,46 +896,26 @@ class JobRunner:
         pending = [cell for cell in cells if cell.cell_id not in results]
         reused_count = len(results)
 
-        def cell_kwargs(cell: object) -> dict[str, object]:
-            return dict(
-                cell_id=cell.cell_id,
-                condition=cell.condition,
-                defense=cell.defense,
-                classifier=cell.classifier,
-                train_count=grid.train_count,
-                test_count=grid.test_count,
-                seed=grid.seed,
-            )
-
-        # Futures are consumed in submission (= grid) order, so the event
-        # stream is deterministic even though cells complete out of order.
-        futures: dict[str, object] = {}
-        executor: ProcessPoolExecutor | None = None
-        if spec.shard_workers is not None and pending:
-            executor = ProcessPoolExecutor(max_workers=spec.shard_workers)
-            futures = {
-                cell.cell_id: executor.submit(run_cell, **cell_kwargs(cell))
-                for cell in pending
-            }
-        try:
+        # One order-preserving fan-out, so the event stream follows the grid
+        # and a failing cell surfaces as an EngineError naming it.
+        scored = BatchExecutor(spec.shard_workers).imap(
+            partial(_score_arena_cell, grid),
+            pending,
+            label=lambda cell: f"arena cell {cell.cell_id}",
+        )
+        with closing(scored):
             for cell in cells:
                 if cell.cell_id in results:
                     result = results[cell.cell_id]
                     state = "reused"
                 else:
-                    if futures:
-                        result = futures[cell.cell_id].result()
-                    else:
-                        result = run_cell(**cell_kwargs(cell))
+                    result = next(scored)
                     write_atomic(
                         cells_dir / f"{cell.cell_id}.json", cell_to_json(result)
                     )
                     results[cell.cell_id] = result
                     state = "scored"
                 self._emit_cell(result, state)
-        finally:
-            if executor is not None:
-                executor.shutdown()
         report_display = spec.report or str(Path(spec.output) / "report.json")
         report = publish_arena_report(
             [results[cell.cell_id] for cell in cells],
@@ -1320,6 +1291,21 @@ def _matching_cell_result(path: Path, cell, grid) -> dict | None:
         if data.get(key) != value:
             return None
     return data
+
+
+def _score_arena_cell(grid, cell) -> dict:
+    """Score one cell of ``grid`` (module-level, so a pool can run it)."""
+    from repro.arena.cell import run_cell
+
+    return run_cell(
+        cell_id=cell.cell_id,
+        condition=cell.condition,
+        defense=cell.defense,
+        classifier=cell.classifier,
+        train_count=grid.train_count,
+        test_count=grid.test_count,
+        seed=grid.seed,
+    )
 
 
 def _dataset_seed_from_metadata(metadata: dict) -> int:

@@ -10,6 +10,7 @@ left torn and missing cell files, or leased cell-by-cell through a real
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -23,7 +24,12 @@ from repro.arena import (
     parse_condition_entry,
 )
 from repro.defenses.registry import DEFENSE_REGISTRY
-from repro.exceptions import ComponentError, ConfigurationError, ReproError
+from repro.exceptions import (
+    ComponentError,
+    ConfigurationError,
+    EngineError,
+    ReproError,
+)
 from repro.jobs import (
     ArenaCellJob,
     ArenaJob,
@@ -202,6 +208,30 @@ def test_shard_workers_run_is_byte_identical(serial_run, tmp_path):
         assert (output / "cells" / name).read_bytes() == (
             serial_run / "cells" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("shard_workers", [None, 2])
+def test_a_failing_cell_raises_an_engine_error_naming_it(
+    tmp_path, monkeypatch, shard_workers
+):
+    if shard_workers is not None and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched scorer reaches workers only through fork")
+    import repro.arena.cell
+
+    run_cell = repro.arena.cell.run_cell
+
+    def failing_run_cell(**kwargs):
+        if kwargs["cell_id"] == "cell-0001":
+            raise RuntimeError("scorer exploded")
+        return run_cell(**kwargs)
+
+    monkeypatch.setattr(repro.arena.cell, "run_cell", failing_run_cell)
+    output = tmp_path / "failing"
+    with pytest.raises(EngineError, match="arena cell cell-0001.*scorer exploded"):
+        _run(_arena_job(str(output), shard_workers=shard_workers))
+    assert (output / "cells" / "cell-0000.json").exists()
+    assert not (output / "cells" / "cell-0001.json").exists()
+    assert not (output / "report.json").exists()
 
 
 def test_resume_after_torn_and_missing_cells_is_byte_identical(

@@ -30,7 +30,7 @@ from repro.dataset.shards import (
     discover_shard_directories,
     generate_shard_subset,
     generate_sharded_dataset,
-    load_consistent_shard_metadata,
+    iter_consistent_shard_metadata,
     parse_shard_selection,
     plan_shards,
     stitch_sharded_dataset,
@@ -301,9 +301,44 @@ class TestStitch:
         with pytest.raises(DatasetError, match="records shard plan index"):
             stitch_sharded_dataset(stitched_root)
         with pytest.raises(DatasetError, match="records shard plan index"):
-            load_consistent_shard_metadata(
-                discover_shard_directories(stitched_root)
+            list(
+                iter_consistent_shard_metadata(
+                    discover_shard_directories(stitched_root)
+                )
             )
+
+    def test_a_shard_index_held_twice_is_refused_by_stitch_and_training(
+        self, stitched_root, tmp_path, capsys
+    ):
+        # shard-0001 parses to the same index as shard-001: a copy under a
+        # wider name would otherwise be verified and folded twice.
+        shutil.copytree(stitched_root / "shard-001", stitched_root / "shard-0001")
+        names_both = "shard-0001 and shard-001"
+        with pytest.raises(DatasetError, match=names_both):
+            stitch_sharded_dataset(stitched_root)
+        assert not (stitched_root / "shards.json").exists()
+        library = tmp_path / "lib.json"
+        assert main(["train", str(stitched_root), str(library), "--sharded"]) != 0
+        assert names_both in capsys.readouterr().err
+        assert not library.exists()
+
+    def test_a_shard_index_held_twice_is_refused_on_a_manifest_root(
+        self, reference, tmp_path, capsys
+    ):
+        root = tmp_path / "dataset"
+        shutil.copytree(reference.directory, root)
+        shutil.copytree(root / "shard-001", root / "shard-0001")
+        manifest = (root / "shards.json").read_bytes()
+        names_both = "shard-0001 and shard-001"
+        with pytest.raises(DatasetError, match=names_both):
+            ShardedDataset.load(root)
+        with pytest.raises(DatasetError, match=names_both):
+            stitch_sharded_dataset(root)
+        assert (root / "shards.json").read_bytes() == manifest
+        library = tmp_path / "lib.json"
+        assert main(["train", str(root), str(library), "--sharded"]) != 0
+        assert names_both in capsys.readouterr().err
+        assert not library.exists()
 
     def test_incomplete_shard_is_rejected(self, stitched_root):
         (stitched_root / "shard-001" / ".inprogress").touch()
@@ -342,8 +377,10 @@ class TestStitch:
     def test_consistent_metadata_requires_completeness(self, stitched_root):
         (stitched_root / "shard-000" / "metadata.json").unlink()
         with pytest.raises(DatasetError, match="--only-shards 0"):
-            load_consistent_shard_metadata(
-                discover_shard_directories(stitched_root)
+            list(
+                iter_consistent_shard_metadata(
+                    discover_shard_directories(stitched_root)
+                )
             )
 
 
