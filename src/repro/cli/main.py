@@ -1,13 +1,36 @@
-"""Argument parsing and dispatch for the ``python -m repro`` command."""
+"""Argument parsing and dispatch for the ``python -m repro`` command.
+
+Each sub-command's argparse dests are the field names of its job spec
+(:mod:`repro.jobs.specs`), and its parser suppresses every default, so a
+flag left unset falls back to the spec field's default.  :func:`main`
+builds the spec with the same ``from_dict`` the wire uses and runs it.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import __version__
-from repro.cli import commands
+from repro.ingest.fleet import DEFAULT_QUEUE_HIGH
+from repro.ingest.tasks import DEFAULT_CLIENT_IP
+from repro.jobs import (
+    ArenaJob,
+    AttackJob,
+    EventBus,
+    GenerateJob,
+    InspectJob,
+    JobRunner,
+    MergeFingerprintsJob,
+    ReproduceJob,
+    ServeJob,
+    StitchJob,
+    TrainJob,
+    WatchJob,
+    WorkJob,
+    renderer_for,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,13 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_log_format_argument(subparser: argparse.ArgumentParser) -> None:
-        # Registered per sub-command too (with SUPPRESS, so a subparser
-        # default never clobbers the top-level value) purely so the flag
-        # may also appear after the sub-command name.
+        # Registered per sub-command too (default suppressed, so it never
+        # clobbers the top-level value) purely so the flag may also appear
+        # after the sub-command name.
         subparser.add_argument(
             "--log-format",
             choices=["console", "jsonl"],
-            default=argparse.SUPPRESS,
             help=argparse.SUPPRESS,
         )
 
@@ -205,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--workers",
             type=int,
-            default=None,
             help=(
                 "engine worker processes: omit or 1 for serial, 0 for all "
                 "cores, N for a pool of N (results are identical either way)"
@@ -214,21 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = subparsers.add_parser(
         "generate-dataset",
+        argument_default=argparse.SUPPRESS,
         help="generate a synthetic dataset (metadata.json + per-viewer pcaps)",
     )
     generate.add_argument("output", help="directory to write the dataset into")
-    generate.add_argument("--viewers", type=int, default=20, help="number of viewers (default 20)")
-    generate.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
+    generate.add_argument("--viewers", type=int, help="number of viewers (default 20)")
+    generate.add_argument("--seed", type=int, help="dataset seed (default 0)")
     generate.add_argument(
-        "--no-pcaps", action="store_true", help="write only metadata, skip the pcap files"
+        "--no-pcaps",
+        dest="write_pcaps",
+        action="store_false",
+        help="write only metadata, skip the pcap files",
     )
     generate.add_argument(
-        "--no-cross-traffic", action="store_true", help="disable background cross traffic"
+        "--no-cross-traffic",
+        dest="cross_traffic",
+        action="store_false",
+        help="disable background cross traffic",
     )
     generate.add_argument(
         "--shards",
         type=int,
-        default=None,
         help=(
             "split the population into N on-disk shards (shard-000/, ...), "
             "generated one at a time with bounded memory; omit for a single "
@@ -249,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--shard-workers",
         type=int,
-        default=None,
         help=(
             "generate whole shards in a process pool of N (0 for all cores), "
             "multiplying the per-session --workers fan-out; output is "
@@ -258,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument(
         "--only-shards",
-        default=None,
         metavar="SELECTION",
         help=(
             "generate only the named shards of the plan, e.g. '0,3-5' "
@@ -270,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workers_argument(generate)
     add_log_format_argument(generate)
-    generate.set_defaults(handler=commands.cmd_generate_dataset)
+    generate.set_defaults(spec=GenerateJob)
 
     stitch = subparsers.add_parser(
         "stitch",
+        argument_default=argparse.SUPPRESS,
         help=(
             "verify shard directories rsync'd together from --only-shards "
             "runs and publish the merged shards.json manifest"
@@ -287,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_log_format_argument(stitch)
-    stitch.set_defaults(handler=commands.cmd_stitch)
+    stitch.set_defaults(spec=StitchJob)
 
     train = subparsers.add_parser(
         "train",
+        argument_default=argparse.SUPPRESS,
         help="learn record-length fingerprints from a saved dataset",
     )
     train.add_argument("dataset", help="dataset directory written by generate-dataset")
@@ -298,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--train-fraction",
         type=float,
-        default=None,
         help=(
             "fraction of viewers used for calibration (default 0.5; "
             "incompatible with --sharded, which uses every viewer)"
@@ -313,10 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
             "bounded memory"
         ),
     )
-    train.add_argument("--margin", type=int, default=8, help="band widening margin in bytes")
+    train.add_argument("--margin", type=int, help="band widening margin in bytes")
     train.add_argument(
         "--save-state",
-        default=None,
         metavar="PATH",
         help=(
             "also write the raw fingerprint-accumulator state (requires "
@@ -326,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workers_argument(train)
     add_log_format_argument(train)
-    train.set_defaults(handler=commands.cmd_train)
+    train.set_defaults(spec=TrainJob)
 
     merge = subparsers.add_parser(
         "merge-fingerprints",
+        argument_default=argparse.SUPPRESS,
         help=(
             "merge per-machine fingerprint-accumulator states (train "
             "--sharded --save-state) into one fingerprint library"
@@ -349,12 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument(
         "--margin",
         type=int,
-        default=8,
         help="band widening margin in bytes (match the train run's value)",
     )
     merge.add_argument(
         "--save-state",
-        default=None,
         metavar="PATH",
         help=(
             "also write the merged accumulator state, for hierarchical "
@@ -362,23 +386,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_log_format_argument(merge)
-    merge.set_defaults(handler=commands.cmd_merge_fingerprints)
+    merge.set_defaults(spec=MergeFingerprintsJob)
 
     attack = subparsers.add_parser(
         "attack",
+        argument_default=argparse.SUPPRESS,
         help="run the attack on a pcap (or a directory of pcaps) using a fingerprint library",
     )
     attack.add_argument(
-        "pcap",
+        "target",
+        metavar="pcap",
         help=(
             "capture file of the victim session, or a directory of .pcap "
             "files (e.g. a dataset's traces/ directory) to attack in batch"
         ),
     )
-    attack.add_argument("fingerprints", help="fingerprint library JSON written by 'train'")
+    attack.add_argument(
+        "library",
+        metavar="fingerprints",
+        help="fingerprint library JSON written by 'train'",
+    )
     attack.add_argument(
         "--environment",
-        default=None,
         help=(
             "victim environment key, e.g. linux/firefox; optional when the "
             "captures sit next to their dataset metadata.json, which records "
@@ -387,17 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "--client-ip",
-        default=None,
-        help=f"viewer's IP in the capture (default: from metadata, else {commands.DEFAULT_CLIENT_IP})",
+        help=f"viewer's IP in the capture (default: from metadata, else {DEFAULT_CLIENT_IP})",
     )
     attack.add_argument(
         "--server-ip",
-        default=None,
         help="streaming server IP (default: from metadata, else the largest flow)",
     )
     attack.add_argument(
         "--results-log",
-        default=None,
         metavar="PATH",
         help=(
             "append one durable JSON verdict line per attacked capture "
@@ -408,10 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workers_argument(attack)
     add_log_format_argument(attack)
-    attack.set_defaults(handler=commands.cmd_attack)
+    attack.set_defaults(spec=AttackJob)
 
     watch = subparsers.add_parser(
         "watch",
+        argument_default=argparse.SUPPRESS,
         help=(
             "tail a pcap drop directory and attack captures as they finish "
             "landing (the online attack front end)"
@@ -420,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "directory",
         nargs="?",
-        default="",
         help=(
             "capture drop directory to watch; a capture counts as finished "
             "once its .inprogress marker is renamed away, or once its size "
@@ -435,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--source",
+        dest="sources",
         action="append",
-        default=None,
         metavar="DIR",
         help=(
             "fleet mode: a capture source directory (repeatable, replaces "
@@ -448,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--recursive",
         action="store_true",
-        default=False,
         help=(
             "fleet mode: watch each --source directory recursively, keying "
             "captures by their relative path"
@@ -457,19 +482,17 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--queue-high",
         type=int,
-        default=commands.DEFAULT_QUEUE_HIGH,
         metavar="N",
         help=(
             "high watermark of the bounded ingest queue — at "
             f"most N captures pending at once (default "
-            f"{commands.DEFAULT_QUEUE_HIGH}); overflow parks per source "
+            f"{DEFAULT_QUEUE_HIGH}); overflow parks per source "
             "and a queue-saturated event is emitted"
         ),
     )
     watch.add_argument(
         "--queue-low",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "low watermark — parked captures are promoted once "
@@ -478,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--reload-library",
-        default=None,
         metavar="PATH",
         help=(
             "fleet mode: hot-reload staging path for the fingerprint "
@@ -490,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--metrics-port",
         type=int,
-        default=None,
         metavar="PORT",
         help=(
             "fleet mode: serve GET /metrics JSON (arrival-to-verdict "
@@ -502,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--follow",
         action="store_true",
-        default=True,
         help="keep polling for new captures until interrupted (default)",
     )
     mode.add_argument(
@@ -517,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--results-log",
-        default=None,
         metavar="PATH",
         help=(
             "append-only JSONL verdict log (default: results.jsonl inside "
@@ -527,12 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--poll-interval",
         type=float,
-        default=0.5,
         help="seconds between directory polls in follow mode (default 0.5)",
     )
     watch.add_argument(
         "--environment",
-        default=None,
         help=(
             "victim environment key applied to every capture; optional when "
             "captures sit next to their dataset metadata.json"
@@ -540,20 +557,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--client-ip",
-        default=None,
-        help=f"viewer's IP in the captures (default: from metadata, else {commands.DEFAULT_CLIENT_IP})",
+        help=f"viewer's IP in the captures (default: from metadata, else {DEFAULT_CLIENT_IP})",
     )
     watch.add_argument(
         "--server-ip",
-        default=None,
         help="streaming server IP (default: from metadata, else the largest flow)",
     )
     add_workers_argument(watch)
     add_log_format_argument(watch)
-    watch.set_defaults(handler=commands.cmd_watch)
+    watch.set_defaults(spec=WatchJob)
 
     arena = subparsers.add_parser(
         "arena",
+        argument_default=argparse.SUPPRESS,
         help=(
             "sweep defense × classifier × condition cells (adaptive "
             "attacker) and publish the overhead/leakage Pareto report"
@@ -565,14 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arena.add_argument(
         "--report",
-        default="",
         metavar="PATH",
         help="where to write the report (default: <output>/report.json)",
     )
     arena.add_argument(
         "--defenses",
         nargs="+",
-        default=[],
         metavar="SPEC",
         help=(
             "defense sweep entries, name[:key=value,...] resolved through "
@@ -583,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     arena.add_argument(
         "--classifiers",
         nargs="+",
-        default=[],
         metavar="SPEC",
         help=(
             "classifier sweep entries, name[:key=value,...] resolved "
@@ -594,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     arena.add_argument(
         "--conditions",
         nargs="+",
-        default=[],
         metavar="KEY",
         help=(
             "operational conditions to sweep, os/platform/browser/"
@@ -604,22 +616,17 @@ def build_parser() -> argparse.ArgumentParser:
     arena.add_argument(
         "--train-count",
         type=int,
-        default=2,
         help="training sessions per cell (default 2)",
     )
     arena.add_argument(
         "--test-count",
         type=int,
-        default=2,
         help="attacked sessions per cell (default 2)",
     )
-    arena.add_argument(
-        "--seed", type=int, default=0, help="sweep seed (default 0)"
-    )
+    arena.add_argument("--seed", type=int, help="sweep seed (default 0)")
     arena.add_argument(
         "--shard-workers",
         type=int,
-        default=None,
         help=(
             "score cells in a process pool of N; the report is "
             "byte-identical to the serial run"
@@ -634,10 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_log_format_argument(arena)
-    arena.set_defaults(handler=commands.cmd_arena)
+    arena.set_defaults(spec=ArenaJob)
 
     serve = subparsers.add_parser(
         "serve",
+        argument_default=argparse.SUPPRESS,
         help=(
             "coordinate a sharded generate+train plan across pull workers "
             "(repro work) and publish the stitched dataset + merged library"
@@ -647,52 +655,45 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "library", help="path of the merged fingerprint library JSON to write"
     )
-    serve.add_argument(
-        "--viewers", type=int, default=20, help="number of viewers (default 20)"
-    )
+    serve.add_argument("--viewers", type=int, help="number of viewers (default 20)")
     serve.add_argument(
         "--shards",
         type=int,
-        default=2,
         help=(
             "shards in the plan; each shard is one leasable work unit "
             "(default 2)"
         ),
     )
-    serve.add_argument(
-        "--seed", type=int, default=0, help="dataset seed (default 0)"
-    )
+    serve.add_argument("--seed", type=int, help="dataset seed (default 0)")
     serve.add_argument(
         "--margin",
         type=int,
-        default=8,
         help="band widening margin in bytes for the merged library",
     )
     serve.add_argument(
         "--no-pcaps",
-        action="store_true",
+        dest="write_pcaps",
+        action="store_false",
         help="workers write only metadata, skipping the pcap files",
     )
     serve.add_argument(
         "--no-cross-traffic",
-        action="store_true",
+        dest="cross_traffic",
+        action="store_false",
         help="disable background cross traffic in generated sessions",
     )
     serve.add_argument(
         "--host",
-        default="127.0.0.1",
         help="address to bind the wire API on (default 127.0.0.1)",
     )
     serve.add_argument(
         "--port",
         type=int,
-        default=0,
         help="port to bind (default 0: pick a free port and announce it)",
     )
     serve.add_argument(
         "--lease-ttl",
         type=float,
-        default=60.0,
         help=(
             "seconds before a silent worker's unit returns to the pool "
             "(default 60)"
@@ -712,57 +713,49 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--defenses",
         nargs="+",
-        default=[],
         metavar="SPEC",
         help="arena defense sweep entries (requires --arena)",
     )
     serve.add_argument(
         "--classifiers",
         nargs="+",
-        default=[],
         metavar="SPEC",
         help="arena classifier sweep entries (requires --arena)",
     )
     serve.add_argument(
         "--conditions",
         nargs="+",
-        default=[],
         metavar="KEY",
         help="arena conditions to sweep (requires --arena)",
     )
     serve.add_argument(
         "--train-count",
         type=int,
-        default=2,
         help="arena training sessions per cell (default 2)",
     )
     serve.add_argument(
         "--test-count",
         type=int,
-        default=2,
         help="arena attacked sessions per cell (default 2)",
     )
     add_log_format_argument(serve)
-    serve.set_defaults(handler=commands.cmd_serve)
+    serve.set_defaults(spec=ServeJob)
 
     work = subparsers.add_parser(
         "work",
+        argument_default=argparse.SUPPRESS,
         help=(
             "pull leased work units from a `repro serve` coordinator, run "
             "them and upload the fingerprint-verified results"
         ),
     )
-    work.add_argument(
-        "url", help="coordinator base URL, e.g. http://127.0.0.1:8400"
-    )
+    work.add_argument("url", help="coordinator base URL, e.g. http://127.0.0.1:8400")
     work.add_argument(
         "--worker-id",
-        default=None,
         help="name this worker reports (default: worker-<pid>)",
     )
     work.add_argument(
         "--scratch",
-        default=None,
         metavar="DIR",
         help=(
             "directory for per-lease scratch workspaces (default: a fresh "
@@ -772,26 +765,24 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--poll-interval",
         type=float,
-        default=0.5,
         help="seconds between lease polls while idle (default 0.5)",
     )
     work.add_argument(
         "--max-units",
         type=int,
-        default=None,
         help="stop after completing N units (default: work until done)",
     )
     add_log_format_argument(work)
-    work.set_defaults(handler=commands.cmd_work)
+    work.set_defaults(spec=WorkJob)
 
     reproduce = subparsers.add_parser(
         "reproduce",
+        argument_default=argparse.SUPPRESS,
         help="run the paper-reproduction experiments and print the report",
     )
     reproduce.add_argument(
         "--experiment",
         choices=["all", "table1", "figure1", "figure2", "headline", "baselines", "defenses"],
-        default="all",
         help="which artefact to reproduce (default: all)",
     )
     reproduce.add_argument(
@@ -801,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--dataset",
-        default=None,
         help=(
             "run the headline experiment over a sharded dataset root written "
             "by `generate-dataset --shards N` (incremental training + "
@@ -810,27 +800,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workers_argument(reproduce)
     add_log_format_argument(reproduce)
-    reproduce.set_defaults(handler=commands.cmd_reproduce)
+    reproduce.set_defaults(spec=ReproduceJob)
 
     inspect = subparsers.add_parser(
         "inspect",
+        argument_default=argparse.SUPPRESS,
         help="summarise a pcap: flows, volumes and client record lengths",
     )
     inspect.add_argument("pcap", help="capture file to inspect")
-    inspect.add_argument("--client-ip", default="192.168.1.23", help="viewer's IP in the capture")
+    inspect.add_argument("--client-ip", help="viewer's IP in the capture")
     add_log_format_argument(inspect)
-    inspect.set_defaults(handler=commands.cmd_inspect)
+    inspect.set_defaults(spec=InspectJob)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    arguments = parser.parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = arguments.handler
+    arguments = vars(build_parser().parse_args(argv))
+    spec_class = arguments.pop("spec")
+    del arguments["command"]
+    log_format = arguments.pop("log_format")
     try:
-        return handler(arguments)
+        spec = spec_class.from_dict(
+            {"job": spec_class.KIND, "schema": spec_class.SCHEMA, **arguments}
+        )
+        JobRunner(bus=EventBus(renderer_for(log_format))).run(spec)
     except Exception as error:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {error}", file=sys.stderr)
         return 1
+    return 0

@@ -1,10 +1,9 @@
 """The job runner: executes a typed spec against a workspace, emitting events.
 
-This is the application layer the CLI used to fuse into its command
-handlers: one ``_run_*`` method per :mod:`repro.jobs.specs` class, each
-orchestrating the same domain calls the old ``cmd_*`` made — but reporting
-through the :class:`~repro.jobs.events.EventBus` instead of printing, and
-returning a typed :class:`JobResult` naming every durable output as a
+This is the application layer behind every sub-command: one ``_run_*``
+method per :mod:`repro.jobs.specs` class, each orchestrating the domain
+calls for its kind, reporting through the
+:class:`~repro.jobs.events.EventBus` instead of printing, and returning a typed :class:`JobResult` naming every durable output as a
 content-fingerprinted :class:`~repro.jobs.artifacts.Artifact`.
 
 The progress callbacks threaded into the dataset, ingest and engine layers
@@ -316,6 +315,7 @@ class JobRunner:
         from repro.dataset.population import split_viewers, viewers_from_metadata_entries
         from repro.dataset.shards import (
             SHARDS_MANIFEST_FILENAME,
+            discover_shard_directories,
             iter_shard_training_sessions,
         )
 
@@ -333,6 +333,13 @@ class JobRunner:
                     f"{directory} is a sharded dataset root (it has a "
                     f"{SHARDS_MANIFEST_FILENAME}); train on it with --sharded, "
                     "or point at one of its shard directories"
+                ) from error
+            if discover_shard_directories(directory):
+                raise DatasetError(
+                    f"{directory} holds shard-NNN directories but no "
+                    f"{SHARDS_MANIFEST_FILENAME} (an unstitched --only-shards "
+                    "root); train on the shards it holds with --sharded, or "
+                    "`repro stitch` the whole plan's shards first"
                 ) from error
             raise
         seed = _dataset_seed_from_metadata(metadata)
@@ -703,12 +710,6 @@ class JobRunner:
         if resumed:
             self._bus.emit(ev.RESUMED, count=resumed, path=log_path)
 
-        queue_low = (
-            spec.queue_low
-            if spec.queue_low is not None
-            else spec.queue_high // 2
-        )
-
         def attribution(source: str | None) -> dict[str, object]:
             # Unlabelled events omit the key entirely so the legacy
             # single-directory verdict line stays golden-pinned.
@@ -720,7 +721,7 @@ class JobRunner:
                 source=source if source is not None else spec.directory,
                 depth=depth,
                 high_watermark=spec.queue_high,
-                low_watermark=queue_low,
+                low_watermark=spec.low_watermark,
             )
 
         def on_reloaded(path: str, fingerprint: str) -> None:
@@ -760,7 +761,7 @@ class JobRunner:
             sources=sources,
             recursive=spec.recursive,
             queue_high=spec.queue_high,
-            queue_low=queue_low,
+            queue_low=spec.low_watermark,
             reload_watcher=reload_watcher,
             on_saturated=on_saturated,
             on_reloaded=on_reloaded,

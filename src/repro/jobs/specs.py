@@ -1,11 +1,13 @@
 """Typed, serializable job specifications.
 
 Every workload the reproduction supports — generate, train, stitch,
-merge-fingerprints, attack, watch, reproduce, inspect — is described by a
-frozen dataclass here.  A spec is *what a run is*, independent of how it is
-invoked or narrated: the CLI builds specs from argparse namespaces, tests
-build them directly, and a future fleet coordinator can lease them to
-workers over the wire, because every spec round-trips through
+merge-fingerprints, attack, watch, reproduce, inspect, arena, arena-cell,
+serve, work — is described by a frozen dataclass here.  A spec is *what a
+run is*, independent of how it is invoked or narrated: argv and the wire
+both build specs through ``from_dict`` (each sub-command's argparse dests
+are its spec's field names, and a flag left unset falls back to the field's
+default here), tests build them directly, and the fleet coordinator leases
+them to workers, because every spec round-trips through
 ``to_dict()``/``from_dict()`` (sorted keys, schema-versioned) without loss.
 
 Serialization rules:
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping
 
 from repro.exceptions import JobError, ReproError
-from repro.ingest.fleet import validate_watermarks
+from repro.ingest.fleet import DEFAULT_QUEUE_HIGH, validate_watermarks
 
 #: Default version stamped into serialised specs.  A spec class whose field
 #: set has evolved past the fleet-wide default carries its own ``SCHEMA``
@@ -246,7 +248,7 @@ class WatchJob(JobSpec):
     workers: int | None = None
     sources: tuple[str, ...] = ()
     recursive: bool = False
-    queue_high: int = 256
+    queue_high: int = DEFAULT_QUEUE_HIGH
     queue_low: int | None = None
     reload_library: str | None = None
     metrics_port: int | None = None
@@ -278,15 +280,17 @@ class WatchJob(JobSpec):
                 "results log, and with several drop directories there is "
                 "no single place to default it into"
             )
-        validate_watermarks(
-            self.queue_high,
-            self.queue_low if self.queue_low is not None else self.queue_high // 2,
-        )
+        validate_watermarks(self.queue_high, self.low_watermark)
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
             raise ReproError(
                 f"--metrics-port must be a TCP port (0-65535), got "
                 f"{self.metrics_port}"
             )
+
+    @property
+    def low_watermark(self) -> int:
+        """``queue_low``, or half of ``queue_high`` when it is unset."""
+        return self.queue_low if self.queue_low is not None else self.queue_high // 2
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.jobs import (
+    ArenaJob,
+    AttackJob,
+    GenerateJob,
+    InspectJob,
+    JobRunner,
+    MergeFingerprintsJob,
+    ReproduceJob,
+    ServeJob,
+    StitchJob,
+    TrainJob,
+    WatchJob,
+    WorkJob,
+)
 
 
 class TestParser:
@@ -32,6 +49,71 @@ class TestParser:
         exit_code = main(["attack", str(tmp_path / "x.pcap"), str(tmp_path / "lib.json")])
         assert exit_code == 1
         assert "--environment" in capsys.readouterr().err
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+#: Each sub-command's required arguments, and the spec those alone build:
+#: every other field must come from the spec's own default.
+REQUIRED_ONLY = {
+    "generate-dataset": (["out"], GenerateJob(output="out")),
+    "stitch": (["root"], StitchJob(root="root")),
+    "train": (["ds", "lib.json"], TrainJob(dataset="ds", output="lib.json")),
+    "merge-fingerprints": (
+        ["a.json", "-o", "lib.json"],
+        MergeFingerprintsJob(states=("a.json",), output="lib.json"),
+    ),
+    "attack": (["x.pcap", "lib.json"], AttackJob(target="x.pcap", library="lib.json")),
+    "watch": (["--library", "lib.json"], WatchJob(library="lib.json")),
+    "arena": (["out"], ArenaJob(output="out")),
+    "serve": (["out", "lib.json"], ServeJob(output="out", library="lib.json")),
+    "work": (["http://host:1"], WorkJob(url="http://host:1")),
+    "reproduce": ([], ReproduceJob()),
+    "inspect": (["x.pcap"], InspectJob(pcap="x.pcap")),
+}
+
+
+class TestArgvBuildsSpecs:
+    """argv and the wire share one constructor, ``JobSpec.from_dict``."""
+
+    def test_every_subcommand_is_covered(self):
+        assert set(_subcommands(build_parser())) == set(REQUIRED_ONLY)
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ONLY))
+    def test_parser_dests_are_the_spec_fields(self, command):
+        subparser = _subcommands(build_parser())[command]
+        spec_class = subparser.get_default("spec")
+        dests = {action.dest for action in subparser._actions}
+        assert dests - {"help", "log_format"} == {
+            spec_field.name for spec_field in dataclasses.fields(spec_class)
+        }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ONLY))
+    def test_unset_flags_take_the_spec_defaults(self, command, monkeypatch):
+        ran = []
+        monkeypatch.setattr(JobRunner, "run", lambda _runner, spec: ran.append(spec))
+        argv, expected = REQUIRED_ONLY[command]
+        assert main([command, *argv]) == 0
+        assert ran == [expected]
+
+    def test_a_flag_without_a_spec_field_fails_loudly(self, monkeypatch, capsys):
+        def parser_with_stray_flag() -> argparse.ArgumentParser:
+            parser = build_parser()
+            _subcommands(parser)["inspect"].add_argument("--stray")
+            return parser
+
+        # ``repro.cli.main`` the attribute is the entry point; fetch the module.
+        cli_module = importlib.import_module("repro.cli.main")
+        monkeypatch.setattr(cli_module, "build_parser", parser_with_stray_flag)
+        assert main(["inspect", "x.pcap", "--stray", "1"]) == 1
+        assert "unknown field(s) ['stray']" in capsys.readouterr().err
 
 
 class TestGenerateInspectTrainAttack:
@@ -474,6 +556,21 @@ class TestDistributedGeneration:
         )
         assert exit_code == 0
         assert merged_library.read_bytes() == single_library.read_bytes()
+
+    def test_train_on_unstitched_subset_root_suggests_the_flag(
+        self, split_roots, tmp_path, capsys
+    ):
+        # shard-NNN directories but no shards.json: single-directory
+        # training must point at --sharded instead of a missing metadata.json.
+        machine_a, _machine_b = split_roots
+        library = tmp_path / "lib.json"
+        exit_code = main(["train", str(machine_a), str(library)])
+        error = capsys.readouterr().err
+        assert exit_code == 1
+        assert "--sharded" in error
+        assert "shard-NNN" in error
+        assert "Errno" not in error
+        assert not library.exists()
 
     def test_save_state_requires_sharded(self, stitched_dir, tmp_path, capsys):
         exit_code = main(

@@ -7,7 +7,8 @@ workflow — generate (plain and sharded), train (plain and sharded), attack
 (single capture and directory), watch --once, stitch, merge-fingerprints,
 inspect, reproduce figure1 and defenses, arena — and compare each
 command's stdout against a checked-in golden file, plus the SHA-256 of
-every durable artifact.
+every durable artifact.  ``repro --help`` and every sub-command's
+``--help`` are pinned too (``help/``, at a fixed ``COLUMNS``).
 
 Regenerating the goldens (only after an *intentional* output change)::
 
@@ -26,6 +27,7 @@ import io
 import json
 import os
 import shutil
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -240,4 +242,44 @@ def test_artifact_hashes_match_golden(golden_run):
     assert hashes == expected, (
         "artifact bytes drifted; if intentional, regenerate the goldens "
         "with REPRO_WRITE_GOLDENS=1"
+    )
+
+
+#: ``repro --help`` plus every sub-command's ``--help``, in parser order.
+HELP_COMMANDS = [
+    None,
+    "generate-dataset",
+    "stitch",
+    "train",
+    "merge-fingerprints",
+    "attack",
+    "watch",
+    "arena",
+    "serve",
+    "work",
+    "reproduce",
+    "inspect",
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="argparse lays out option help differently from Python 3.13 on",
+)
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda c: c or "repro")
+def test_help_matches_golden(command, monkeypatch, capsys):
+    """Every ``--help`` text is pinned byte-for-byte at a fixed width."""
+    monkeypatch.setenv("COLUMNS", "100")
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    output = capsys.readouterr().out.encode("utf-8")
+    golden_path = GOLDEN_DIR / "help" / f"{command or 'repro'}.txt"
+    if WRITE_GOLDENS:
+        golden_path.parent.mkdir(parents=True, exist_ok=True)
+        golden_path.write_bytes(output)
+        return
+    assert output == golden_path.read_bytes(), (
+        f"--help text drifted for {command or 'repro'!r}"
     )

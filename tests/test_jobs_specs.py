@@ -17,7 +17,15 @@ import random
 import pytest
 
 from repro.exceptions import JobError, ReproError
-from repro.jobs import SCHEMA_VERSION, SPEC_CLASSES, GenerateJob, TrainJob, job_from_dict
+from repro.ingest.fleet import DEFAULT_QUEUE_HIGH
+from repro.jobs import (
+    SCHEMA_VERSION,
+    SPEC_CLASSES,
+    GenerateJob,
+    TrainJob,
+    WatchJob,
+    job_from_dict,
+)
 from repro.jobs.specs import JobSpec
 
 CASES_PER_CLASS = 25
@@ -121,6 +129,13 @@ def test_validate_runs_on_the_runner_path():
     # Validation errors keep their historical CLI wording.
     with pytest.raises(ReproError, match=r"--resume requires --shards"):
         GenerateJob(output="x", resume=True).validate()
+
+
+def test_watch_low_watermark_defaults_to_half_the_high():
+    assert WatchJob().queue_high == DEFAULT_QUEUE_HIGH
+    assert WatchJob().low_watermark == DEFAULT_QUEUE_HIGH // 2
+    assert WatchJob(queue_high=9).low_watermark == 4
+    assert WatchJob(queue_high=9, queue_low=0).low_watermark == 0
 
 
 def test_the_runner_dispatches_every_spec_kind():
