@@ -18,7 +18,6 @@ import numpy as np
 from repro.exceptions import AttackError
 from repro.ml.knn import KNearestNeighbors
 from repro.net.capture import CapturedTrace
-from repro.net.packet import Direction
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,6 @@ class BitrateProfile:
             raise AttackError("window must be positive")
         if not self.bytes_per_window:
             raise AttackError("a bitrate profile needs at least one window")
-
-    @property
-    def mean_throughput_bps(self) -> float:
-        """Mean downlink throughput in bits/second over the profiled span."""
-        return 8.0 * float(np.mean(self.bytes_per_window)) / self.window_seconds
 
     def as_vector(self, length: int) -> np.ndarray:
         """Fixed-length feature vector (truncated or zero-padded)."""

@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
     {
         ".profiles": "BROWSERS CONNECTION_TYPES OPERATING_SYSTEMS PLATFORMS"
             " TRAFFIC_CONDITIONS ClientProfile OperationalCondition"
-            " enumerate_conditions figure2_conditions profile_for",
+            " figure2_conditions profile_for",
         ".json_state": "JSON_TYPE_1 JSON_TYPE_2 StateMessage build_type1_message"
             " build_type2_message",
         ".viewer": "ViewerBehavior ViewerChoiceModel",

@@ -28,7 +28,6 @@ Windows     2341-2343      3118-3147
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import ensure_in, ensure_probability
@@ -38,11 +37,6 @@ PLATFORMS: tuple[str, ...] = ("desktop", "laptop")
 BROWSERS: tuple[str, ...] = ("chrome", "firefox")
 CONNECTION_TYPES: tuple[str, ...] = ("wired", "wireless")
 TRAFFIC_CONDITIONS: tuple[str, ...] = ("morning", "noon", "night")
-
-#: TLS overhead assumed by the calibration: 5-byte record header plus
-#: AES-128-GCM explicit nonce (8) and authentication tag (16).
-_CALIBRATION_TLS_OVERHEAD = 5 + 8 + 16
-
 
 @dataclass(frozen=True)
 class OperationalCondition:
@@ -104,20 +98,6 @@ class OperationalCondition:
             connection_type=data["connection_type"],
             traffic_condition=data["traffic_condition"],
         )
-
-
-def enumerate_conditions() -> list[OperationalCondition]:
-    """Every combination of the Table I operational attributes (72 cells)."""
-    return [
-        OperationalCondition(os_, platform, browser, connection, traffic)
-        for os_, platform, browser, connection, traffic in product(
-            OPERATING_SYSTEMS,
-            PLATFORMS,
-            BROWSERS,
-            CONNECTION_TYPES,
-            TRAFFIC_CONDITIONS,
-        )
-    ]
 
 
 def figure2_conditions() -> tuple[OperationalCondition, OperationalCondition]:
@@ -201,16 +181,6 @@ class ClientProfile:
         ensure_probability(self.state_loss_probability, "state_loss_probability")
         if self.telemetry_interval_seconds <= 0:
             raise ConfigurationError("telemetry interval must be positive")
-
-    @property
-    def expected_type1_record_length(self) -> int:
-        """Wire length of the type-1 record at the calibration cipher overhead."""
-        return self.type1_payload_bytes + _CALIBRATION_TLS_OVERHEAD
-
-    @property
-    def expected_type2_record_length(self) -> int:
-        """Wire length of the type-2 record at the calibration cipher overhead."""
-        return self.type2_payload_bytes + _CALIBRATION_TLS_OVERHEAD
 
 
 # -- calibration tables -----------------------------------------------------

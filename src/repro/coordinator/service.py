@@ -47,12 +47,7 @@ from typing import Any, Callable, Mapping
 
 from repro.coordinator import wire
 from repro.coordinator.ledger import LeaseLedger, WorkUnit
-from repro.coordinator.plan import (
-    UPLOAD_DIRECTORY,
-    UPLOAD_FILE,
-    ArenaPlan,
-    FleetPlan,
-)
+from repro.coordinator.plan import UPLOAD_FILE, ArenaPlan, FleetPlan
 from repro.core.fingerprint import FingerprintLibrary
 from repro.exceptions import CoordinatorError, JobError
 from repro.jobs import events as ev
@@ -418,16 +413,22 @@ class Coordinator:
         return self._server.start()
 
     def serve_until_complete(self) -> dict[str, object]:
-        """Serve leases until every unit is in, then publish and stop."""
+        """Serve leases until every unit is in, then publish and stop.
+
+        The server stops on every exit: a failed publish or an interrupt
+        leaves no thread serving.
+        """
         if self._server is None:
             self.start()
-        # Short waits keep the loop interruptible (Ctrl-C stops a serve).
-        while not self._complete.wait(0.1):
-            pass
-        summary = self._publish()
-        self._done = True
-        time.sleep(self._linger)
-        self.close()
+        try:
+            # Short waits keep the loop interruptible (Ctrl-C stops a serve).
+            while not self._complete.wait(0.1):
+                pass
+            summary = self._publish()
+            self._done = True
+            time.sleep(self._linger)
+        finally:
+            self.close()
         return summary
 
     def close(self) -> None:

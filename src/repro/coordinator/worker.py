@@ -103,7 +103,6 @@ class PullWorker:
         self._sleep = sleep
         self._contacted = False
         self._sink = RemoteEventSink(self._post_raw)
-        bus.attach(self._sink)
 
     # -- transport ---------------------------------------------------------
 
@@ -137,7 +136,20 @@ class PullWorker:
     # -- the pull loop -----------------------------------------------------
 
     def run(self) -> dict[str, object]:
-        """Pull, run and upload units until the coordinator says done."""
+        """Pull, run and upload units until the coordinator says done.
+
+        The remote sink listens on the bus only while this runs: it is
+        attached before ``work-started`` and detached on every exit, so
+        later events on the bus never queue for a coordinator that may
+        be gone.
+        """
+        self._bus.attach(self._sink)
+        try:
+            return self._pull_units()
+        finally:
+            self._bus.detach(self._sink)
+
+    def _pull_units(self) -> dict[str, object]:
         self._bus.emit(
             ev.WORK_STARTED, url=self._url, worker=self._worker_id
         )

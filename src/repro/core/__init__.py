@@ -25,12 +25,12 @@ __getattr__, __dir__, __all__ = _lazy.exports(
     __name__,
     {
         ".features": "ClientRecord LABEL_OTHER LABEL_TYPE1 LABEL_TYPE2"
-            " extract_client_records record_length_series",
+            " extract_client_records",
         ".fingerprint": "FingerprintAccumulator FingerprintLibrary LengthBand"
             " RecordLengthFingerprint",
         ".classifier": "RecordTypeClassifier MLRecordClassifier",
         ".inference": "ChoiceEvent InferredChoices infer_choices reconstruct_path",
-        ".profiling": "TraitEstimate BehavioralProfile profile_from_choices",
+        ".profiling": "TraitEstimate BehavioralProfile",
         ".pipeline": "AttackResult WhiteMirrorAttack",
         ".evaluation": "AttackEvaluation evaluate_attack_result"
             " evaluate_record_classification",

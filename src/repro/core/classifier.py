@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.features import ClientRecord, labelled_lengths
-from repro.core.fingerprint import FingerprintLibrary, RecordLengthFingerprint
+from repro.core.fingerprint import FingerprintLibrary
 from repro.exceptions import AttackError
 from repro.ml.base import Classifier
 
@@ -31,10 +31,6 @@ class RecordTypeClassifier:
     def library(self) -> FingerprintLibrary:
         """The fingerprint library backing this classifier."""
         return self._library
-
-    def fingerprint_for(self, condition_key: str) -> RecordLengthFingerprint:
-        """The fingerprint used for one environment."""
-        return self._library.get(condition_key)
 
     def classify(
         self, records: Sequence[ClientRecord], condition_key: str
@@ -52,11 +48,6 @@ class MLRecordClassifier:
     def __init__(self, estimator: Classifier) -> None:
         self._estimator = estimator
         self._trained = False
-
-    @property
-    def estimator(self) -> Classifier:
-        """The wrapped estimator."""
-        return self._estimator
 
     def fit(self, records: Sequence[ClientRecord]) -> "MLRecordClassifier":
         """Train on labelled records (lengths as the single feature)."""

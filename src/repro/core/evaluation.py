@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.features import ClientRecord, LABEL_OTHER, LABEL_TYPE1, LABEL_TYPE2
+from repro.core.features import ClientRecord, LABEL_TYPE1, LABEL_TYPE2
 from repro.core.inference import InferredChoices
 from repro.exceptions import AttackError
-from repro.ml.metrics import ConfusionMatrix, accuracy_score
+from repro.ml.metrics import ConfusionMatrix
 from repro.narrative.path import ViewingPath
 
 

@@ -375,11 +375,6 @@ def _extract_records_scalar(packets: Sequence[Packet]) -> list[ClientRecord]:
     return records
 
 
-def record_length_series(records: Sequence[ClientRecord]) -> list[int]:
-    """The wire lengths of a record sequence (the raw side-channel series)."""
-    return [record.wire_length for record in records]
-
-
 def labelled_lengths(
     records: Sequence[ClientRecord],
 ) -> tuple[list[int], list[str]]:

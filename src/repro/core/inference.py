@@ -63,18 +63,6 @@ class InferredChoices:
         """How many non-default selections were recovered."""
         return sum(1 for event in self.events if not event.took_default)
 
-    def decision_latencies(self) -> list[float]:
-        """Seconds between question shown and type-2 observed (non-default only).
-
-        This is the residual *timing* information the countermeasure section
-        of the paper warns about.
-        """
-        return [
-            event.type2_seen_at - event.question_shown_at
-            for event in self.events
-            if event.type2_seen_at is not None
-        ]
-
 
 def infer_choices(
     records: Sequence[ClientRecord],

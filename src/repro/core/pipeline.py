@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro.core.classifier import MLRecordClassifier, RecordTypeClassifier
+from repro.core.classifier import RecordTypeClassifier
 from repro.core.features import (
     ClientRecord,
     columnar_client_records,
@@ -183,13 +183,6 @@ def _describe_pcap_task(task: PcapAttackTask) -> str:
     return task.describe()
 
 
-def _attack_chunk(
-    attack: "WhiteMirrorAttack", sessions: Sequence[SessionResult]
-) -> list[AttackResult]:
-    """Module-level worker task for parallel attacking (must be picklable)."""
-    return [attack.attack_session(session) for session in sessions]
-
-
 def _evaluate_chunk(
     attack: "WhiteMirrorAttack", sessions: Sequence[SessionResult]
 ) -> list[AttackEvaluation]:
@@ -332,21 +325,6 @@ class WhiteMirrorAttack:
             raise AttackError("no training sessions supplied")
         return accumulator.finalize_into(self._library, margin=self._margin)
 
-    def train_ml_classifier(
-        self, sessions: Iterable[SessionResult], classifier: MLRecordClassifier
-    ) -> MLRecordClassifier:
-        """Train a generic ML record classifier on the same labelled sessions.
-
-        Used by the ablation benchmarks; the main pipeline uses the band
-        fingerprints.
-        """
-        records: list[ClientRecord] = []
-        for session in sessions:
-            records.extend(self._records_for(session.trace))
-        if not records:
-            raise AttackError("no training sessions supplied")
-        return classifier.fit(records)
-
     # -- attacking -------------------------------------------------------------
 
     def attack_trace(
@@ -468,7 +446,7 @@ class WhiteMirrorAttack:
         iterable simply yields nothing — "no new arrivals" is a normal state
         for a live source.
 
-        Unlike :meth:`attack_batch` (whose payloads are whole in-memory
+        Unlike :meth:`evaluate_sessions` (whose payloads are whole in-memory
         traces, hence its one-chunk-per-worker shipping), a pcap task is
         just a path: the attack state pickled with each submission is a few
         KB against the hundreds of KB of capture parsing it buys, so
@@ -484,30 +462,6 @@ class WhiteMirrorAttack:
             progress=progress,
             label=_describe_pcap_task,
         )
-
-    def attack_batch(
-        self,
-        sessions: Sequence[SessionResult],
-        workers: int | None = None,
-    ) -> list[AttackResult]:
-        """Attack a batch of sessions, in order.
-
-        ``workers`` follows :class:`repro.engine.BatchExecutor` semantics:
-        ``None``/``1`` run serially, ``0`` uses every core, ``N > 1`` a pool
-        of ``N`` processes.  Sessions are shipped to the pool in one
-        contiguous chunk per worker, so the attack state (fingerprints,
-        graph) is pickled once per worker rather than once per session.
-        """
-        sessions = list(sessions)
-        if not sessions:
-            raise AttackError("no sessions to attack")
-        executor = BatchExecutor(workers)
-        if executor.parallel:
-            chunks = executor.map(
-                partial(_attack_chunk, self), _chunked(sessions, executor.workers)
-            )
-            return [result for chunk in chunks for result in chunk]
-        return [self.attack_session(session) for session in sessions]
 
     def evaluate_sessions(
         self,

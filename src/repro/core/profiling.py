@@ -16,12 +16,10 @@ do serious psychometrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.core.inference import InferredChoices
 from repro.exceptions import AttackError
 from repro.narrative.bandersnatch import BANDERSNATCH_CHOICE_LABELS, canonical_question_id
-from repro.narrative.graph import StoryGraph
 from repro.narrative.path import ViewingPath
 
 
@@ -52,13 +50,6 @@ class BehavioralProfile:
         """All traits the profile covers."""
         return tuple(estimate.trait for estimate in self.estimates)
 
-    def estimate_for(self, trait: str) -> TraitEstimate:
-        """Look up the estimate for one trait."""
-        for estimate in self.estimates:
-            if estimate.trait == trait:
-                return estimate
-        raise AttackError(f"profile has no estimate for trait {trait!r}")
-
     def sensitive_estimates(
         self, sensitive_traits: Sequence[str] = ("violence", "aggression", "risk_taking")
     ) -> tuple[TraitEstimate, ...]:
@@ -87,30 +78,3 @@ def profile_from_path(path: ViewingPath) -> BehavioralProfile:
             )
         )
     return BehavioralProfile(estimates=tuple(estimates))
-
-
-def profile_from_choices(
-    graph: StoryGraph, inferred: InferredChoices
-) -> BehavioralProfile:
-    """Build a profile directly from the attack's inferred choices."""
-    from repro.core.inference import reconstruct_path
-
-    return profile_from_path(reconstruct_path(graph, inferred))
-
-
-def profile_agreement(
-    recovered: BehavioralProfile, ground_truth: BehavioralProfile
-) -> float:
-    """Fraction of ground-truth traits whose recovered label matches.
-
-    Used by the evaluation to quantify how much behavioural information the
-    attack actually leaks end to end.
-    """
-    truth: Mapping[str, str] = ground_truth.as_dict()
-    if not truth:
-        raise AttackError("ground-truth profile is empty")
-    recovered_map = recovered.as_dict()
-    matches = sum(
-        1 for trait, label in truth.items() if recovered_map.get(trait) == label
-    )
-    return matches / len(truth)

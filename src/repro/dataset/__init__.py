@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         ".attributes": "BEHAVIORAL_ATTRIBUTES OPERATIONAL_ATTRIBUTES table1_rows",
         ".population": "Viewer generate_population split_viewers"
             " viewers_from_metadata_entries",
-        ".collection": "DataPoint collect_datapoint collect_dataset"
+        ".collection": "DataPoint collect_dataset"
             " iter_collect_dataset",
         ".format": "DatasetWriter dataset_is_complete dataset_is_partial"
             " load_dataset_metadata save_dataset_metadata session_config_from_metadata"

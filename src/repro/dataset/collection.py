@@ -117,17 +117,6 @@ def build_collection_plans(
     return [collection_plan(viewer, graph, dataset_seed, config) for viewer in viewers]
 
 
-def collect_datapoint(
-    viewer: Viewer,
-    graph: StoryGraph,
-    dataset_seed: int,
-    config: SessionConfig | None = None,
-) -> DataPoint:
-    """Run the viewing session for one viewer and package the data point."""
-    plan = collection_plan(viewer, graph, dataset_seed, config)
-    return DataPoint(viewer=viewer, session=plan.execute())
-
-
 def collect_dataset(
     viewers: Sequence[Viewer],
     dataset_seed: int = 0,

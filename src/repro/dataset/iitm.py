@@ -219,12 +219,6 @@ class IITMBandersnatchDataset:
     def __iter__(self):
         return iter(self._points)
 
-    def by_condition(
-        self, condition: OperationalCondition
-    ) -> list[DataPoint]:
-        """All data points collected under one exact operational condition."""
-        return [point for point in self._points if point.viewer.condition == condition]
-
     def by_fingerprint_key(self, key: str) -> list[DataPoint]:
         """All data points whose environment (OS × browser) matches ``key``."""
         return [

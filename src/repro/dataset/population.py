@@ -5,21 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.client.profiles import (
-    BROWSERS,
-    CONNECTION_TYPES,
-    OPERATING_SYSTEMS,
-    PLATFORMS,
-    TRAFFIC_CONDITIONS,
-    OperationalCondition,
-)
-from repro.client.viewer import (
-    AGE_GROUPS,
-    GENDERS,
-    POLITICAL_ALIGNMENTS,
-    STATES_OF_MIND,
-    ViewerBehavior,
-)
+from repro.client.profiles import OperationalCondition
+from repro.client.viewer import ViewerBehavior
 from repro.exceptions import DatasetError
 from repro.utils.rng import RandomSource, spawn_rng
 

@@ -198,16 +198,6 @@ class ShardSummary:
     total_packets: int
     condition_keys: tuple[str, ...]
 
-    def to_dataset_summary(self) -> DatasetSummary:
-        """This shard viewed as a standalone dataset summary."""
-        return DatasetSummary(
-            viewer_count=self.viewer_count,
-            total_choices=self.total_choices,
-            non_default_choices=self.non_default_choices,
-            distinct_conditions=len(self.condition_keys),
-            total_packets=self.total_packets,
-        )
-
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly form for the shards manifest."""
         return {

@@ -165,11 +165,6 @@ class SidecarWriter:
         self._entries: list[SidecarEntry] = []
         self._disabled = False
 
-    @property
-    def enabled(self) -> bool:
-        """Whether this shard will still get a sidecar."""
-        return not self._disabled
-
     def disable(self) -> None:
         """Give up on the sidecar for this shard (pcaps stay authoritative)."""
         self._disabled = True

@@ -20,7 +20,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         ".base": "RecordDefense apply_defense",
         ".timing": "TimingOnlyAttack timing_question_recall",
         ".evaluation": "score_defense timing_scores",
-        ".registry": "DEFENSE_REGISTRY build_defense defense_from_spec defense_names"
+        ".registry": "DEFENSE_REGISTRY build_defense defense_from_spec"
             " defense_spec",
     },
 )

@@ -24,11 +24,6 @@ DEFENSE_REGISTRY.register("split-records", SplitRecords)
 DEFENSE_REGISTRY.register("compress-state-reports", CompressStateReports)
 
 
-def defense_names() -> tuple[str, ...]:
-    """The registered defense names, sorted."""
-    return DEFENSE_REGISTRY.names()
-
-
 def build_defense(
     name: str, params: Mapping[str, object] | None = None
 ) -> RecordDefense:

@@ -11,7 +11,7 @@ record-type identification accuracy and the resulting choice recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.client.profiles import OperationalCondition
 from repro.client.viewer import ViewerBehavior

@@ -16,9 +16,7 @@ from repro.client.profiles import OperationalCondition
 from repro.core.pipeline import PcapAttackTask
 from repro.dataset.format import METADATA_FILENAME, load_dataset_metadata
 from repro.exceptions import DatasetError, IngestError
-
-#: Viewer address assumed when neither overrides nor dataset metadata name one.
-DEFAULT_CLIENT_IP = "192.168.1.23"
+from repro.net.endpoints import DEFAULT_CLIENT_IP
 
 
 def metadata_entries_near(directory: str | Path) -> dict[str, dict]:

@@ -96,10 +96,6 @@ class JobRunner:
             "work": self._run_work,
         }
 
-    @property
-    def workspace(self) -> Workspace:
-        return self._workspace
-
     def run(self, spec: JobSpec) -> JobResult:
         """Validate and execute ``spec``; emits a final ``result`` event."""
         runner = self._runners.get(spec.KIND)
@@ -322,9 +318,6 @@ class JobRunner:
         directory = self._workspace.resolve(spec.dataset)
         if spec.sharded:
             return self._train_sharded(spec, directory)
-        train_fraction = (
-            0.5 if spec.train_fraction is None else spec.train_fraction
-        )
         try:
             metadata = load_dataset_metadata(directory)
         except DatasetError as error:
@@ -344,7 +337,7 @@ class JobRunner:
             raise
         seed = _dataset_seed_from_metadata(metadata)
         viewers = viewers_from_metadata_entries(metadata["entries"], directory)
-        train, _ = split_viewers(viewers, 1.0 - train_fraction, seed)
+        train, _ = split_viewers(viewers, 1.0 - spec.training_fraction, seed)
         train_ids = {viewers[position].viewer_id for position in train}
         sessions = iter_shard_training_sessions(
             directory,
@@ -1004,7 +997,6 @@ class JobRunner:
         try:
             summary = coordinator.serve_until_complete()
         except KeyboardInterrupt:
-            coordinator.close()
             self._bus.emit(ev.STOPPED)
             return JobResult(job=spec.KIND, summary={"stopped": True})
         if spec.arena:

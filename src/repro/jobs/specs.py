@@ -34,6 +34,7 @@ from typing import Any, ClassVar, Mapping
 
 from repro.exceptions import JobError, ReproError
 from repro.ingest.fleet import DEFAULT_QUEUE_HIGH, validate_watermarks
+from repro.net.endpoints import DEFAULT_CLIENT_IP
 
 #: Default version stamped into serialised specs.  A spec class whose field
 #: set has evolved past the fleet-wide default carries its own ``SCHEMA``
@@ -168,14 +169,15 @@ class TrainJob(JobSpec):
                 "--save-state requires --sharded (accumulator state is the "
                 "incremental training path's running calibration)"
             )
-        if not self.sharded:
-            train_fraction = (
-                0.5 if self.train_fraction is None else self.train_fraction
+        if not self.sharded and not 0.0 < self.training_fraction < 1.0:
+            raise ReproError(
+                f"--train-fraction must be in (0, 1), got {self.training_fraction}"
             )
-            if not 0.0 < train_fraction < 1.0:
-                raise ReproError(
-                    f"--train-fraction must be in (0, 1), got {train_fraction}"
-                )
+
+    @property
+    def training_fraction(self) -> float:
+        """``train_fraction``, or half the viewers when it is unset."""
+        return 0.5 if self.train_fraction is None else self.train_fraction
 
 
 @dataclass(frozen=True)
@@ -476,7 +478,7 @@ class InspectJob(JobSpec):
     KIND: ClassVar[str] = "inspect"
 
     pcap: str = ""
-    client_ip: str = "192.168.1.23"
+    client_ip: str = DEFAULT_CLIENT_IP
 
 
 #: Every leasable spec class, keyed by its wire kind.

@@ -70,13 +70,6 @@ class BitrateLadder:
         """The highest-bitrate rung."""
         return self._profiles[-1]
 
-    def by_name(self, name: str) -> EncodingProfile:
-        """Look a rung up by name."""
-        for profile in self._profiles:
-            if profile.name == name:
-                return profile
-        raise ConfigurationError(f"unknown encoding profile {name!r}")
-
     def best_under(self, available: Bandwidth, safety_factor: float = 0.8) -> EncodingProfile:
         """Highest rung whose bitrate fits within ``available * safety_factor``.
 

@@ -17,9 +17,8 @@ from repro import _lazy
 __getattr__, __dir__, __all__ = _lazy.exports(
     __name__,
     {
-        ".split": "StratifiedSplit kfold_indices train_test_split",
-        ".metrics": "ConfusionMatrix accuracy_score classification_report f1_score"
-            " precision_score recall_score",
+        ".split": "StratifiedSplit train_test_split",
+        ".metrics": "ConfusionMatrix accuracy_score",
         ".base": "Classifier",
         ".interval": "IntervalClassifier",
         ".knn": "KNearestNeighbors",
@@ -27,6 +26,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         ".tree": "DecisionTreeClassifier",
         ".logistic": "LogisticRegressionClassifier",
         ".registry": "CLASSIFIER_REGISTRY build_classifier classifier_from_spec"
-            " classifier_names classifier_spec",
+            " classifier_spec",
     },
 )

@@ -43,12 +43,6 @@ class IntervalClassifier(Classifier):
         self._check_fitted()
         return dict(self._intervals)
 
-    @property
-    def fallback_label(self) -> object:
-        """The label used when no band matches."""
-        self._check_fitted()
-        return self._fallback
-
     def fit(self, features: object, labels: object) -> "IntervalClassifier":
         matrix = as_feature_matrix(features)
         if matrix.shape[1] != 1:

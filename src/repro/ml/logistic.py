@@ -74,18 +74,11 @@ class LogisticRegressionClassifier(Classifier):
         return self
 
     def predict_proba(self, features: object) -> np.ndarray:
-        """Class-probability matrix (rows sum to 1, columns follow ``classes_``)."""
+        """Class-probability matrix (rows sum to 1, columns in sorted label order)."""
         self._check_fitted()
         assert self._weights is not None and self._bias is not None
         matrix = self._standardise(as_feature_matrix(features))
         return _softmax(matrix @ self._weights + self._bias)
-
-    @property
-    def classes_(self) -> np.ndarray:
-        """Class labels in the order used by :meth:`predict_proba` columns."""
-        self._check_fitted()
-        assert self._classes is not None
-        return self._classes
 
     def predict(self, features: object) -> np.ndarray:
         probabilities = self.predict_proba(features)

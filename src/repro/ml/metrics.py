@@ -1,4 +1,4 @@
-"""Classification metrics: accuracy, precision/recall/F1 and confusion matrices."""
+"""Classification metrics: accuracy and confusion matrices."""
 
 from __future__ import annotations
 
@@ -25,35 +25,6 @@ def accuracy_score(y_true: object, y_pred: object) -> float:
     """Fraction of predictions that match the ground truth."""
     true_array, pred_array = _validate(y_true, y_pred)
     return float(np.mean(true_array == pred_array))
-
-
-def precision_score(y_true: object, y_pred: object, positive_label: object) -> float:
-    """Precision of one class: TP / (TP + FP); 1.0 when nothing was predicted positive."""
-    true_array, pred_array = _validate(y_true, y_pred)
-    predicted_positive = pred_array == positive_label
-    if not predicted_positive.any():
-        return 1.0
-    true_positive = np.logical_and(predicted_positive, true_array == positive_label)
-    return float(true_positive.sum() / predicted_positive.sum())
-
-
-def recall_score(y_true: object, y_pred: object, positive_label: object) -> float:
-    """Recall of one class: TP / (TP + FN); 1.0 when the class never occurs."""
-    true_array, pred_array = _validate(y_true, y_pred)
-    actual_positive = true_array == positive_label
-    if not actual_positive.any():
-        return 1.0
-    true_positive = np.logical_and(actual_positive, pred_array == positive_label)
-    return float(true_positive.sum() / actual_positive.sum())
-
-
-def f1_score(y_true: object, y_pred: object, positive_label: object) -> float:
-    """Harmonic mean of precision and recall for one class."""
-    precision = precision_score(y_true, y_pred, positive_label)
-    recall = recall_score(y_true, y_pred, positive_label)
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 @dataclass(frozen=True)
@@ -101,19 +72,3 @@ class ConfusionMatrix:
                 row[str(predicted_label)] = int(self.counts[row_index, column_index])
             rows.append(row)
         return rows
-
-
-def classification_report(y_true: object, y_pred: object) -> dict[str, dict[str, float]]:
-    """Per-class precision/recall/F1 plus overall accuracy."""
-    true_array, pred_array = _validate(y_true, y_pred)
-    labels = sorted(set(true_array.tolist()) | set(pred_array.tolist()), key=str)
-    report: dict[str, dict[str, float]] = {}
-    for label in labels:
-        report[str(label)] = {
-            "precision": precision_score(true_array, pred_array, label),
-            "recall": recall_score(true_array, pred_array, label),
-            "f1": f1_score(true_array, pred_array, label),
-            "support": float(np.sum(true_array == label)),
-        }
-    report["overall"] = {"accuracy": accuracy_score(true_array, pred_array)}
-    return report

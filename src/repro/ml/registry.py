@@ -27,11 +27,6 @@ CLASSIFIER_REGISTRY.register("tree", DecisionTreeClassifier)
 CLASSIFIER_REGISTRY.register("logistic", LogisticRegressionClassifier)
 
 
-def classifier_names() -> tuple[str, ...]:
-    """The registered classifier names, sorted."""
-    return CLASSIFIER_REGISTRY.names()
-
-
 def build_classifier(
     name: str, params: Mapping[str, object] | None = None
 ) -> Classifier:

@@ -1,4 +1,4 @@
-"""Train/test and cross-validation splitting utilities."""
+"""Stratified train/test splitting."""
 
 from __future__ import annotations
 
@@ -53,21 +53,3 @@ def train_test_split(
         train_indices=np.asarray(sorted(train), dtype=int),
         test_indices=np.asarray(sorted(test), dtype=int),
     )
-
-
-def kfold_indices(sample_count: int, folds: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffled k-fold split: list of ``(train_indices, test_indices)`` pairs."""
-    if folds < 2:
-        raise MLError(f"need at least 2 folds, got {folds}")
-    if sample_count < folds:
-        raise MLError(f"cannot split {sample_count} samples into {folds} folds")
-    rng = spawn_rng(seed, "kfold")
-    order = np.arange(sample_count)
-    rng.shuffle(order)
-    chunks = np.array_split(order, folds)
-    result: list[tuple[np.ndarray, np.ndarray]] = []
-    for index, chunk in enumerate(chunks):
-        test = np.sort(chunk)
-        train = np.sort(np.concatenate([c for j, c in enumerate(chunks) if j != index]))
-        result.append((train, test))
-    return result

@@ -19,8 +19,8 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         ".segment": "Segment",
         ".choices": "Choice ChoicePoint ChoiceRecord",
         ".graph": "StoryGraph",
-        ".path": "ViewingPath enumerate_paths path_from_choices",
+        ".path": "ViewingPath path_from_choices",
         ".bandersnatch": "BANDERSNATCH_CHOICE_LABELS build_bandersnatch_script"
-            " build_linear_script build_minimal_interactive_script",
+            " build_minimal_interactive_script",
     },
 )

@@ -173,63 +173,3 @@ def build_minimal_interactive_script() -> StoryGraph:
         )
     graph.validate()
     return graph
-
-
-def build_linear_script(segment_count: int = 5, segment_minutes: float = 10.0) -> StoryGraph:
-    """A conventional (non-interactive) title used by the baseline experiments.
-
-    A linear script still needs the StoryGraph invariants to hold, so each
-    intermediate segment gets a degenerate choice point whose two options
-    both continue the movie (one to the next segment, one to a recap segment
-    that also rejoins).  The streaming simulator never shows these to the
-    viewer because the ``interactive`` flag on the session is off; they only
-    exist to keep the graph well-formed.
-    """
-    if segment_count < 2:
-        raise ValueError("a linear script needs at least two segments")
-    graph = StoryGraph(title="Conventional linear title", root_segment_id="L0")
-    for index in range(segment_count):
-        graph.add_segment(
-            Segment(
-                segment_id=f"L{index}",
-                title=f"Linear segment {index}",
-                duration_seconds=segment_minutes * 60.0,
-                is_ending=index == segment_count - 1,
-            )
-        )
-    # recap segments provide the second edge required by the binary choice model
-    for index in range(segment_count - 1):
-        graph.add_segment(
-            Segment(
-                segment_id=f"L{index}r",
-                title=f"Recap of segment {index}",
-                duration_seconds=60.0,
-                is_ending=index + 1 == segment_count - 1,
-            )
-        )
-    for index in range(segment_count - 1):
-        graph.add_choice_point(
-            ChoicePoint(
-                question_id=f"LQ{index + 1}",
-                prompt="continue",
-                source_segment_id=f"L{index}",
-                options=(
-                    Choice("continue", f"L{index + 1}", is_default=True),
-                    Choice("recap", f"L{index}r", is_default=False),
-                ),
-            )
-        )
-        if index + 1 < segment_count - 1:
-            graph.add_choice_point(
-                ChoicePoint(
-                    question_id=f"LQ{index + 1}r",
-                    prompt="continue",
-                    source_segment_id=f"L{index}r",
-                    options=(
-                        Choice("continue", f"L{index + 1}", is_default=True),
-                        Choice("skip_ahead", f"L{index + 1}r", is_default=False),
-                    ),
-                )
-            )
-    graph.validate()
-    return graph

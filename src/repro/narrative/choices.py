@@ -101,15 +101,6 @@ class ChoicePoint:
         """Return the default or non-default choice."""
         return self.default_choice if take_default else self.non_default_choice
 
-    def choice_by_label(self, label: str) -> Choice:
-        """Look up an option by its on-screen label."""
-        for option in self.options:
-            if option.label == label:
-                return option
-        raise NarrativeError(
-            f"choice point {self.question_id!r} has no option labelled {label!r}"
-        )
-
 
 @dataclass(frozen=True)
 class ChoiceRecord:

@@ -7,7 +7,7 @@ import json
 from typing import Iterable, Iterator
 
 from repro.exceptions import NarrativeError
-from repro.narrative.choices import Choice, ChoicePoint
+from repro.narrative.choices import ChoicePoint
 from repro.narrative.segment import Segment
 
 
@@ -121,15 +121,6 @@ class StoryGraph:
             return None
         return self._choice_points[question_id]
 
-    def successors(self, segment_id: str) -> tuple[str, ...]:
-        """Segments reachable in one step from ``segment_id``.
-
-        Targets keep option order; a target shared by both options is
-        listed once.
-        """
-        self.segment(segment_id)
-        return self._targets(segment_id)
-
     def _targets(self, segment_id: str) -> tuple[str, ...]:
         question_id = self._choice_point_by_source.get(segment_id)
         if question_id is None:
@@ -137,26 +128,9 @@ class StoryGraph:
         options = self._choice_points[question_id].options
         return tuple(dict.fromkeys(option.target_segment_id for option in options))
 
-    def ending_segments(self) -> tuple[Segment, ...]:
-        """All segments flagged as endings."""
-        return tuple(
-            segment for segment in self._segments.values() if segment.is_ending
-        )
-
     def iter_segments(self) -> Iterator[Segment]:
         """Iterate over all segments in insertion order."""
         return iter(self._segments.values())
-
-    def iter_choice_points(self) -> Iterator[ChoicePoint]:
-        """Iterate over all choice points in insertion order."""
-        return iter(self._choice_points.values())
-
-    def default_successor(self, segment_id: str) -> Segment | None:
-        """The prefetched next segment after ``segment_id``, if any."""
-        choice_point = self.choice_point_after(segment_id)
-        if choice_point is None:
-            return None
-        return self.segment(choice_point.default_choice.target_segment_id)
 
     # -- validation --------------------------------------------------------
 
@@ -212,81 +186,6 @@ class StoryGraph:
         """Number of choice points in the script."""
         return len(self._choice_points)
 
-    def total_content_seconds(self) -> float:
-        """Sum of all segment durations (the full shot footage, not one path)."""
-        return sum(segment.duration_seconds for segment in self._segments.values())
-
-    def max_choices_on_any_path(self) -> int:
-        """Upper bound on how many questions a single viewing can encounter.
-
-        Computed as the longest path (in edges) of the condensation of the
-        graph; loops therefore count once, which matches how the simulator
-        caps re-visits.
-        """
-        components = self._strongly_connected_components()
-        component_of: dict[str, int] = {}
-        depths: list[int] = []
-        for number, component in enumerate(components):
-            for member in component:
-                component_of[member] = number
-            # Tarjan emits a component after every component it reaches, so
-            # the depth of each successor component is already known.
-            depths.append(
-                max(
-                    (
-                        depths[component_of[target]] + 1
-                        for member in component
-                        for target in self._targets(member)
-                        if component_of[target] != number
-                    ),
-                    default=0,
-                )
-            )
-        return max(depths, default=0)
-
-    def _strongly_connected_components(self) -> list[list[str]]:
-        """Tarjan's algorithm without recursion, in reverse topological order."""
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        stack: list[str] = []
-        on_stack: set[str] = set()
-        components: list[list[str]] = []
-        work: list[tuple[str, Iterator[str]]] = []
-
-        def visit(node: str) -> None:
-            index[node] = low[node] = len(index)
-            stack.append(node)
-            on_stack.add(node)
-            work.append((node, iter(self._targets(node))))
-
-        for start in self._segments:
-            if start in index:
-                continue
-            visit(start)
-            while work:
-                node, targets = work[-1]
-                for target in targets:
-                    if target not in index:
-                        visit(target)
-                        break
-                    if target in on_stack:
-                        low[node] = min(low[node], index[target])
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[node])
-                    if low[node] == index[node]:
-                        component = []
-                        while True:
-                            member = stack.pop()
-                            on_stack.discard(member)
-                            component.append(member)
-                            if member == node:
-                                break
-                        components.append(component)
-        return components
-
     def fingerprint(self) -> str:
         """A stable digest of the script's structure and timings.
 
@@ -340,20 +239,3 @@ class StoryGraph:
             f"StoryGraph(title={self._title!r}, segments={self.segment_count}, "
             f"choice_points={self.choice_point_count})"
         )
-
-
-def choice_edge_attributes(graph: StoryGraph) -> list[dict[str, object]]:
-    """Flatten every (question, option) pair into a row for reporting."""
-    rows: list[dict[str, object]] = []
-    for choice_point in graph.iter_choice_points():
-        for option in choice_point.options:
-            rows.append(
-                {
-                    "question_id": choice_point.question_id,
-                    "source_segment": choice_point.source_segment_id,
-                    "label": option.label,
-                    "target_segment": option.target_segment_id,
-                    "is_default": option.is_default,
-                }
-            )
-    return rows

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.exceptions import NarrativeError
 from repro.narrative.choices import ChoiceRecord
@@ -48,10 +48,6 @@ class ViewingPath:
     def question_ids(self) -> tuple[str, ...]:
         """The questions encountered, in order."""
         return tuple(record.question_id for record in self.choices)
-
-    def matches_choices(self, took_default: Sequence[bool]) -> bool:
-        """Return ``True`` if the default/non-default pattern equals ``took_default``."""
-        return tuple(bool(value) for value in took_default) == self.default_pattern
 
 
 def path_from_choices(
@@ -101,43 +97,3 @@ def path_from_choices(
         current = choice.target_segment_id
         segments.append(current)
     return ViewingPath(segment_ids=tuple(segments), choices=tuple(records))
-
-
-def enumerate_paths(
-    graph: StoryGraph, max_choice_points: int | None = None
-) -> Iterator[ViewingPath]:
-    """Yield every complete viewing path (up to a revisit limit).
-
-    The enumeration walks the binary decision tree induced by the script; on
-    graphs with loops the ``max_choice_points`` cap (default: twice the number
-    of choice points) bounds the depth, mirroring how a real viewing
-    eventually reaches an ending.
-    """
-    graph.validate()
-    limit = max_choice_points or 2 * max(1, graph.choice_point_count)
-
-    def _walk(
-        segment_id: str,
-        segments: tuple[str, ...],
-        records: tuple[ChoiceRecord, ...],
-    ) -> Iterator[ViewingPath]:
-        choice_point = graph.choice_point_after(segment_id)
-        if choice_point is None or len(records) >= limit:
-            yield ViewingPath(segment_ids=segments, choices=records)
-            return
-        for takes_default in (True, False):
-            choice = choice_point.choice_for(takes_default)
-            record = ChoiceRecord(
-                question_id=choice_point.question_id,
-                selected_label=choice.label,
-                took_default=takes_default,
-                decision_time_seconds=choice_point.timeout_seconds / 2.0,
-            )
-            yield from _walk(
-                choice.target_segment_id,
-                segments + (choice.target_segment_id,),
-                records + (record,),
-            )
-
-    root = graph.root_segment.segment_id
-    yield from _walk(root, (root,), ())

@@ -19,7 +19,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         ".endpoints": "Endpoint FiveTuple",
         ".tcp": "TCPSender segment_payload",
         ".flow": "Flow FlowTable",
-        ".pcap": "PcapReader PcapWriter read_pcap write_pcap",
+        ".pcap": "PcapReader PcapWriter",
         ".conditions": "NetworkConditions conditions_for",
         ".capture": "CaptureSink CapturedTrace",
     },

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.exceptions import PacketError
 from repro.net.columnar import TcpSegments, _int_column, encode_tcp_frames
-from repro.net.endpoints import Endpoint, FiveTuple
+from repro.net.endpoints import DEFAULT_CLIENT_IP, Endpoint, FiveTuple
 from repro.net.flow import FlowTable
 from repro.net.packet import Direction, Packet, check_timestamp, push_flags
 from repro.net.pcap import PcapReader, PcapWriter
@@ -230,7 +230,7 @@ class CaptureSink:
         self,
         conditions: NetworkConditions,
         rng: RandomSource,
-        client_ip: str = "192.168.1.23",
+        client_ip: str = DEFAULT_CLIENT_IP,
         server_ip: str = "198.51.100.7",
     ) -> None:
         self._conditions = conditions

@@ -8,6 +8,10 @@ from functools import cached_property
 from repro.exceptions import PacketError
 from repro.net.headers import parse_ipv4
 
+#: The viewer's address in simulated captures, and the attack's fallback
+#: when neither the caller nor dataset metadata names one.
+DEFAULT_CLIENT_IP = "192.168.1.23"
+
 
 @dataclass(frozen=True)
 class Endpoint:

@@ -152,13 +152,6 @@ class FlowTable:
         """All flows, in creation order."""
         return tuple(self._flows.values())
 
-    def flow_for(self, five_tuple: FiveTuple) -> Flow:
-        """Look up the flow for a connection."""
-        try:
-            return self._flows[five_tuple.key]
-        except KeyError:
-            raise PacketError(f"no flow for {five_tuple.key}") from None
-
     def largest_flow(self) -> Flow:
         """The flow carrying the most payload bytes (heuristically, the video).
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -13,7 +13,6 @@ from repro.net.headers import (
     IPV4_HEADER_LENGTH,
     TCP_FLAG_ACK,
     TCP_FLAG_PSH,
-    TCP_FLAG_SYN,
     TCP_HEADER_LENGTH,
     EthernetHeader,
     IPv4Header,
@@ -106,14 +105,6 @@ class Packet:
             + self.payload_length
         )
 
-    def with_timestamp(self, timestamp: float) -> "Packet":
-        """Copy of the packet stamped at a different time."""
-        return replace(self, timestamp=timestamp)
-
-    def as_retransmission(self, timestamp: float) -> "Packet":
-        """Copy of the packet marked as a retransmission at a later time."""
-        return replace(self, timestamp=timestamp, is_retransmission=True)
-
     def serialize_frame(self) -> bytes:
         """Full Ethernet frame bytes for pcap emission."""
         source = self.source
@@ -190,17 +181,6 @@ class Packet:
             acknowledgment_number=tcp_header.acknowledgment_number,
             flags=tcp_header.flags,
         )
-
-
-def syn_packet(five_tuple: FiveTuple, timestamp: float) -> Packet:
-    """The client's SYN that opens a connection (no payload)."""
-    return Packet(
-        timestamp=timestamp,
-        direction=Direction.CLIENT_TO_SERVER,
-        five_tuple=five_tuple,
-        payload=b"",
-        flags=TCP_FLAG_SYN,
-    )
 
 
 def push_flags() -> int:

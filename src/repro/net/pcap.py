@@ -38,7 +38,7 @@ bounded block reads, for captures that are not decoded.
 The mapping stays alive for as long as any view into it does (the columns,
 a yielded frame, …) and is released by reference counting — no explicit
 close, no dangling buffers.  Callers that need frames to outlive every view
-use :func:`read_pcap`, which returns owned ``bytes`` copies.
+copy them with ``bytes(packet.frame)``.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class PcapPacket:
     """One packet record read from (or destined for) a pcap file.
 
     ``frame`` is a zero-copy memoryview into the reader's file mapping when
-    the packet came from :class:`PcapReader`; :func:`read_pcap` converts it
-    to owned ``bytes`` for callers that keep frames around.
+    the packet came from :class:`PcapReader`; callers that keep frames
+    around copy it to owned ``bytes``.
     """
 
     timestamp: float
@@ -348,26 +348,6 @@ class BufferFingerprint:
         if self._digest is None:
             raise PcapError("the capture fingerprint thread failed")
         return self._digest
-
-
-def write_pcap(path: str | Path, packets: Iterator[tuple[float, bytes]] | list[tuple[float, bytes]]) -> int:
-    """Write ``(timestamp, frame)`` pairs to ``path``; return the packet count."""
-    with PcapWriter(path) as writer:
-        for timestamp, frame in packets:
-            writer.write(timestamp, frame)
-        return writer.packets_written
-
-
-def read_pcap(path: str | Path) -> list[PcapPacket]:
-    """Read a whole pcap file into memory (frames as owned ``bytes``)."""
-    return [
-        PcapPacket(
-            timestamp=packet.timestamp,
-            frame=bytes(packet.frame),
-            original_length=packet.original_length,
-        )
-        for packet in PcapReader(path).read()
-    ]
 
 
 def read_pcap_columns(path: str | Path) -> PcapColumns:

@@ -134,14 +134,3 @@ class TCPSender:
             )
             for offset, size in zip(offsets.tolist(), sizes.tolist())
         ]
-
-    def send_ack(self, timestamp: float) -> Packet:
-        """Emit a bare ACK (no payload)."""
-        return Packet(
-            timestamp=timestamp,
-            direction=self.direction,
-            five_tuple=self.five_tuple,
-            payload=b"",
-            sequence_number=self._next_sequence,
-            acknowledgment_number=self._peer_sequence,
-        )

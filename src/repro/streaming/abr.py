@@ -44,13 +44,6 @@ class AdaptiveBitrateController:
         """The bitrate ladder the controller selects from."""
         return self._ladder
 
-    @property
-    def throughput_estimate(self) -> Bandwidth | None:
-        """The smoothed throughput estimate, if any samples were observed."""
-        if self._estimate_bps is None:
-            return None
-        return Bandwidth(bits_per_second=self._estimate_bps)
-
     def observe_download(self, num_bytes: int, duration_seconds: float) -> None:
         """Feed one completed chunk download into the throughput estimator."""
         if num_bytes <= 0:

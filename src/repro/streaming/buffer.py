@@ -19,49 +19,13 @@ class PlaybackBuffer:
             raise StreamingError("buffer target must be positive")
         if max_seconds < target_seconds:
             raise StreamingError("buffer maximum must be at least the target")
-        self._target = target_seconds
         self._max = max_seconds
         self._level = 0.0
-        self._rebuffer_events = 0
-        self._total_rebuffer_seconds = 0.0
 
     @property
     def level_seconds(self) -> float:
         """Seconds of content currently buffered."""
         return self._level
-
-    @property
-    def target_seconds(self) -> float:
-        """The level the player tries to maintain."""
-        return self._target
-
-    @property
-    def max_seconds(self) -> float:
-        """Hard cap on buffered content."""
-        return self._max
-
-    @property
-    def rebuffer_events(self) -> int:
-        """How many times playback stalled because the buffer emptied."""
-        return self._rebuffer_events
-
-    @property
-    def total_rebuffer_seconds(self) -> float:
-        """Total stall time accumulated."""
-        return self._total_rebuffer_seconds
-
-    @property
-    def is_full(self) -> bool:
-        """Whether the buffer is at its cap (fetching should pause)."""
-        return self._level >= self._max - 1e-9
-
-    def headroom_seconds(self) -> float:
-        """How many more seconds can be added before hitting the cap."""
-        return max(0.0, self._max - self._level)
-
-    def deficit_seconds(self) -> float:
-        """How far below target the buffer currently is."""
-        return max(0.0, self._target - self._level)
 
     def add(self, seconds: float) -> None:
         """Add downloaded content (clamped at the cap)."""
@@ -76,8 +40,6 @@ class PlaybackBuffer:
         stall = 0.0
         if seconds > self._level:
             stall = seconds - self._level
-            self._rebuffer_events += 1
-            self._total_rebuffer_seconds += stall
             self._level = 0.0
         else:
             self._level -= seconds

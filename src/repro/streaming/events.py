@@ -74,10 +74,6 @@ class EventLog:
         """Number of events of one kind."""
         return len(self.of_kind(kind))
 
-    def kinds_in_order(self) -> list[EventKind]:
-        """The sequence of event kinds (useful for Figure 1 style checks)."""
-        return [event.kind for event in self._events]
-
     def __len__(self) -> int:
         return len(self._events)
 

@@ -55,11 +55,6 @@ class Prefetcher:
             raise StreamingError("maximum prefetch window must be positive")
         self._max_seconds = max_prefetch_seconds
 
-    @property
-    def max_prefetch_seconds(self) -> float:
-        """Upper bound on how much default-branch content is prefetched."""
-        return self._max_seconds
-
     def plan(self, question_id: str, default_chunks: ChunkMap) -> PrefetchPlan:
         """Choose which default-branch chunks to prefetch."""
         selected: list[Chunk] = []

@@ -41,23 +41,11 @@ class StreamingServer:
 
     def __init__(self, manifest: MediaManifest) -> None:
         self._manifest = manifest
-        self._chunks_served = 0
-        self._bytes_served = 0
 
     @property
     def manifest(self) -> MediaManifest:
         """The manifest the server is answering from."""
         return self._manifest
-
-    @property
-    def chunks_served(self) -> int:
-        """Number of chunk requests answered."""
-        return self._chunks_served
-
-    @property
-    def bytes_served(self) -> int:
-        """Total application bytes sent down."""
-        return self._bytes_served
 
     def serve_chunk(self, segment_id: str, chunk_index: int, profile_name: str) -> ChunkResponse:
         """Answer one chunk request."""
@@ -73,8 +61,6 @@ class StreamingServer:
             payload_bytes=chunk.size_bytes,
             http_overhead_bytes=self._HTTP_RESPONSE_OVERHEAD,
         )
-        self._chunks_served += 1
-        self._bytes_served += response.total_bytes
         return response
 
     def acknowledge_state_report(self) -> int:

@@ -19,12 +19,11 @@ paper's attack uses — record lengths, directions, ordering and coarse timing.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.client.json_state import (
     JSON_TYPE_1,
-    JSON_TYPE_2,
     StateMessage,
     build_type1_message,
     build_type2_message,
@@ -37,8 +36,8 @@ from repro.narrative.choices import ChoiceRecord
 from repro.narrative.graph import StoryGraph
 from repro.narrative.path import ViewingPath
 from repro.net.capture import CaptureSink, CapturedTrace
-from repro.net.conditions import NetworkConditions, conditions_for
-from repro.net.endpoints import Endpoint, FiveTuple
+from repro.net.conditions import conditions_for
+from repro.net.endpoints import DEFAULT_CLIENT_IP, Endpoint, FiveTuple
 from repro.net.packet import Direction
 from repro.net.tcp import TCPSender
 from repro.streaming.abr import AdaptiveBitrateController
@@ -74,7 +73,7 @@ class SessionConfig:
     #: this many plaintext bytes before encryption — the deployable version
     #: of the paper's Section VI countermeasure, applied at the source.
     state_report_pad_to: int | None = None
-    client_ip: str = "192.168.1.23"
+    client_ip: str = DEFAULT_CLIENT_IP
     server_ip: str = "198.51.100.7"
     client_port: int = 51_742
     server_port: int = 443
@@ -116,10 +115,6 @@ class SessionResult:
     def ground_truth_pattern(self) -> tuple[bool, ...]:
         """Default/non-default pattern of the viewer's choices."""
         return self.path.default_pattern
-
-    def transmitted_state_message_kinds(self) -> list[str]:
-        """Kinds of the state messages that actually reached the wire."""
-        return [message.kind for message in self.state_messages]
 
     def fingerprint(self) -> str:
         """Stable digest of everything observable in this result.

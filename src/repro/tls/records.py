@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
 
 from repro.exceptions import TLSError
 
@@ -137,22 +136,3 @@ def parse_records(data: bytes) -> list[TLSRecord]:
         record, offset = TLSRecord.parse_one(data, offset)
         records.append(record)
     return records
-
-
-def iter_record_lengths(data: bytes) -> Iterator[int]:
-    """Yield the wire length of each record in a reassembled TLS byte stream.
-
-    This is the passive observer's view: it never looks at ciphertext bytes,
-    only at the record headers, exactly as the attack does.
-    """
-    offset = 0
-    while offset < len(data):
-        if len(data) - offset < RECORD_HEADER_LENGTH:
-            raise TLSError("truncated TLS record header")
-        _, _, length = _HEADER_STRUCT.unpack_from(data, offset)
-        if length == 0 or length > MAX_CIPHERTEXT_LENGTH:
-            raise TLSError(f"implausible TLS record length field {length}")
-        yield RECORD_HEADER_LENGTH + length
-        offset += RECORD_HEADER_LENGTH + length
-    if offset != len(data):  # pragma: no cover - defensive; loop guarantees this
-        raise TLSError("TLS stream ended mid-record")

@@ -30,11 +30,6 @@ class TLSSession:
     version: int = 0x0303
     _sequence_number: int = field(default=0, init=False, repr=False)
 
-    @property
-    def records_sent(self) -> int:
-        """Number of application-data records produced so far."""
-        return self._sequence_number
-
     def protect(self, payload: bytes) -> list[TLSRecord]:
         """Encrypt one application payload into one or more records.
 
@@ -59,19 +54,3 @@ class TLSSession:
             )
             self._sequence_number += 1
         return records
-
-    def record_length_for(self, payload_length: int) -> int:
-        """Wire length of the single record a payload of this size produces.
-
-        Only valid for payloads that fit in one fragment; used by the
-        calibration tests to tie client profiles to Figure 2 bands.
-        """
-        if payload_length <= 0:
-            raise TLSError("payload length must be positive")
-        if payload_length > MAX_PLAINTEXT_FRAGMENT:
-            raise TLSError(
-                "payload spans multiple records; use protect() and sum lengths"
-            )
-        from repro.tls.records import RECORD_HEADER_LENGTH
-
-        return RECORD_HEADER_LENGTH + self.cipher.ciphertext_length(payload_length)

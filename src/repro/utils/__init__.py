@@ -16,7 +16,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
             " seconds",
         ".stats": "SummaryStats mean median percentile stddev summarize",
         ".histogram": "Histogram LengthBin bin_label",
-        ".validation": "ensure_in ensure_non_negative ensure_positive"
-            " ensure_probability ensure_range",
+        ".validation": "ensure_in ensure_probability",
     },
 )

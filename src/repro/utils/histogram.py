@@ -9,8 +9,8 @@ potentially open-ended integer bins, counted per category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -61,8 +61,8 @@ class Histogram:
     Parameters
     ----------
     bins:
-        Ordered, non-overlapping bins.  Values that do not fall in any bin are
-        tallied under :attr:`overflow_count` rather than silently dropped.
+        Ordered, non-overlapping bins.  Values that fall in no bin are not
+        counted.
     categories:
         The category labels that will be reported.  Observing an unknown
         category raises, which catches label typos early.
@@ -80,22 +80,6 @@ class Histogram:
         self._counts: dict[str, list[int]] = {
             category: [0] * len(self._bins) for category in self._categories
         }
-        self._overflow = 0
-
-    @property
-    def bins(self) -> tuple[LengthBin, ...]:
-        """The configured bins, in order."""
-        return self._bins
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        """The configured category labels, in order."""
-        return self._categories
-
-    @property
-    def overflow_count(self) -> int:
-        """Number of observed values that matched no bin."""
-        return self._overflow
 
     def observe(self, value: int, category: str) -> None:
         """Record one value under ``category``."""
@@ -105,12 +89,6 @@ class Histogram:
             if length_bin.contains(value):
                 self._counts[category][index] += 1
                 return
-        self._overflow += 1
-
-    def observe_many(self, values: Iterable[int], category: str) -> None:
-        """Record every value in ``values`` under ``category``."""
-        for value in values:
-            self.observe(value, category)
 
     def counts(self, category: str) -> tuple[int, ...]:
         """Raw per-bin counts for one category."""
@@ -119,7 +97,7 @@ class Histogram:
         return tuple(self._counts[category])
 
     def total(self, category: str) -> int:
-        """Total observations recorded for one category (excluding overflow)."""
+        """Total observations recorded for one category (values in no bin excluded)."""
         return sum(self.counts(category))
 
     def percentages(self, category: str) -> tuple[float, ...]:

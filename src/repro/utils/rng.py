@@ -19,7 +19,7 @@ leaves the generator in exactly the state ``integers`` would.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -220,12 +220,6 @@ class RandomSource:
         if count == 0:
             return b""
         return _next_uint32_bytes(self._rng.bit_generator, count).tobytes()
-
-    def shuffled(self, items: Iterable[T]) -> list[T]:
-        """Return a new list with the items in a random order."""
-        result = list(items)
-        self._rng.shuffle(result)  # type: ignore[arg-type]
-        return result
 
     def sample(self, items: Sequence[T], count: int) -> list[T]:
         """Sample ``count`` distinct items without replacement."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -90,25 +90,3 @@ def proportions(counts: Mapping[str, int]) -> dict[str, float]:
     if total <= 0:
         raise ConfigurationError("cannot compute proportions of zero total count")
     return {key: value / total for key, value in counts.items()}
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """Absolute relative error of ``measured`` against ``reference``."""
-    if reference == 0:
-        raise ConfigurationError("reference value must be non-zero")
-    return abs(measured - reference) / abs(reference)
-
-
-def jains_fairness(values: Sequence[float]) -> float:
-    """Jain's fairness index of a non-empty, non-negative sample.
-
-    Used by the network-condition tests to check that simulated cross traffic
-    shares bandwidth plausibly.
-    """
-    array = _as_array(values)
-    if np.any(array < 0):
-        raise ConfigurationError("fairness is defined for non-negative values only")
-    denominator = array.size * float((array**2).sum())
-    if denominator == 0:
-        return 1.0
-    return float(array.sum() ** 2 / denominator)

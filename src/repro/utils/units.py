@@ -66,11 +66,6 @@ class Bandwidth:
         return bits_to_bytes(self.bits_per_second)
 
     @property
-    def kilobits_per_second(self) -> float:
-        """The rate expressed in kilobits per second."""
-        return self.bits_per_second / 1000.0
-
-    @property
     def megabits_per_second(self) -> float:
         """The rate expressed in megabits per second."""
         return self.bits_per_second / 1_000_000.0
@@ -84,14 +79,6 @@ class Bandwidth:
         if self.bits_per_second == 0:
             raise ConfigurationError("cannot transfer data over a zero-rate link")
         return bytes_to_bits(num_bytes) / self.bits_per_second
-
-    def bytes_in(self, duration_seconds: float) -> float:
-        """How many bytes fit through this link in ``duration_seconds``."""
-        if duration_seconds < 0:
-            raise ConfigurationError(
-                f"duration must be non-negative, got {duration_seconds}"
-            )
-        return self.bytes_per_second * duration_seconds
 
     def scaled(self, factor: float) -> "Bandwidth":
         """Return a new bandwidth multiplied by ``factor`` (>= 0)."""

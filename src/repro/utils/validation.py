@@ -9,33 +9,10 @@ from repro.exceptions import ConfigurationError
 T = TypeVar("T")
 
 
-def ensure_positive(value: float, name: str) -> float:
-    """Raise unless ``value`` is strictly positive; return it otherwise."""
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def ensure_non_negative(value: float, name: str) -> float:
-    """Raise unless ``value`` is >= 0; return it otherwise."""
-    if value < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 def ensure_probability(value: float, name: str) -> float:
     """Raise unless ``value`` lies in [0, 1]; return it otherwise."""
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be within [0, 1], got {value}")
-    return value
-
-
-def ensure_range(value: float, low: float, high: float, name: str) -> float:
-    """Raise unless ``low <= value <= high``; return the value otherwise."""
-    if not low <= value <= high:
-        raise ConfigurationError(
-            f"{name} must be within [{low}, {high}], got {value}"
-        )
     return value
 
 

@@ -25,6 +25,19 @@ from repro.streaming.session import SessionConfig, simulate_session
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=400)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reverse-order",
+        action="store_true",
+        help="run the collected tests in reverse order",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse-order"):
+        items.reverse()
+
+
 @pytest.fixture(scope="session")
 def minimal_graph():
     """The two-question script of the Figure 1 walkthrough."""

@@ -11,6 +11,8 @@ timestamps whose microseconds round up into the next second.
 :func:`annotated` adds simulator ground truth to any of them, and
 :func:`record_aligned_packets` builds an annotated uplink stream whose
 segments start at TLS record starts, the shape simulated sessions have.
+:func:`syn_packet`, :func:`with_timestamp` and :func:`as_retransmission`
+build single packets for example-based tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import replace
 from hypothesis import strategies as st
 
 from repro.net.endpoints import Endpoint, FiveTuple
-from repro.net.headers import IPV4_HEADER_LENGTH, TCP_HEADER_LENGTH
+from repro.net.headers import IPV4_HEADER_LENGTH, TCP_FLAG_SYN, TCP_HEADER_LENGTH
 from repro.net.packet import Direction, Packet
 
 from strategies.frames import CLIENT_IP, OTHER_IPS, SERVER_IP, tls_streams
@@ -211,3 +213,24 @@ def record_aligned_packets(draw) -> list[Packet]:
             )
     rng.shuffle(trace)
     return trace
+
+
+def syn_packet(five_tuple: FiveTuple, timestamp: float) -> Packet:
+    """The client's SYN that opens a connection (no payload)."""
+    return Packet(
+        timestamp=timestamp,
+        direction=Direction.CLIENT_TO_SERVER,
+        five_tuple=five_tuple,
+        payload=b"",
+        flags=TCP_FLAG_SYN,
+    )
+
+
+def with_timestamp(packet: Packet, timestamp: float) -> Packet:
+    """Copy of the packet stamped at a different time."""
+    return replace(packet, timestamp=timestamp)
+
+
+def as_retransmission(packet: Packet, timestamp: float) -> Packet:
+    """Copy of the packet marked as a retransmission at a later time."""
+    return replace(packet, timestamp=timestamp, is_retransmission=True)

@@ -2,14 +2,19 @@
 
 :func:`malformed_pcaps` damages a generated valid capture in one of the ways
 a pcap reader must reject, and names the damage together with the start of
-the ``PcapError`` message the reader raises for it.
+the ``PcapError`` message the reader raises for it.  :func:`write_pcap` and
+:func:`read_pcap` write and read whole files for example-based tests.
 """
 
 from __future__ import annotations
 
 import struct
+from pathlib import Path
+from typing import Iterable
 
 from hypothesis import assume, strategies as st
+
+from repro.net.pcap import PcapPacket, PcapReader, PcapWriter
 
 from strategies.frames import captures
 
@@ -52,3 +57,23 @@ def malformed_pcaps(draw) -> tuple[str, bytes]:
     assume(capture.frames)
     last_frame = capture.frames[-1][1]
     return damage, valid[: -draw(st.integers(1, len(last_frame)))]
+
+
+def write_pcap(path: str | Path, packets: Iterable[tuple[float, bytes]]) -> int:
+    """Write ``(timestamp, frame)`` pairs to ``path``; return the packet count."""
+    with PcapWriter(path) as writer:
+        for timestamp, frame in packets:
+            writer.write(timestamp, frame)
+        return writer.packets_written
+
+
+def read_pcap(path: str | Path) -> list[PcapPacket]:
+    """Read a whole pcap file into memory (frames as owned ``bytes``)."""
+    return [
+        PcapPacket(
+            timestamp=packet.timestamp,
+            frame=bytes(packet.frame),
+            original_length=packet.original_length,
+        )
+        for packet in PcapReader(path).read()
+    ]

@@ -13,7 +13,6 @@ from repro.exceptions import AttackError
 class TestBitrateProfile:
     def test_profile_from_trace(self, minimal_session):
         profile = profile_from_trace(minimal_session.trace, window_seconds=2.0)
-        assert profile.mean_throughput_bps > 0
         assert len(profile.bytes_per_window) >= 1
 
     def test_time_slice(self, minimal_session):

@@ -7,11 +7,13 @@ import pytest
 from repro.client.profiles import (
     ClientProfile,
     OperationalCondition,
-    enumerate_conditions,
     figure2_conditions,
     profile_for,
 )
 from repro.exceptions import ConfigurationError
+
+from helpers import expected_record_length
+from strategies.conditions import enumerate_conditions
 
 
 class TestOperationalCondition:
@@ -51,15 +53,15 @@ class TestClientProfile:
         ubuntu, _ = figure2_conditions()
         profile = profile_for(ubuntu)
         # Paper: type-1 records fall in 2211-2213, type-2 in 2992-3017.
-        assert 2211 <= profile.expected_type1_record_length <= 2213
-        assert 2992 <= profile.expected_type2_record_length <= 3017
+        assert 2211 <= expected_record_length(profile.type1_payload_bytes) <= 2213
+        assert 2992 <= expected_record_length(profile.type2_payload_bytes) <= 3017
 
     def test_figure2_windows_calibration(self):
         _, windows = figure2_conditions()
         profile = profile_for(windows)
         # Paper: type-1 records fall in 2341-2343, type-2 in 3118-3147.
-        assert 2341 <= profile.expected_type1_record_length <= 2343
-        assert 3118 <= profile.expected_type2_record_length <= 3147
+        assert 2341 <= expected_record_length(profile.type1_payload_bytes) <= 2343
+        assert 3118 <= expected_record_length(profile.type2_payload_bytes) <= 3147
 
     def test_night_conditions_are_noisier(self):
         base = OperationalCondition("linux", "desktop", "firefox", "wired", "morning")

@@ -29,8 +29,8 @@ class TestViewerChoiceModel:
             ViewerBehavior("20-25", "undisclosed", "undisclosed", "undisclosed"),
         ):
             model = ViewerChoiceModel(behavior)
-            for choice_point in graph.iter_choice_points():
-                probability = model.default_probability(choice_point.question_id)
+            for question_id in graph.question_ids:
+                probability = model.default_probability(question_id)
                 assert 0.05 <= probability <= 0.95
 
     def test_behaviour_shifts_probabilities(self):

@@ -55,6 +55,7 @@ from strategies import (
     record_aligned_packets,
 )
 from strategies.frames import CLIENT_IP, OTHER_IPS, SERVER_IP
+from strategies.packets import as_retransmission
 
 _NOISY = OperationalCondition("linux", "desktop", "firefox", "wireless", "night")
 _FLOW = FiveTuple(client=Endpoint(CLIENT_IP, 40_001), server=Endpoint(SERVER_IP, 443))
@@ -130,7 +131,7 @@ class _PacketSink(CaptureSink):
             self.packets.append(packet)
             if packet.payload and self._conditions.is_lost(self._rng):
                 delay = self._conditions.base_rtt_seconds * self._rng.uniform(1.0, 2.0)
-                self.packets.append(packet.as_retransmission(packet.timestamp + delay))
+                self.packets.append(as_retransmission(packet, packet.timestamp + delay))
 
     def trace(self):
         self.packets.sort(key=lambda packet: packet.timestamp)

@@ -14,6 +14,7 @@ import base64
 import http.client
 import io
 import json
+import socket
 import tarfile
 import threading
 import urllib.error
@@ -415,6 +416,63 @@ def test_events_feed_refuses_non_json_lines(api):
     assert error["field"] == "events"
 
 
+# -- the server stops on every exit ------------------------------------------
+
+
+def _idle_coordinator(tmp_path) -> Coordinator:
+    return Coordinator(
+        FleetPlan(**PLAN),
+        EventBus(),
+        root=tmp_path / "dataset",
+        library=tmp_path / "library.json",
+        lease_ttl=300.0,
+    )
+
+
+def _still_serving(address) -> bool:
+    try:
+        socket.create_connection(address, timeout=5).close()
+    except OSError:
+        return False
+    return True
+
+
+def test_a_failed_publish_leaves_no_server(tmp_path, monkeypatch):
+    coordinator = _idle_coordinator(tmp_path)
+    address = coordinator.start()
+
+    def publish():
+        raise CoordinatorError("publish failed")
+
+    monkeypatch.setattr(coordinator, "_publish", publish)
+    coordinator._complete.set()
+    try:
+        with pytest.raises(CoordinatorError, match="publish failed"):
+            coordinator.serve_until_complete()
+        serving = _still_serving(address)
+    finally:
+        coordinator.close()
+    assert not serving
+
+
+def test_an_interrupted_serve_leaves_no_server(tmp_path, monkeypatch):
+    coordinator = _idle_coordinator(tmp_path)
+    address = coordinator.start()
+
+    class Interrupted:
+        def wait(self, timeout):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(coordinator, "_complete", Interrupted())
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            coordinator.serve_until_complete()
+        serving = _still_serving(address)
+    finally:
+        coordinator.close()
+    assert not serving
+
+
 # -- worker-side guards -----------------------------------------------------
 
 
@@ -425,6 +483,22 @@ def test_worker_refuses_an_unreachable_coordinator_by_url():
     with pytest.raises(CoordinatorError) as caught:
         worker.run()
     assert caught.value.field == "url"
+
+
+def test_worker_leaves_the_bus_sinks_as_it_found_them(api):
+    url, _recorder = api
+    local = Recorder()
+    bus = EventBus(local)
+    finished = PullWorker(url, bus, worker_id="w", max_units=0)
+    assert finished.run() == {"worker": "w", "units": 0}
+    assert bus._sinks == [local]
+    unreachable = PullWorker(
+        "http://127.0.0.1:1", bus, worker_id="w", poll_interval=0.01
+    )
+    with pytest.raises(CoordinatorError):
+        unreachable.run()
+    assert bus._sinks == [local]
+    assert local.kinds() == ["work-started", "work-finished", "work-started"]
 
 
 def test_worker_rejection_rebuilds_the_typed_error(api):

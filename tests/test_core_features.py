@@ -11,11 +11,12 @@ from repro.core.features import (
     ClientRecord,
     extract_client_records,
     labelled_lengths,
-    record_length_series,
     select_streaming_flow,
 )
 from repro.exceptions import AttackError
 from repro.net.capture import CapturedTrace
+
+from helpers import record_length_series
 
 
 class TestClientRecord:

@@ -72,7 +72,6 @@ class TestInferChoices:
         labels = [LABEL_TYPE1, LABEL_TYPE2, LABEL_TYPE1, LABEL_TYPE1, LABEL_TYPE2]
         inferred = infer_choices(records, labels)
         assert inferred.default_pattern == (False, True, False)
-        assert inferred.decision_latencies() == pytest.approx([4.0, 3.0])
 
     def test_other_records_are_ignored(self):
         records = [_record(10.0, 2212)] + [_record(11.0 + i, 700) for i in range(5)]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.classifier import MLRecordClassifier
 from repro.core.evaluation import (
     aggregate_choice_accuracy,
     aggregate_json_identification_accuracy,
@@ -13,7 +12,6 @@ from repro.core.evaluation import (
 )
 from repro.core.pipeline import WhiteMirrorAttack
 from repro.exceptions import AttackError, FingerprintError
-from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.net.capture import CapturedTrace
 from repro.streaming.session import simulate_session
 
@@ -82,28 +80,6 @@ class TestAttack:
         assert len(evaluations) == 2
         assert aggregate_choice_accuracy(evaluations) == pytest.approx(1.0)
         assert aggregate_json_identification_accuracy(evaluations) == pytest.approx(1.0)
-
-    def test_ml_classifier_training_path(self, trained_attack, training_sessions, ubuntu_session):
-        # Like the band fingerprints, a generic estimator is trained per
-        # environment (record-length bands differ between OS/browser stacks,
-        # so pooling environments would smear the classes together).
-        ubuntu_training = [
-            session
-            for session in training_sessions
-            if session.condition.fingerprint_key == "linux/firefox"
-        ]
-        classifier = trained_attack.train_ml_classifier(
-            ubuntu_training, MLRecordClassifier(GaussianNaiveBayes())
-        )
-        from repro.core.features import extract_client_records
-        from repro.core.inference import infer_choices
-
-        records = extract_client_records(
-            ubuntu_session.trace, server_ip=ubuntu_session.trace.server_ip
-        )
-        labels = classifier.classify(records)
-        inferred = infer_choices(records, labels)
-        assert inferred.default_pattern == ubuntu_session.ground_truth_pattern
 
 
 class TestEvaluationHelpers:

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.inference import ChoiceEvent, InferredChoices
-from repro.core.profiling import (
-    BehavioralProfile,
-    TraitEstimate,
-    profile_agreement,
-    profile_from_choices,
-    profile_from_path,
-)
+from repro.core.profiling import TraitEstimate, profile_from_path
 from repro.exceptions import AttackError
 from repro.narrative.bandersnatch import BANDERSNATCH_CHOICE_LABELS, build_bandersnatch_script
 from repro.narrative.path import path_from_choices
+
+from helpers import estimate_for
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +27,7 @@ class TestProfileFromPath:
     def test_selected_labels_propagate(self, full_graph):
         path = path_from_choices(full_graph, [False] + [True] * 9)
         profile = profile_from_path(path)
-        food = profile.estimate_for("food_preference")
+        food = estimate_for(profile, "food_preference")
         assert food.leaning == "non-default-leaning"
         assert food.selected_label == BANDERSNATCH_CHOICE_LABELS["Q1"][2]
 
@@ -43,38 +38,6 @@ class TestProfileFromPath:
         assert {e.trait for e in sensitive} <= {"violence", "aggression", "risk_taking"}
         assert len(sensitive) == 3
 
-    def test_unknown_trait_lookup_raises(self, full_graph):
-        profile = profile_from_path(path_from_choices(full_graph, [True] * 10))
-        with pytest.raises(AttackError):
-            profile.estimate_for("shoe_size")
-
-
-class TestProfileFromInferredChoices:
-    def test_matches_ground_truth_profile_when_choices_match(self, full_graph):
-        truth_pattern = [True, False, True, True, False, True, True, False, True, True]
-        truth_profile = profile_from_path(path_from_choices(full_graph, truth_pattern))
-        inferred = InferredChoices(
-            events=tuple(
-                ChoiceEvent(
-                    index=i,
-                    question_shown_at=float(i * 60),
-                    took_default=value,
-                    type2_seen_at=None if value else float(i * 60 + 4),
-                )
-                for i, value in enumerate(truth_pattern)
-            )
-        )
-        recovered_profile = profile_from_choices(full_graph, inferred)
-        assert profile_agreement(recovered_profile, truth_profile) == pytest.approx(1.0)
-
-    def test_partial_agreement(self, full_graph):
-        truth_profile = profile_from_path(path_from_choices(full_graph, [True] * 10))
-        flipped_profile = profile_from_path(
-            path_from_choices(full_graph, [False] + [True] * 9)
-        )
-        agreement = profile_agreement(flipped_profile, truth_profile)
-        assert 0.8 <= agreement < 1.0
-
 
 class TestValidation:
     def test_trait_estimate_validation(self):
@@ -82,8 +45,3 @@ class TestValidation:
             TraitEstimate(trait="", leaning="default-leaning", evidence_question="Q1", selected_label="x")
         with pytest.raises(AttackError):
             TraitEstimate(trait="t", leaning="sideways", evidence_question="Q1", selected_label="x")
-
-    def test_agreement_requires_ground_truth(self):
-        empty = BehavioralProfile(estimates=())
-        with pytest.raises(AttackError):
-            profile_agreement(empty, empty)

@@ -117,10 +117,6 @@ class TestDatasetObject:
         for point in ubuntu_points:
             assert point.viewer.condition.fingerprint_key == "linux/firefox"
 
-    def test_by_condition(self, small_dataset):
-        condition = small_dataset.points[0].viewer.condition
-        assert small_dataset.by_condition(condition)
-
     def test_train_test_split_covers_every_environment(self, small_dataset):
         train, test = small_dataset.train_test_split(test_fraction=0.5)
         assert len(train) + len(test) == len(small_dataset)

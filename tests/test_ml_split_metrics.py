@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MLError
-from repro.ml.metrics import (
-    ConfusionMatrix,
-    accuracy_score,
-    classification_report,
-    f1_score,
-    precision_score,
-    recall_score,
-)
-from repro.ml.split import kfold_indices, train_test_split
+from repro.ml.metrics import ConfusionMatrix, accuracy_score
+from repro.ml.split import train_test_split
 
 
 class TestTrainTestSplit:
@@ -50,22 +43,6 @@ class TestTrainTestSplit:
         assert first.train_indices.tolist() == second.train_indices.tolist()
 
 
-class TestKFold:
-    def test_folds_partition_samples(self):
-        folds = kfold_indices(17, folds=4, seed=0)
-        assert len(folds) == 4
-        all_test = sorted(i for _, test in folds for i in test.tolist())
-        assert all_test == list(range(17))
-
-    def test_train_and_test_disjoint(self):
-        for train, test in kfold_indices(20, folds=5):
-            assert not set(train.tolist()) & set(test.tolist())
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(MLError):
-            kfold_indices(2, folds=5)
-
-
 class TestMetrics:
     def test_accuracy(self):
         assert accuracy_score(["a", "b", "a"], ["a", "b", "b"]) == pytest.approx(2 / 3)
@@ -73,19 +50,6 @@ class TestMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MLError):
             accuracy_score(["a"], ["a", "b"])
-
-    def test_precision_recall_f1(self):
-        truth = ["p", "p", "n", "n", "p"]
-        predicted = ["p", "n", "p", "n", "p"]
-        assert precision_score(truth, predicted, "p") == pytest.approx(2 / 3)
-        assert recall_score(truth, predicted, "p") == pytest.approx(2 / 3)
-        assert f1_score(truth, predicted, "p") == pytest.approx(2 / 3)
-
-    def test_precision_with_no_positive_predictions(self):
-        assert precision_score(["p", "n"], ["n", "n"], "p") == 1.0
-
-    def test_recall_with_no_positive_truth(self):
-        assert recall_score(["n", "n"], ["p", "n"], "p") == 1.0
 
     def test_confusion_matrix_counts(self):
         truth = ["a", "a", "b", "b", "b"]
@@ -103,9 +67,3 @@ class TestMetrics:
         rows = matrix.as_rows()
         assert len(rows) == 2
         assert rows[0]["true"] == "x"
-
-    def test_classification_report_structure(self):
-        report = classification_report(["a", "b", "a"], ["a", "b", "b"])
-        assert set(report) == {"a", "b", "overall"}
-        assert report["overall"]["accuracy"] == pytest.approx(2 / 3)
-        assert report["a"]["support"] == 2

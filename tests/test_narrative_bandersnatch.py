@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.narrative.bandersnatch import (
     BANDERSNATCH_CHOICE_LABELS,
     build_bandersnatch_script,
-    build_linear_script,
     build_minimal_interactive_script,
     canonical_question_id,
 )
 from repro.narrative.path import path_from_choices
+
+from helpers import ending_segments, total_content_seconds
 
 
 class TestBandersnatchScript:
@@ -44,13 +43,13 @@ class TestBandersnatchScript:
 
     def test_endings_have_no_choice_points(self):
         graph = build_bandersnatch_script()
-        for segment in graph.ending_segments():
+        for segment in ending_segments(graph):
             assert graph.choice_point_after(segment.segment_id) is None
 
     def test_duration_scales_with_parameters(self):
         short = build_bandersnatch_script(1.0, 1.0, 1.0)
         long = build_bandersnatch_script(10.0, 8.0, 12.0)
-        assert long.total_content_seconds() > short.total_content_seconds()
+        assert total_content_seconds(long) > total_content_seconds(short)
 
     def test_canonical_question_id(self):
         assert canonical_question_id("Q3@S2b") == "Q3"
@@ -62,17 +61,4 @@ class TestOtherScripts:
         graph = build_minimal_interactive_script()
         assert graph.segment_count == 5
         assert graph.root_segment.segment_id == "S0"
-        graph.validate()
-
-    def test_linear_script_validates(self):
-        graph = build_linear_script(segment_count=4)
-        graph.validate()
-        assert graph.root_segment.segment_id == "L0"
-
-    def test_linear_script_minimum_size(self):
-        with pytest.raises(ValueError):
-            build_linear_script(segment_count=1)
-
-    def test_linear_script_smallest_valid(self):
-        graph = build_linear_script(segment_count=2)
         graph.validate()

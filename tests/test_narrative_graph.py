@@ -7,8 +7,10 @@ import pytest
 from repro.exceptions import NarrativeError
 from repro.narrative.bandersnatch import build_bandersnatch_script
 from repro.narrative.choices import Choice, ChoicePoint, ChoiceRecord
-from repro.narrative.graph import StoryGraph, choice_edge_attributes
+from repro.narrative.graph import StoryGraph
 from repro.narrative.segment import Segment
+
+from helpers import ending_segments, max_choices_on_any_path, total_content_seconds
 
 
 def _simple_graph() -> StoryGraph:
@@ -117,9 +119,6 @@ class TestChoicePoint:
         assert point.non_default_choice.label == "y"
         assert point.choice_for(True).target_segment_id == "B"
         assert point.choice_for(False).target_segment_id == "C"
-        assert point.choice_by_label("y").target_segment_id == "C"
-        with pytest.raises(NarrativeError):
-            point.choice_by_label("zzz")
 
     def test_choice_record_rejects_negative_time(self):
         with pytest.raises(NarrativeError):
@@ -156,9 +155,6 @@ class TestStoryGraph:
         assert graph.choice_point("Q1").prompt == "pick"
         assert graph.choice_point_after("A").question_id == "Q1"
         assert graph.choice_point_after("B") is None
-        assert set(graph.successors("A")) == {"B", "C"}
-        assert graph.default_successor("A").segment_id == "B"
-        assert graph.default_successor("B") is None
         assert "A" in graph and "Z" not in graph
 
     def test_unknown_segment_lookup_raises(self):
@@ -186,41 +182,12 @@ class TestStoryGraph:
         graph = _simple_graph()
         assert graph.segment_count == 3
         assert graph.choice_point_count == 1
-        assert graph.total_content_seconds() == pytest.approx(240.0)
-        assert graph.max_choices_on_any_path() >= 1
-        assert len(graph.ending_segments()) == 2
-
-    def test_choice_edge_attributes(self):
-        rows = choice_edge_attributes(_simple_graph())
-        assert len(rows) == 2
-        assert {row["label"] for row in rows} == {"stay", "leave"}
+        assert total_content_seconds(graph) == pytest.approx(240.0)
+        assert max_choices_on_any_path(graph) >= 1
+        assert len(ending_segments(graph)) == 2
 
 
 class TestGraphWalks:
-    def test_successors_keep_option_order(self):
-        graph = _wired_graph("BC", {"A": ("C", "B")})
-        assert graph.successors("A") == ("C", "B")
-        assert graph.successors("B") == ()
-        with pytest.raises(NarrativeError):
-            graph.successors("missing")
-
-    def test_successors_list_a_shared_target_once(self):
-        # ChoicePoint forbids two options on one target, so build the shared
-        # case past its check; the graph must still list the target once.
-        graph = _wired_graph("BC", {"A": ("B", "C")})
-        shared = object.__new__(ChoicePoint)
-        fields = {
-            "question_id": "QA",
-            "prompt": "pick",
-            "source_segment_id": "A",
-            "options": (Choice("yes", "B", is_default=True), Choice("no", "B")),
-            "timeout_seconds": 10.0,
-        }
-        for name, value in fields.items():
-            object.__setattr__(shared, name, value)
-        graph._choice_points["QA"] = shared
-        assert graph.successors("A") == ("B",)
-
     def test_validate_rejects_an_unreachable_island_with_a_cycle(self):
         # X and Y point at each other and at an ending; nothing reaches them.
         graph = _wired_graph("BCE", {"A": ("B", "C"), "X": ("Y", "E"), "Y": ("X", "E")})
@@ -257,7 +224,7 @@ class TestGraphWalks:
         ids=["chain", "loop", "diamond", "loop-into-ending", "ending"],
     )
     def test_max_choices_on_any_path(self, endings, choices, expected):
-        assert _wired_graph(endings, choices).max_choices_on_any_path() == expected
+        assert max_choices_on_any_path(_wired_graph(endings, choices)) == expected
 
     def test_max_choices_on_a_long_chain_needs_no_recursion(self):
         length = 5_000
@@ -278,7 +245,7 @@ class TestGraphWalks:
                 )
             )
         graph.validate()
-        assert graph.max_choices_on_any_path() == length
+        assert max_choices_on_any_path(graph) == length
 
     def test_bandersnatch_script_has_ten_questions_on_its_longest_path(self):
-        assert build_bandersnatch_script().max_choices_on_any_path() == 10
+        assert max_choices_on_any_path(build_bandersnatch_script()) == 10

@@ -1,12 +1,11 @@
-"""Tests for viewing paths and path enumeration."""
+"""Tests for viewing paths."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import NarrativeError
-from repro.narrative.bandersnatch import build_minimal_interactive_script
-from repro.narrative.path import ViewingPath, enumerate_paths, path_from_choices
+from repro.narrative.path import ViewingPath, path_from_choices
 
 
 class TestPathFromChoices:
@@ -19,8 +18,6 @@ class TestPathFromChoices:
     def test_mixed_choices(self, minimal_graph):
         path = path_from_choices(minimal_graph, [True, False])
         assert path.segment_ids == ("S0", "S1", "S2p")
-        assert path.matches_choices([True, False])
-        assert not path.matches_choices([True, True])
 
     def test_partial_pattern_stops_early(self, minimal_graph):
         path = path_from_choices(minimal_graph, [False])
@@ -41,17 +38,3 @@ class TestViewingPath:
     def test_requires_at_least_one_segment(self):
         with pytest.raises(NarrativeError):
             ViewingPath(segment_ids=(), choices=())
-
-
-class TestEnumeratePaths:
-    def test_minimal_script_has_four_complete_paths(self):
-        graph = build_minimal_interactive_script()
-        paths = list(enumerate_paths(graph))
-        assert len(paths) == 4
-        patterns = {path.default_pattern for path in paths}
-        assert patterns == {(True, True), (True, False), (False, True), (False, False)}
-
-    def test_every_enumerated_path_ends_at_an_ending(self):
-        graph = build_minimal_interactive_script()
-        for path in enumerate_paths(graph):
-            assert graph.segment(path.segment_ids[-1]).is_ending

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client.profiles import OperationalCondition, enumerate_conditions
+from repro.client.profiles import OperationalCondition
 from repro.exceptions import PacketError
 from repro.net.capture import CaptureSink, CapturedTrace
 from repro.net.conditions import conditions_for
@@ -12,6 +12,8 @@ from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.packet import Direction
 from repro.net.tcp import TCPSender
 from repro.utils.rng import RandomSource
+
+from strategies.conditions import enumerate_conditions
 
 
 @pytest.fixture()

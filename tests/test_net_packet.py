@@ -9,7 +9,9 @@ import pytest
 from repro.exceptions import PacketError
 from repro.net.endpoints import Endpoint, FiveTuple
 from repro.net.headers import TCP_FLAG_SYN
-from repro.net.packet import Direction, Packet, push_flags, syn_packet
+from repro.net.packet import Direction, Packet, push_flags
+
+from strategies.packets import as_retransmission, syn_packet, with_timestamp
 
 
 @pytest.fixture()
@@ -59,7 +61,7 @@ class TestPacket:
             Packet(timestamp, Direction.CLIENT_TO_SERVER, five_tuple, b"x")
         packet = Packet(1.0, Direction.CLIENT_TO_SERVER, five_tuple, b"x")
         with pytest.raises(PacketError, match="timestamp"):
-            packet.with_timestamp(timestamp)
+            with_timestamp(packet, timestamp)
 
     def test_five_tuple_key_is_cached_and_leaves_equality_alone(self, five_tuple):
         key = five_tuple.key
@@ -71,8 +73,8 @@ class TestPacket:
 
     def test_with_timestamp_and_retransmission(self, five_tuple):
         packet = Packet(1.0, Direction.CLIENT_TO_SERVER, five_tuple, b"x")
-        later = packet.with_timestamp(5.0)
-        retransmit = packet.as_retransmission(6.0)
+        later = with_timestamp(packet, 5.0)
+        retransmit = as_retransmission(packet, 6.0)
         assert later.timestamp == 5.0 and not later.is_retransmission
         assert retransmit.is_retransmission and retransmit.payload == packet.payload
 

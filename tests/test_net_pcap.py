@@ -15,10 +15,10 @@ from repro.net.pcap import (
     PCAP_MAGIC,
     PcapReader,
     PcapWriter,
-    read_pcap,
     read_pcap_columns,
-    write_pcap,
 )
+
+from strategies.pcaps import read_pcap, write_pcap
 
 
 @pytest.fixture()

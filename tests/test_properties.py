@@ -21,6 +21,8 @@ from repro.tls.records import ContentType, TLSRecord, parse_records
 from repro.utils.histogram import Histogram, LengthBin
 from repro.utils.rng import RandomSource, derive_seed
 
+from helpers import observe_many
+
 # -- TLS record framing -------------------------------------------------------
 
 
@@ -128,7 +130,7 @@ def test_jittered_draws_stay_in_range(seed, center, jitter):
 def test_histogram_percentages_sum_to_100(values):
     bins = [LengthBin(None, 2000), LengthBin(2001, 5000), LengthBin(5001, None)]
     histogram = Histogram(bins=bins, categories=["x"])
-    histogram.observe_many(values, "x")
+    observe_many(histogram, values, "x")
     assert sum(histogram.percentages("x")) == pytest.approx(100.0)
     assert histogram.total("x") == len(values)
 

@@ -18,6 +18,8 @@ from repro.core.pipeline import WhiteMirrorAttack
 from repro.exceptions import FingerprintError, StreamingError
 from repro.streaming.session import SessionConfig, simulate_session
 
+from helpers import transmitted_state_message_kinds
+
 _PAD_TO = 3400  # larger than any unpadded report under every profile
 
 
@@ -60,7 +62,7 @@ class TestSourceLevelPadding:
 
     def test_streaming_protocol_is_unchanged(self, padded_sessions):
         for session in padded_sessions:
-            kinds = session.transmitted_state_message_kinds()
+            kinds = transmitted_state_message_kinds(session)
             assert kinds.count("type1") == session.path.choice_count
             assert kinds.count("type2") == session.path.non_default_count
 

@@ -9,6 +9,8 @@ from repro.exceptions import StreamingError
 from repro.streaming.events import EventKind
 from repro.streaming.session import SessionConfig, simulate_session
 
+from helpers import transmitted_state_message_kinds
+
 
 class TestSessionConfig:
     def test_defaults_valid(self):
@@ -31,7 +33,7 @@ class TestMinimalSession:
         assert minimal_session.path.segment_ids == ("S0", "S1", "S2p")
 
     def test_state_messages_follow_protocol(self, minimal_session):
-        kinds = minimal_session.transmitted_state_message_kinds()
+        kinds = transmitted_state_message_kinds(minimal_session)
         # One type-1 per question, one type-2 for the single non-default choice.
         assert kinds.count(JSON_TYPE_1) == 2
         assert kinds.count(JSON_TYPE_2) == 1
@@ -68,13 +70,13 @@ class TestMinimalSession:
 class TestFullSession:
     def test_full_session_answers_every_question(self, ubuntu_session):
         assert ubuntu_session.path.choice_count == 10
-        type1_count = ubuntu_session.transmitted_state_message_kinds().count(JSON_TYPE_1)
+        type1_count = transmitted_state_message_kinds(ubuntu_session).count(JSON_TYPE_1)
         # Every question triggers a type-1 unless it was lost (not possible in
         # the wired/noon condition where loss probability is zero).
         assert type1_count == 10
 
     def test_type2_count_matches_non_default_choices(self, ubuntu_session):
-        type2_count = ubuntu_session.transmitted_state_message_kinds().count(JSON_TYPE_2)
+        type2_count = transmitted_state_message_kinds(ubuntu_session).count(JSON_TYPE_2)
         assert type2_count == ubuntu_session.path.non_default_count
 
     def test_sessions_are_reproducible(self, study_graph, ubuntu_condition, default_behavior):
@@ -136,5 +138,5 @@ class TestFullSession:
             seed=81,
             config=SessionConfig(interactive=False, cross_traffic_enabled=False),
         )
-        assert session.transmitted_state_message_kinds() == []
+        assert transmitted_state_message_kinds(session) == []
         assert session.path.choice_count == 0

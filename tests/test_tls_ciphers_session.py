@@ -87,27 +87,16 @@ class TestTLSSession:
         payload = b"y" * (MAX_PLAINTEXT_FRAGMENT * 2 + 100)
         records = session.protect(payload)
         assert len(records) == 3
-        assert session.records_sent == 3
 
     def test_empty_payload_rejected(self):
         with pytest.raises(TLSError):
             TLSSession(key_id="test").protect(b"")
 
-    def test_record_length_for_matches_protect(self):
-        session = TLSSession(key_id="a")
-        expected = session.record_length_for(2183)
-        actual = TLSSession(key_id="a").protect(b"z" * 2183)[0].wire_length
-        assert expected == actual
-
-    def test_record_length_for_rejects_oversized(self):
-        with pytest.raises(TLSError):
-            TLSSession(key_id="a").record_length_for(MAX_PLAINTEXT_FRAGMENT + 1)
-
     def test_figure2_calibration_ubuntu_type1(self):
         # A 2183-byte type-1 payload must produce a record in the paper's
         # 2211-2213 band under the default cipher suite.
-        session = TLSSession(key_id="calibration")
-        assert 2211 <= session.record_length_for(2183) <= 2213
+        (record,) = TLSSession(key_id="calibration").protect(b"z" * 2183)
+        assert 2211 <= record.wire_length <= 2213
 
     def test_different_key_ids_produce_different_ciphertext(self):
         a = TLSSession(key_id="a").protect(b"payload" * 10)[0]

@@ -7,10 +7,8 @@ import pytest
 from repro.exceptions import TLSError
 from repro.tls.records import (
     MAX_CIPHERTEXT_LENGTH,
-    RECORD_HEADER_LENGTH,
     ContentType,
     TLSRecord,
-    iter_record_lengths,
     parse_records,
 )
 
@@ -70,17 +68,3 @@ class TestStreamParsing:
         stream = _record(10).serialize() + b"\x17\x03"
         with pytest.raises(TLSError):
             parse_records(stream)
-
-    def test_iter_record_lengths_matches_wire_lengths(self):
-        records = [_record(10), _record(555), _record(2184)]
-        stream = b"".join(record.serialize() for record in records)
-        assert list(iter_record_lengths(stream)) == [
-            record.wire_length for record in records
-        ]
-
-    def test_iter_record_lengths_never_reads_payload(self):
-        # Corrupting ciphertext bytes must not affect the observed lengths.
-        record = _record(100)
-        stream = bytearray(record.serialize())
-        stream[RECORD_HEADER_LENGTH:] = b"\x00" * 100
-        assert list(iter_record_lengths(bytes(stream))) == [record.wire_length]

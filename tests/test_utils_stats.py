@@ -6,12 +6,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.utils.stats import (
-    jains_fairness,
     mean,
     median,
     percentile,
     proportions,
-    relative_error,
     stddev,
     summarize,
 )
@@ -63,20 +61,3 @@ class TestProportionsAndErrors:
     def test_proportions_zero_total_rejected(self):
         with pytest.raises(ConfigurationError):
             proportions({"a": 0})
-
-    def test_relative_error(self):
-        assert relative_error(96.0, 100.0) == pytest.approx(0.04)
-
-    def test_relative_error_zero_reference_rejected(self):
-        with pytest.raises(ConfigurationError):
-            relative_error(1.0, 0.0)
-
-    def test_jains_fairness_equal_shares(self):
-        assert jains_fairness([5, 5, 5, 5]) == pytest.approx(1.0)
-
-    def test_jains_fairness_unequal(self):
-        assert jains_fairness([1, 0, 0, 0]) == pytest.approx(0.25)
-
-    def test_jains_fairness_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            jains_fairness([-1, 2])

@@ -50,13 +50,6 @@ class TestBandwidth:
         with pytest.raises(ConfigurationError):
             Bandwidth(0).transfer_time(10)
 
-    def test_bytes_in_duration(self):
-        assert mbps(8).bytes_in(3.0) == pytest.approx(3_000_000)
-
-    def test_bytes_in_negative_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mbps(8).bytes_in(-1)
-
     def test_scaled(self):
         assert mbps(10).scaled(0.5).megabits_per_second == pytest.approx(5.0)
 

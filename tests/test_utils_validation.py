@@ -5,39 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import (
-    ensure_in,
-    ensure_non_negative,
-    ensure_positive,
-    ensure_probability,
-    ensure_range,
-)
+from repro.utils.validation import ensure_in, ensure_probability
 
 
 class TestValidation:
-    def test_ensure_positive_accepts_and_returns(self):
-        assert ensure_positive(2.5, "x") == 2.5
-
-    def test_ensure_positive_rejects_zero(self):
-        with pytest.raises(ConfigurationError, match="x"):
-            ensure_positive(0, "x")
-
-    def test_ensure_non_negative(self):
-        assert ensure_non_negative(0, "y") == 0
-        with pytest.raises(ConfigurationError):
-            ensure_non_negative(-0.1, "y")
-
     def test_ensure_probability(self):
         assert ensure_probability(0.5, "p") == 0.5
         with pytest.raises(ConfigurationError):
             ensure_probability(1.2, "p")
         with pytest.raises(ConfigurationError):
             ensure_probability(-0.2, "p")
-
-    def test_ensure_range(self):
-        assert ensure_range(3, 1, 5, "r") == 3
-        with pytest.raises(ConfigurationError):
-            ensure_range(6, 1, 5, "r")
 
     def test_ensure_in(self):
         assert ensure_in("a", ("a", "b"), "v") == "a"
