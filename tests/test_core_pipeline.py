@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.classifier import MLRecordClassifier
 from repro.core.evaluation import (
     aggregate_choice_accuracy,
     aggregate_json_identification_accuracy,
     evaluate_record_classification,
     worst_case_accuracy,
 )
+from repro.core.features import extract_client_records
+from repro.core.inference import infer_choices
 from repro.core.pipeline import WhiteMirrorAttack
 from repro.exceptions import AttackError, FingerprintError
+from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.net.capture import CapturedTrace
 from repro.streaming.session import simulate_session
 
@@ -80,6 +84,26 @@ class TestAttack:
         assert len(evaluations) == 2
         assert aggregate_choice_accuracy(evaluations) == pytest.approx(1.0)
         assert aggregate_json_identification_accuracy(evaluations) == pytest.approx(1.0)
+
+    def test_ml_classifier_training_path(self, training_sessions, ubuntu_session):
+        # Like the band fingerprints, a generic estimator is trained per
+        # environment (record-length bands differ between OS/browser stacks,
+        # so pooling environments would smear the classes together).
+        training_records = [
+            record
+            for session in training_sessions
+            if session.condition.fingerprint_key == "linux/firefox"
+            for record in extract_client_records(
+                session.trace, server_ip=session.trace.server_ip
+            )
+        ]
+        classifier = MLRecordClassifier(GaussianNaiveBayes()).fit(training_records)
+        records = extract_client_records(
+            ubuntu_session.trace, server_ip=ubuntu_session.trace.server_ip
+        )
+        labels = classifier.classify(records)
+        inferred = infer_choices(records, labels)
+        assert inferred.default_pattern == ubuntu_session.ground_truth_pattern
 
 
 class TestEvaluationHelpers:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import MLError
 from repro.ml.metrics import ConfusionMatrix, accuracy_score
-from repro.ml.split import train_test_split
+from repro.ml.split import StratifiedSplit, train_test_split
 
 
 class TestTrainTestSplit:
@@ -42,6 +42,24 @@ class TestTrainTestSplit:
         second = train_test_split(labels, seed=3)
         assert first.train_indices.tolist() == second.train_indices.tolist()
 
+    def test_singleton_class_stays_in_training(self):
+        labels = ["a", "a", "a", "a", "lonely"]
+        split = train_test_split(labels, test_fraction=0.5, seed=0)
+        assert 4 in split.train_indices.tolist()
+        assert 4 not in split.test_indices.tolist()
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(MLError):
+            train_test_split(["a"])
+
+    def test_zero_fraction_rejected(self):
+        with pytest.raises(MLError):
+            train_test_split(["a", "b"], test_fraction=0.0)
+
+    def test_overlapping_indices_rejected(self):
+        with pytest.raises(MLError):
+            StratifiedSplit(train_indices=np.array([0, 1]), test_indices=np.array([1, 2]))
+
 
 class TestMetrics:
     def test_accuracy(self):
@@ -67,3 +85,25 @@ class TestMetrics:
         rows = matrix.as_rows()
         assert len(rows) == 2
         assert rows[0]["true"] == "x"
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(MLError):
+            accuracy_score([], [])
+
+    def test_confusion_matrix_unknown_label_rejected(self):
+        matrix = ConfusionMatrix.from_predictions(["a", "b"], ["a", "b"])
+        with pytest.raises(MLError):
+            matrix.count("a", "zzz")
+
+    def test_label_only_ever_predicted_gets_an_empty_row(self):
+        matrix = ConfusionMatrix.from_predictions(["a", "a"], ["a", "ghost"])
+        assert matrix.labels == ("a", "ghost")
+        assert matrix.count("ghost", "a") == 0
+        assert matrix.count("ghost", "ghost") == 0
+        assert matrix.count("a", "ghost") == 1
+
+    def test_accuracy_agrees_with_confusion_matrix(self):
+        truth = ["x", "y", "z", "x", "y", "z", "x"]
+        predicted = ["x", "z", "z", "y", "y", "x", "x"]
+        matrix = ConfusionMatrix.from_predictions(truth, predicted)
+        assert matrix.accuracy == pytest.approx(accuracy_score(truth, predicted))

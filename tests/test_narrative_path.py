@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.exceptions import NarrativeError
@@ -38,3 +40,18 @@ class TestViewingPath:
     def test_requires_at_least_one_segment(self):
         with pytest.raises(NarrativeError):
             ViewingPath(segment_ids=(), choices=())
+
+
+class TestEveryChoicePattern:
+    PATTERNS = list(itertools.product([True, False], repeat=2))
+
+    def test_minimal_script_has_four_distinct_complete_paths(self, minimal_graph):
+        paths = [path_from_choices(minimal_graph, pattern) for pattern in self.PATTERNS]
+        assert len({path.segment_ids for path in paths}) == 4
+        assert {path.default_pattern for path in paths} == set(self.PATTERNS)
+
+    def test_every_pattern_ends_at_an_ending(self, minimal_graph):
+        for pattern in self.PATTERNS:
+            path = path_from_choices(minimal_graph, pattern)
+            assert minimal_graph.segment(path.segment_ids[-1]).is_ending
+            assert len(path.segment_ids) == path.choice_count + 1

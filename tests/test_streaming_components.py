@@ -13,6 +13,7 @@ from repro.streaming.events import EventKind, EventLog
 from repro.streaming.prefetch import Prefetcher
 from repro.streaming.server import StreamingServer
 from repro.media.encoding import default_ladder
+from repro.utils.units import mbps
 
 
 class TestPlaybackBuffer:
@@ -75,6 +76,20 @@ class TestABR:
             abr.observe_download(0, 1.0)
         with pytest.raises(StreamingError):
             abr.observe_download(100, 0.0)
+
+    def test_first_download_sets_the_throughput_estimate(self):
+        ladder = default_ladder()
+        abr = AdaptiveBitrateController(ladder, safety_factor=1.0)
+        abr.observe_download(1_000_000, 1.0)  # 8 Mbps
+        assert abr.select_profile(_full_buffer()) == ladder.best_under(mbps(8), 1.0)
+
+    def test_invalid_configuration_rejected(self):
+        with pytest.raises(StreamingError):
+            AdaptiveBitrateController(default_ladder(), safety_factor=0.0)
+        with pytest.raises(StreamingError):
+            AdaptiveBitrateController(default_ladder(), smoothing=1.5)
+        with pytest.raises(StreamingError):
+            AdaptiveBitrateController(default_ladder(), low_buffer_seconds=-1.0)
 
 
 def _full_buffer() -> PlaybackBuffer:

@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import TLSError
 from repro.tls.ciphers import CIPHER_SUITES, cipher_by_name, default_cipher
 from repro.tls.handshake import simulate_handshake
-from repro.tls.records import ContentType, MAX_PLAINTEXT_FRAGMENT
+from repro.tls.records import ContentType, MAX_PLAINTEXT_FRAGMENT, RECORD_HEADER_LENGTH
 from repro.tls.session import TLSSession
 from repro.utils.rng import RandomSource
 
@@ -103,3 +103,28 @@ class TestTLSSession:
         b = TLSSession(key_id="b").protect(b"payload" * 10)[0]
         assert a.ciphertext != b.ciphertext
         assert a.length == b.length
+
+    @pytest.mark.parametrize("size", [1, 2183, MAX_PLAINTEXT_FRAGMENT])
+    def test_wire_length_is_header_plus_cipher_output(self, size):
+        session = TLSSession(key_id="a")
+        (record,) = session.protect(b"z" * size)
+        assert record.wire_length == RECORD_HEADER_LENGTH + session.cipher.ciphertext_length(size)
+
+    def test_fragment_limit_splits_one_byte_over(self):
+        session = TLSSession(key_id="a")
+        records = session.protect(b"z" * (MAX_PLAINTEXT_FRAGMENT + 1))
+        assert [record.length for record in records] == [
+            session.cipher.ciphertext_length(MAX_PLAINTEXT_FRAGMENT),
+            session.cipher.ciphertext_length(1),
+        ]
+
+    def test_sequence_number_carries_across_payloads(self):
+        session = TLSSession(key_id="a")
+        (first,) = session.protect(b"same payload")
+        (second,) = session.protect(b"same payload")
+        assert first.ciphertext != second.ciphertext
+        assert first.length == second.length
+
+    def test_version_field_is_stamped_on_records(self):
+        (record,) = TLSSession(key_id="a", version=0x0301).protect(b"x")
+        assert record.version == 0x0301

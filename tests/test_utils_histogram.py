@@ -92,3 +92,19 @@ class TestHistogram:
         rows = histogram.as_table()
         assert len(rows) == 3
         assert set(rows[0]) == {"bin", "a", "b"}
+
+    def test_value_outside_every_bin_is_not_counted(self):
+        histogram = Histogram(bins=bins_from_edges([(1, 5)]), categories=["only"])
+        histogram.observe(99, "only")
+        histogram.observe(3, "only")
+        assert histogram.counts("only") == (1,)
+        assert histogram.total("only") == 1
+        assert histogram.percentages("only") == (100.0,)
+
+    def test_counts_of_unknown_category_rejected(self):
+        with pytest.raises(ConfigurationError):
+            self._histogram().counts("zzz")
+
+    def test_bin_label_property_matches_bin_label(self):
+        for bin_ in bins_from_edges([(None, 10), (11, 20), (21, None), (7, 7)]):
+            assert bin_.label == bin_label(bin_)

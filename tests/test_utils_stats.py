@@ -61,3 +61,26 @@ class TestProportionsAndErrors:
     def test_proportions_zero_total_rejected(self):
         with pytest.raises(ConfigurationError):
             proportions({"a": 0})
+
+    def test_proportions_keep_zero_count_keys(self):
+        assert proportions({"a": 2, "b": 0}) == {"a": 1.0, "b": 0.0}
+
+
+class TestSpread:
+    def test_median_even_averages_the_middle_pair(self):
+        assert median([4, 1, 3, 2]) == pytest.approx(2.5)
+
+    def test_stddev_is_the_population_form(self):
+        assert stddev([1, 3]) == pytest.approx(1.0)
+
+    def test_percentile_extremes_are_min_and_max(self):
+        values = [7, 3, 9, 1]
+        assert percentile(values, 0) == pytest.approx(1)
+        assert percentile(values, 100) == pytest.approx(9)
+
+    def test_summary_of_a_single_value(self):
+        summary = summarize([4.0])
+        assert summary.count == 1
+        assert summary.minimum == summary.maximum == summary.median == 4.0
+        assert summary.stddev == 0.0
+        assert summary.p05 == summary.p95 == 4.0

@@ -59,3 +59,15 @@ class TestBandwidth:
 
     def test_str_mentions_mbps(self):
         assert "Mbps" in str(mbps(4.2))
+
+    def test_transfer_time_of_nothing_is_zero(self):
+        assert mbps(8).transfer_time(0) == 0.0
+
+    def test_zero_rate_link_can_be_described(self):
+        assert Bandwidth(0).bytes_per_second == 0.0
+        assert str(Bandwidth(0)) == "0.000 Mbps"
+
+    def test_scaled_leaves_the_original_unchanged(self):
+        link = mbps(10)
+        link.scaled(2.0)
+        assert link.megabits_per_second == pytest.approx(10.0)

@@ -20,3 +20,13 @@ class TestValidation:
         assert ensure_in("a", ("a", "b"), "v") == "a"
         with pytest.raises(ConfigurationError):
             ensure_in("c", ("a", "b"), "v")
+
+    def test_ensure_probability_accepts_both_bounds(self):
+        assert ensure_probability(0.0, "p") == 0.0
+        assert ensure_probability(1.0, "p") == 1.0
+
+    def test_errors_name_the_argument(self):
+        with pytest.raises(ConfigurationError, match="loss_rate"):
+            ensure_probability(2.0, "loss_rate")
+        with pytest.raises(ConfigurationError, match="mode"):
+            ensure_in("z", ("a",), "mode")
